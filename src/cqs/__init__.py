@@ -32,10 +32,12 @@ from .representations import (
     to_nq,
 )
 from .cone_geometry import (
+    ClassData,
     HilbertData,
     LatticeTag,
     ZoneSpec,
     ab_floor_data,
+    class_data,
     continued_fraction,
     eta,
     hilbert_basis,

@@ -4,23 +4,27 @@ Subcommands: convert, analyze, scan, verify, cayley.  Inputs use the
 grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 | cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
-2 parse error, 3 invalid singularity, 4 degenerate class (embdim <= 3).
+2 parse error or a CQS_ORACLE_BOUND that is not an integer >= 2,
+3 invalid singularity, 4 degenerate class (embdim <= 3).  A reader that
+closes the pipe early (``cqs scan 400 | head``) ends the run quietly with
+exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .cone_geometry import (
+    ClassData,
+    OracleBoundError,
     binomial_equations,
-    continued_fraction,
-    cone_index,
-    hilbert_basis,
+    class_data,
     oracle_bound,
 )
 from .deformations import CayleyFamily, T1Report, cayley_family, classify, totals
@@ -35,9 +39,6 @@ from .representations import (
     NQForm,
     SingularityForm,
     canonical_class,
-    cone_to_interval,
-    mirror_c,
-    nq_to_abc,
     nq_to_cone,
     to_nq,
 )
@@ -120,29 +121,20 @@ def format_form(form: SingularityForm) -> str:
     raise TypeError(type(form))
 
 
-def _five_forms(nq: NQForm) -> dict[str, SingularityForm]:
-    cone = nq_to_cone(nq)
-    return {
-        "nq": nq,
-        "abc": nq_to_abc(nq),
-        "cone": cone,
-        "interval": cone_to_interval(cone),
-        "cf": continued_fraction(nq.n, nq.n - nq.q),
-    }
+def _class_of(text: str) -> ClassData:
+    """The record of the parsed class, in the standard cone of its nq."""
+    return class_data(nq_to_cone(to_nq(parse_form(text))))
 
 
-def _forms_block(nq: NQForm) -> dict:
-    forms = _five_forms(nq)
-    abc: ABCForm = forms["abc"]
-    cone: ConeForm = forms["cone"]
-    iv: IntervalUD = forms["interval"]
-    canon = canonical_class(nq)
+def _forms_block(cd: ClassData) -> dict:
+    abc, iv = cd.abc, cd.interval
+    canon = canonical_class(cd.nq)
     return {
-        "nq": {"n": nq.n, "q": nq.q},
-        "abc": {"a": abc.a, "b": abc.b, "c": abc.c, "c_prime": mirror_c(iv)},
+        "nq": {"n": cd.nq.n, "q": cd.nq.q},
+        "abc": {"a": abc.a, "b": abc.b, "c": abc.c, "c_prime": cd.c_prime},
         "cone": {
-            "alpha": [cone.alpha.x, cone.alpha.y],
-            "beta": [cone.beta.x, cone.beta.y],
+            "alpha": [cd.alpha.x, cd.alpha.y],
+            "beta": [cd.beta.x, cd.beta.y],
         },
         "interval": {
             "g": iv.g,
@@ -152,20 +144,17 @@ def _forms_block(nq: NQForm) -> dict:
             "right": str(iv.right),
             "length": str(iv.length),
         },
-        "cf": list(forms["cf"].coefficients),
+        "cf": list(cd.hilbert.coeffs),
         "canonical_nq": {"n": canon.n, "q": canon.q},
     }
 
 
-def build_report_document(nq: NQForm, report: T1Report | None) -> dict:
-    cone = nq_to_cone(nq)
-    h = hilbert_basis(cone)
-    iv = cone_to_interval(cone)
-    flags = classify(nq)
-    fam = cayley_family(iv)
+def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
+    h = cd.hilbert
+    flags = classify(cd) if report is None else report.flags
     doc = {
         "schema_version": "1",
-        "input_echo": _forms_block(nq),
+        "input_echo": _forms_block(cd),
         "hilbert": {
             "e": h.e,
             "basis": [[r.u, r.v] for r in h.basis],
@@ -181,11 +170,11 @@ def build_report_document(nq: NQForm, report: T1Report | None) -> dict:
             "t0_singularity": flags.t0_singularity,
             "qg_exists": flags.qg_exists,
             "embdim": h.e,
-            "index": cone_index(cone),
-            "interval_length": str(iv.length),
+            "index": cd.m,
+            "interval_length": str(cd.interval.length),
         },
         "t1": None,
-        "cayley": _cayley_block(fam),
+        "cayley": _cayley_block(cayley_family(cd.interval)),
     }
     if report is not None:
         doc["t1"] = {
@@ -238,29 +227,28 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_convert(args) -> int:
-    form = parse_form(args.input)
-    nq = to_nq(form)
-    forms = _five_forms(nq)
+    cd = _class_of(args.input)
     if args.json:
-        _print_json({"schema_version": "1", "forms": _forms_block(nq)})
+        _print_json({"schema_version": "1", "forms": _forms_block(cd)})
         return EXIT_OK
+    cone = ConeForm(cd.alpha, cd.beta)
+    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, cone, cd.interval, CFForm(cd.hilbert.coeffs))))
     tags = FORM_TAGS if args.all else (args.to,)
     for tag in tags:
         print(format_form(forms[tag]))
-    print(f"canonical:{format_form(canonical_class(nq))}")
+    print(f"canonical:{format_form(canonical_class(cd.nq))}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    form = parse_form(args.input)
-    nq = to_nq(form)
+    cd = _class_of(args.input)
     try:
-        report = totals(nq)
+        report = totals(cd)
     except DegenerateSingularityError:
         if not args.allow_degenerate:
             raise
         report = None
-    doc = build_report_document(nq, report)
+    doc = build_report_document(cd, report)
     if args.json:
         _print_json(doc)
     elif args.csv:
@@ -339,8 +327,9 @@ def cmd_scan(args) -> int:
         raise ParseError(f"scan bound must be >= 2, got {args.n_max}")
     print(SCAN_HEADER)
     for nq in nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q):
-        report = totals(nq)
-        abc = nq_to_abc(nq)
+        cd = class_data(nq_to_cone(nq))
+        report = totals(cd)
+        abc = cd.abc
         f, t = report.flags, report.totals
         print(
             f"{nq.n},{nq.q},{abc.a},{abc.b},{abc.c},{report.embdim},"
@@ -375,10 +364,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cayley(args) -> int:
-    form = parse_form(args.input)
-    nq = to_nq(form)
-    iv = cone_to_interval(nq_to_cone(nq))
-    fam = cayley_family(iv)
+    fam = cayley_family(_class_of(args.input).interval)
     if args.json:
         _print_json({"schema_version": "1", "cayley": _cayley_block(fam)})
         return EXIT_OK
@@ -440,8 +426,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "convert" and not args.all and not args.to and not args.json:
         parser.error("convert needs --to TAG, --all, or --json")
     try:
-        return args.func(args)
-    except ParseError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # interpreter's final flush of the remaining buffer is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (ParseError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateSingularityError as exc:

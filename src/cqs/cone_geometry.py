@@ -20,21 +20,23 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .lattice import MPoint, MRatPoint, det2, ext_gcd, pairing, primitive
+from .lattice import MPoint, MRatPoint, NPoint, det2, ext_gcd, pairing, primitive
 from .representations import (
+    ABCForm,
     CFForm,
     ConeForm,
     IntervalUD,
     InvalidSingularityError,
+    NQForm,
     abc_to_nq,
     cone_to_interval,
     dual_generators,
     interval_to_abc,
+    mirror_c,
 )
 
 DEFAULT_ORACLE_BOUND = 10_000
@@ -46,9 +48,21 @@ class OracleBoundError(ValueError):
 
 
 def oracle_bound() -> int:
-    """Size guard for brute-force enumeration; override via CQS_ORACLE_BOUND."""
+    """Size guard for brute-force enumeration; override via CQS_ORACLE_BOUND.
+
+    An unset or empty variable means the default; any value that is not
+    an integer >= 2 raises OracleBoundError.
+    """
     raw = os.environ.get(ORACLE_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_BOUND
+    if not raw:
+        return DEFAULT_ORACLE_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 2:
+        raise OracleBoundError(f"{ORACLE_BOUND_ENV} must be an integer >= 2, got {raw!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -102,48 +116,69 @@ class ZoneSpec:
 
 
 @dataclass(frozen=True)
-class _ConeFrame:
-    """Pairing coordinates of a cone: iota(r) = (<alpha,r>, <beta,r>).
+class ClassData:
+    """One class S(n,q) in the coordinates of one cone, derived once.
 
+    The descriptions nq, abc and interval sit next to the pairing
+    coordinates iota(r) = (<alpha,r>, <beta,r>) of the cone <alpha, beta>.
     iota embeds M as an index-n sublattice of Z^2; the canonical rational
     degree Rbar/m maps to (1,1).  ``unit`` is an M-point with
     <alpha, unit> = 1, so the fiber over u meets iota(M) exactly in
-    v = u * bw (mod n) where bw = <beta, unit>.
+    v = u * bw (mod n) where bw = <beta, unit>.  ``c_prime`` is the abc
+    invariant c' of the mirror class.
+
+    The frame fields are all fields before ``hilbert``.  Constructing the
+    record runs :func:`hilbert_basis` on them once and stores the result
+    as ``hilbert``; ``ab`` holds the endpoint data of the interval when it
+    is grounded and is None otherwise.  The oracles read only the frame
+    fields and basis elements, never a closed-form result.
     """
 
-    cone: ConeForm
+    nq: NQForm
+    alpha: NPoint
+    beta: NPoint
+    interval: IntervalUD
+    abc: ABCForm
+    c_prime: int
     r1: MPoint
     re: MPoint
-    n: int
-    q: int
     rbar: MPoint
     m: int
     det: int
     unit: MPoint
     bw: int
+    hilbert: HilbertData = field(init=False)
+    ab: ABFloorData | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hilbert", hilbert_basis(self))
+        grounded = is_grounded(self.interval)
+        object.__setattr__(self, "ab", ab_floor_data(self.interval) if grounded else None)
 
 
-@lru_cache(maxsize=None)
-def _frame(c: ConeForm) -> _ConeFrame:
+def class_data(c: ConeForm) -> ClassData:
+    """The class of the cone c, with every derived field in c's coordinates.
+
+    The round trip cone -> interval -> abc -> nq is the single place
+    where q is found; a smooth cone (n = 1) has no nq and raises
+    InvalidSingularityError.
+    """
+    iv = cone_to_interval(c)
+    abc = interval_to_abc(iv)
     r1, re = dual_generators(c)
-    n = c.order
-    if n == 1:
-        q = 0
-    else:
-        q = abc_to_nq(interval_to_abc(cone_to_interval(c))).q
-    rbar = primitive(r1 + re)
-    m = pairing(c.alpha, rbar)
-    d = det2(c.alpha, c.beta)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
     unit = MPoint(s, t)
-    bw = pairing(c.beta, unit) % n
-    return _ConeFrame(c, r1, re, n, q, rbar, m, d, unit, bw)
+    bw = pairing(c.beta, unit) % c.order
+    return ClassData(
+        abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
+        r1, re, primitive(r1 + re), iv.m, det2(c.alpha, c.beta), unit, bw,
+    )
 
 
-def _preimage(frame: _ConeFrame, u: int, v: int) -> MRatPoint:
+def _preimage(cd: ClassData, u: int, v: int) -> MRatPoint:
     # inverse of the matrix with rows alpha, beta, applied to (u, v)
-    a, b = frame.cone.alpha, frame.cone.beta
-    return MRatPoint(Fraction(b.y * u - a.y * v, frame.det), Fraction(-b.x * u + a.x * v, frame.det))
+    a, b = cd.alpha, cd.beta
+    return MRatPoint(Fraction(b.y * u - a.y * v, cd.det), Fraction(-b.x * u + a.x * v, cd.det))
 
 
 def continued_fraction(p: int, s: int) -> CFForm:
@@ -159,45 +194,43 @@ def continued_fraction(p: int, s: int) -> CFForm:
             return CFForm(tuple(coeffs))
 
 
-def hilbert_basis(c: ConeForm) -> HilbertData:
+def hilbert_basis(cd: ClassData) -> HilbertData:
     """Hilbert basis via the three-term recursion, O(e) exact steps.
 
     Seeds are r^1 and the unique element r^2 with <alpha, r^2> = 1 and
     <beta, r^2> = n - q; the recursion r^(i+1) = a_i r^i - r^(i-1) then
-    walks to r^e.  A smooth cone (n = 1) yields the degenerate e = 2
-    record.
+    walks to r^e.  Reads only the frame fields of ``cd``; every ClassData
+    runs it once on construction, so callers read ``cd.hilbert``.
     """
-    frame = _frame(c)
-    if frame.n == 1:
-        return _finish(frame, (frame.r1, frame.re), ())
-    coeffs = continued_fraction(frame.n, frame.n - frame.q).coefficients
-    r2 = _preimage(frame, 1, frame.n - frame.q)
+    n, q = cd.nq.n, cd.nq.q
+    coeffs = continued_fraction(n, n - q).coefficients
+    r2 = _preimage(cd, 1, n - q)
     if not r2.is_integral():
-        raise AssertionError(f"seed (1, n-q) not in iota(M) for {c}")
-    basis = [frame.r1, MPoint(int(r2.u), int(r2.v))]
+        raise AssertionError(f"seed (1, n-q) not in iota(M) for <{cd.alpha}, {cd.beta}>")
+    basis = [cd.r1, MPoint(int(r2.u), int(r2.v))]
     for a in coeffs:
         basis.append(a * basis[-1] - basis[-2])
-    if basis[-1] != frame.re:
-        raise AssertionError(f"recursion did not terminate at r^e for {c}")
-    return _finish(frame, tuple(basis), coeffs)
+    if basis[-1] != cd.re:
+        raise AssertionError(f"recursion did not terminate at r^e for <{cd.alpha}, {cd.beta}>")
+    return _finish(cd, tuple(basis), coeffs)
 
 
-def hilbert_basis_oracle(c: ConeForm, bound: int | None = None) -> HilbertData:
+def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData:
     """Hilbert basis by brute force, for cross-checking the recursion.
 
     Enumerates all candidates in iota-coordinates (every basis element
     satisfies 0 <= <alpha,r>, <beta,r> <= n), discards the decomposable
     ones (those dominating another nonzero semigroup element in both
-    coordinates), and sorts by <alpha, .>.  Cost O(n log n).
+    coordinates), and sorts by <alpha, .>.  Cost O(n log n).  Reads the
+    frame fields of ``cd`` only, never ``cd.hilbert``.
     """
-    frame = _frame(c)
-    n = frame.n
+    n = cd.nq.n
     limit = oracle_bound() if bound is None else bound
     if n > limit:
         raise OracleBoundError(f"n={n} exceeds the oracle bound {limit}")
     pts = []
     for u in range(n + 1):
-        v0 = (u * frame.bw) % n
+        v0 = (u * cd.bw) % n
         for v in (v0, v0 + n) if v0 == 0 else (v0,):
             if v <= n and (u, v) != (0, 0):
                 pts.append((u, v))
@@ -210,7 +243,7 @@ def hilbert_basis_oracle(c: ConeForm, bound: int | None = None) -> HilbertData:
             min_v = v
     basis = []
     for u, v in iota_basis:
-        p = _preimage(frame, u, v)
+        p = _preimage(cd, u, v)
         if not p.is_integral():
             raise AssertionError("candidate not in iota(M)")
         basis.append(MPoint(int(p.u), int(p.v)))
@@ -222,28 +255,28 @@ def hilbert_basis_oracle(c: ConeForm, bound: int | None = None) -> HilbertData:
         if a * basis[j] != s:
             raise AssertionError("enumerated basis violates the three-term recursion")
         coeffs.append(a)
-    return _finish(frame, tuple(basis), tuple(coeffs))
+    return _finish(cd, tuple(basis), tuple(coeffs))
 
 
-def _finish(frame: _ConeFrame, basis: tuple[MPoint, ...], coeffs) -> HilbertData:
-    rbar = frame.rbar
-    grounded = rbar in basis
-    index = basis.index(rbar) + 1 if grounded else None
-    return HilbertData(basis, tuple(coeffs), len(basis), rbar, index, grounded)
+def _finish(cd: ClassData, basis: tuple[MPoint, ...], coeffs) -> HilbertData:
+    grounded = cd.rbar in basis
+    index = basis.index(cd.rbar) + 1 if grounded else None
+    return HilbertData(basis, tuple(coeffs), len(basis), cd.rbar, index, grounded)
 
 
-def eta(h: HilbertData, c: ConeForm, i: int) -> Fraction:
+def eta(cd: ClassData, i: int) -> Fraction:
     """eta_i, the smaller of the two neighbour pairing ratios at r^i.
 
     For e >= 4 its floor is a_i - 1; with e = 3 both ratios are exactly
     a_2 and the floor identity does not apply.
     """
+    h = cd.hilbert
     if not 2 <= i <= h.e - 1:
         raise IndexError(f"eta_i defined for 2 <= i <= e-1, got i={i}")
     ri, prev, nxt = h.element(i), h.element(i - 1), h.element(i + 1)
     return min(
-        Fraction(pairing(c.alpha, nxt), pairing(c.alpha, ri)),
-        Fraction(pairing(c.beta, prev), pairing(c.beta, ri)),
+        Fraction(pairing(cd.alpha, nxt), pairing(cd.alpha, ri)),
+        Fraction(pairing(cd.beta, prev), pairing(cd.beta, ri)),
     )
 
 
@@ -282,7 +315,7 @@ def ab_floor_data(i: IntervalUD) -> ABFloorData:
     return ABFloorData(a, b, fa, fb, a - fa, b - fb, 2 + fa + fb)
 
 
-def zone_points(z: ZoneSpec, c: ConeForm) -> list[MRatPoint]:
+def zone_points(z: ZoneSpec, cd: ClassData) -> list[MRatPoint]:
     """All points of the requested lattice inside the half-open zone.
 
     Works in iota-coordinates: integer pairs (u, v) with
@@ -292,17 +325,16 @@ def zone_points(z: ZoneSpec, c: ConeForm) -> list[MRatPoint]:
     the admissible v form arithmetic progressions of step n, so the cost
     is proportional to the number of fibers, not the zone area.
     """
-    frame = _frame(c)
-    u_r, v_r = pairing(c.alpha, z.R), pairing(c.beta, z.R)
+    u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
     if u_r <= 0 or v_r <= 0:
         raise InvalidSingularityError(f"degree {z.R} is not interior to the dual cone")
-    n, bw = frame.n, frame.bw
+    n, bw = cd.nq.n, cd.bw
     if z.lattice is LatticeTag.M:
         shifts = (0,)
     elif z.lattice is LatticeTag.M_SHIFTED:
         shifts = (1,)
     else:
-        shifts = tuple(range(frame.m))
+        shifts = tuple(range(cd.m))
     found = []
     for u in range(z.kappa, z.kappa + u_r):
         residues = {(t + (u - t) * bw) % n for t in shifts}
@@ -312,12 +344,7 @@ def zone_points(z: ZoneSpec, c: ConeForm) -> list[MRatPoint]:
                 found.append((u, v))
                 v += n
     found.sort()
-    return [_preimage(frame, u, v) for u, v in found]
-
-
-def cone_index(c: ConeForm) -> int:
-    """m = <alpha, Rbar>, the index of the dualizing sheaf."""
-    return _frame(c).m
+    return [_preimage(cd, u, v) for u, v in found]
 
 
 def binomial_equations(h: HilbertData) -> list[str]:

@@ -30,33 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cone_geometry import (
+    ClassData,
     HilbertData,
     LatticeTag,
     ZoneSpec,
     ab_floor_data,
-    cone_index,
-    hilbert_basis,
     is_grounded,
     zone_points,
 )
 from .lattice import MPoint, NPoint, ext_gcd, pairing
-from .representations import (
-    ConeForm,
-    DegenerateSingularityError,
-    IntervalUD,
-    ABCForm,
-    NQForm,
-    SingularityForm,
-    central_degree,
-    cone_to_interval,
-    interval_to_abc,
-    mirror_c,
-    nq_to_cone,
-    to_nq,
-)
+from .representations import DegenerateSingularityError, IntervalUD, NQForm
 
 
 class InternalConsistencyError(RuntimeError):
@@ -185,7 +170,7 @@ def _degree_perp(r: MPoint) -> NPoint:
     return NPoint(-r.v, r.u)
 
 
-def t1_space(h: HilbertData, c: ConeForm, d: DegreeId) -> tuple[NPoint, ...]:
+def t1_space(cd: ClassData, d: DegreeId) -> tuple[NPoint, ...]:
     """Representatives in N spanning T1(-R) for the degree R = k*r^i.
 
     Case (ii) is all of N; case (iii) is the line (r^i)^perp.  The
@@ -194,39 +179,33 @@ def t1_space(h: HilbertData, c: ConeForm, d: DegreeId) -> tuple[NPoint, ...]:
     zone points kill alpha resp. beta there, so the choice is immaterial.
     """
     if d.k >= 2:
-        return (_degree_perp(h.element(d.i)),)
+        return (_degree_perp(cd.hilbert.element(d.i)),)
     if d.i == 2:
-        return (_basis_completion(c.alpha),)
-    if d.i == h.e - 1:
-        return (_basis_completion(c.beta),)
+        return (_basis_completion(cd.alpha),)
+    if d.i == cd.hilbert.e - 1:
+        return (_basis_completion(cd.beta),)
     return (NPoint(1, 0), NPoint(0, 1))
 
 
-@lru_cache(maxsize=None)
-def _cached_hilbert(c: ConeForm) -> HilbertData:
-    return hilbert_basis(c)
-
-
-def phi_functional(R: MPoint, a: NPoint, c: ConeForm) -> int:
+def phi_functional(R: MPoint, a: NPoint, cd: ClassData) -> int:
     """<a, Rbar - m*R>; zero exactly on the V-directions in degree -R."""
-    return pairing(a, central_degree(c)) - cone_index(c) * pairing(a, R)
+    return pairing(a, cd.rbar) - cd.m * pairing(a, R)
 
 
-def v_dims(h: HilbertData, c: ConeForm) -> dict[DegreeId, int]:
+def v_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_V per degree.
 
     Nothing survives at r^2 and r^(e-1); each interior r^i contributes a
     line (the kernel of <., Rbar - m*r^i>); a multiple k*r^i with k >= 2
     contributes iff the cone is grounded and r^i is the central degree.
     """
-    _require_embdim4(h)
-    rbar, m = central_degree(c), cone_index(c)
+    h = cd.hilbert
     out = {}
     for d in t1_degrees(h):
         if d.k == 1:
             # the counting needs Rbar - m*R != 0, which holds at every
             # lattice degree (only the rational Rbar/m is annihilated)
-            if (rbar - m * h.element(d.i)).is_zero():
+            if (cd.rbar - cd.m * h.element(d.i)).is_zero():
                 raise InternalConsistencyError(f"vanishing functional at r^{d.i}")
             out[d] = 0 if d.i in (2, h.e - 1) else 1
         else:
@@ -234,96 +213,92 @@ def v_dims(h: HilbertData, c: ConeForm) -> dict[DegreeId, int]:
     return out
 
 
-def qg_dims(h: HilbertData, i: IntervalUD) -> dict[DegreeId, int]:
+def qg_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_qG per degree.
 
     Zero unless grounded; on a grounded cone the qG directions are the
     lines Rbar^perp in degree -k*Rbar for integers 1 <= k <= min(a_l - 1,
     |I|), where l is the central index.
     """
-    _require_embdim4(h)
+    h = cd.hilbert
     out = {d: 0 for d in t1_degrees(h)}
     if not h.grounded:
         return out
-    ab = ab_floor_data(i)
-    ell = h.central_index
-    if ab.a_central != h.coefficient(ell):
+    ab, ell = cd.ab, h.central_index
+    if ab is None or ab.a_central != h.coefficient(ell):
         raise InternalConsistencyError("a_l from the interval disagrees with the recursion")
     for k in range(1, ab.a_central):
-        if k <= i.length:
+        if k <= cd.interval.length:
             out[DegreeId(ell, k)] = 1
     return out
 
 
-def vw_dims(h: HilbertData, i: IntervalUD, abc: ABCForm) -> dict[DegreeId, int]:
+def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_VW per degree.
 
     Zero unless grounded; on a grounded cone the VW directions sit in
     degree -k*Rbar for 1 <= k <= min(a_l - 1, c*|I|, c'*|I|) where
     c = -1/g and c' = 1/h in (Z/mZ)*.
     """
-    _require_embdim4(h)
+    h = cd.hilbert
     out = {d: 0 for d in t1_degrees(h)}
     if not h.grounded:
         return out
-    ab = ab_floor_data(i)
     ell = h.central_index
-    bound = min(abc.c, mirror_c(i)) * i.length
-    for k in range(1, ab.a_central):
+    bound = min(cd.abc.c, cd.c_prime) * cd.interval.length
+    for k in range(1, cd.ab.a_central):
         if k <= bound:
             out[DegreeId(ell, k)] = 1
     return out
 
 
-def iso_oracle(xi: DeformationDirection, kappa: int, c: ConeForm) -> bool:
+def iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
     """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point."""
-    h = _cached_hilbert(c)
-    R = degree_vector(h, xi.degree)
+    R = degree_vector(cd.hilbert, xi.degree)
     a_r = pairing(xi.a, R)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), c)
+    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
     return all(kappa * a_r - pairing(xi.a, r) == 0 for r in pts)
 
 
-def stable_iso_oracle(xi: DeformationDirection, kappa: int, c: ConeForm) -> bool:
+def stable_iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
     """iso[kappa + l*m] for all integers l, decided finitely.
 
     An empty zone makes every shift hold; otherwise the condition is
     iso[kappa] together with <a, Rbar - m*R> = 0, because consecutive
     shifts differ exactly by that pairing.
     """
-    h = _cached_hilbert(c)
-    R = degree_vector(h, xi.degree)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), c)
+    R = degree_vector(cd.hilbert, xi.degree)
+    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
     if not pts:
         return True
     a_r = pairing(xi.a, R)
     if any(kappa * a_r - pairing(xi.a, r) != 0 for r in pts):
         return False
-    return phi_functional(R, xi.a, c) == 0
+    return phi_functional(R, xi.a, cd) == 0
 
 
-def _containment_oracle(R: MPoint, c: ConeForm, tag: LatticeTag) -> bool:
+def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
     # containment of the zone's lattice points in the line Q*(Rbar - m*R)
-    line = central_degree(c) - cone_index(c) * R
+    line = cd.rbar - cd.m * R
     if line.is_zero():
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
-    pts = zone_points(ZoneSpec(R, 0, tag), c)
+    pts = zone_points(ZoneSpec(R, 0, tag), cd)
     return all(r.u * line.v - r.v * line.u == 0 for r in pts)
 
 
-def qg_oracle(R: MPoint, c: ConeForm) -> bool:
+def qg_oracle(R: MPoint, cd: ClassData) -> bool:
     """Zone criterion for qG: Mtilde points of Z_R lie on Q*(Rbar - m*R).
 
     Decides whether the V-line in degree -R (when one exists) consists of
     qG-deformations; degrees without V-deformations have dim qG = 0 no
     matter what this containment says.
     """
-    return _containment_oracle(R, c, LatticeTag.M_TILDE)
+    return _containment_oracle(R, cd, LatticeTag.M_TILDE)
 
 
-def vw_oracle(R: MPoint, c: ConeForm) -> bool:
+def vw_oracle(R: MPoint, cd: ClassData) -> bool:
     """Zone criterion for VW, with the shifted lattice M + (1/m)Rbar."""
-    return _containment_oracle(R, c, LatticeTag.M_SHIFTED)
+    return _containment_oracle(R, cd, LatticeTag.M_SHIFTED)
 
 
 def _rank(rows: list[tuple]) -> int:
@@ -339,70 +314,66 @@ def _rank(rows: list[tuple]) -> int:
     return 1
 
 
-def _constrained_dim(h: HilbertData, c: ConeForm, d: DegreeId, kappa: int, with_phi: bool) -> int:
-    R = degree_vector(h, d)
-    basis = t1_space(h, c, d)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), c)
-    if d.k == 1 and d.i in (2, h.e - 1):
+def _constrained_dim(cd: ClassData, d: DegreeId, kappa: int, with_phi: bool) -> int:
+    R = degree_vector(cd.hilbert, d)
+    basis = t1_space(cd, d)
+    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
+    if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
         # quotient degree: every constraint must kill alpha resp. beta
-        edge = c.alpha if d.i == 2 else c.beta
+        edge = cd.alpha if d.i == 2 else cd.beta
         e_r = pairing(edge, R)
         for r in pts:
             if kappa * e_r - pairing(edge, r) != 0:
                 raise InternalConsistencyError("zone constraint does not descend to the quotient")
     rows = [tuple(kappa * pairing(a, R) - pairing(a, r) for a in basis) for r in pts]
     if with_phi:
-        rows.append(tuple(phi_functional(R, a, c) for a in basis))
+        rows.append(tuple(phi_functional(R, a, cd) for a in basis))
     return len(basis) - _rank(rows)
 
 
-def v_dims_oracle(h: HilbertData, c: ConeForm) -> dict[DegreeId, int]:
+def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim ker Phi per degree, i.e. directions with <a, Rbar - m*R> = 0."""
-    _require_embdim4(h)
     out = {}
-    for d in t1_degrees(h):
-        R = degree_vector(h, d)
-        basis = t1_space(h, c, d)
-        out[d] = len(basis) - _rank([tuple(phi_functional(R, a, c) for a in basis)])
+    for d in t1_degrees(cd.hilbert):
+        R = degree_vector(cd.hilbert, d)
+        basis = t1_space(cd, d)
+        out[d] = len(basis) - _rank([tuple(phi_functional(R, a, cd) for a in basis)])
     return out
 
 
-def w_dims_oracle(h: HilbertData, c: ConeForm) -> dict[DegreeId, int]:
+def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, by exact rank of the iso[-1] zone constraints.
 
     No closed form is known for W alone; this enumeration is the
     definition, and reports derive the W column from it.
     """
-    _require_embdim4(h)
-    return {d: _constrained_dim(h, c, d, -1, False) for d in t1_degrees(h)}
+    return {d: _constrained_dim(cd, d, -1, False) for d in t1_degrees(cd.hilbert)}
 
 
-def vw_dims_oracle(h: HilbertData, c: ConeForm) -> dict[DegreeId, int]:
+def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim (V intersect W) per degree via the same rank computation."""
-    _require_embdim4(h)
-    return {d: _constrained_dim(h, c, d, -1, True) for d in t1_degrees(h)}
+    return {d: _constrained_dim(cd, d, -1, True) for d in t1_degrees(cd.hilbert)}
 
 
-def classify(s: SingularityForm) -> ClassificationFlags:
-    """T0 / T-singularity / qG-existence / groundedness of any description.
+def classify(cd: ClassData) -> ClassificationFlags:
+    """T0 / T-singularity / qG-existence / groundedness of a class.
 
     The implications T0 => T-singularity => (some qG-deformation exists)
     => grounded hold by construction and are re-checked here.
     """
-    nq = to_nq(s)
-    iv = cone_to_interval(nq_to_cone(nq))
+    iv = cd.interval
     grounded = is_grounded(iv)
     length = iv.length
     t0 = length == 1
     t_sing = length >= 1 and length.denominator == 1
     qg_exists = grounded and length >= 1
     if (t0 and not t_sing) or (t_sing and not qg_exists) or (qg_exists and not grounded):
-        raise InternalConsistencyError(f"classification chain broken for {nq}")
+        raise InternalConsistencyError(f"classification chain broken for {cd.nq}")
     return ClassificationFlags(grounded, t_sing, t0, qg_exists)
 
 
-def totals(s: SingularityForm) -> T1Report:
-    """Assemble the full per-degree and total report for a singularity.
+def totals(cd: ClassData) -> T1Report:
+    """Assemble the full per-degree and total report for a class.
 
     Raises DegenerateSingularityError when the embedding dimension is
     at most 3.  Before returning, the report is checked against the
@@ -411,17 +382,12 @@ def totals(s: SingularityForm) -> T1Report:
     dichotomy, and the qG/VW comparison statements; a failure raises
     InternalConsistencyError and indicates a bug, not bad input.
     """
-    nq = to_nq(s)
-    cone = nq_to_cone(nq)
-    h = _cached_hilbert(cone)
-    _require_embdim4(h)
-    iv = cone_to_interval(cone)
-    abc = interval_to_abc(iv)
+    h = cd.hilbert
     t1 = dict(t1_graded(h))
-    v = v_dims(h, cone)
-    qg = qg_dims(h, iv)
-    vw = vw_dims(h, iv, abc)
-    w = w_dims_oracle(h, cone)
+    v = v_dims(cd)
+    qg = qg_dims(cd)
+    vw = vw_dims(cd)
+    w = w_dims_oracle(cd)
     a_central = h.coefficient(h.central_index) if h.grounded else None
     per_degree = tuple(
         DegreeReport(
@@ -442,21 +408,21 @@ def totals(s: SingularityForm) -> T1Report:
         sum(r.dim_vw for r in per_degree),
         sum(r.dim_qg for r in per_degree),
     )
-    report = T1Report(nq, per_degree, tot, classify(nq), h.e)
-    _check_theorems(report, iv, abc)
+    report = T1Report(cd.nq, per_degree, tot, classify(cd), h.e)
+    _check_theorems(report, cd)
     return report
 
 
-def _check_theorems(report: T1Report, iv: IntervalUD, abc: ABCForm) -> None:
+def _check_theorems(report: T1Report, cd: ClassData) -> None:
     t, e = report.totals, report.embdim
     for r in report.per_degree:
         if not (r.dim_qg <= r.dim_vw <= r.dim_v <= r.dim_t1 and r.dim_vw <= r.dim_w):
             raise InternalConsistencyError(f"inclusion chain broken at {r.degree} for {report.nq}")
-    if is_grounded(iv):
-        ab = ab_floor_data(iv)
+    ab = cd.ab
+    if ab is not None:
         expect_v = e - 4 + ab.floor_a + ab.floor_b
         expect_qg = math.floor(ab.A + ab.B)
-        one_over_m = Fraction(1, iv.m)
+        one_over_m = Fraction(1, cd.m)
         if ab.frac_a == one_over_m or ab.frac_b == one_over_m:
             expect_vw = expect_qg
         else:
@@ -470,7 +436,7 @@ def _check_theorems(report: T1Report, iv: IntervalUD, abc: ABCForm) -> None:
         )
     if report.gap not in (e - 4, e - 5):
         raise InternalConsistencyError(f"V/VW gap {report.gap} outside {{e-4, e-5}} for {report.nq}")
-    if abc.b == 1 and (t.dim_qg, t.dim_vw) != (0, 0):
+    if cd.abc.b == 1 and (t.dim_qg, t.dim_vw) != (0, 0):
         raise InternalConsistencyError(f"b=1 class {report.nq} has qG or VW deformations")
     if report.flags.t_singularity and t.dim_qg != t.dim_vw:
         raise InternalConsistencyError(f"T-singularity {report.nq} with qG != VW")

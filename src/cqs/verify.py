@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import cone_geometry, deformations, representations
-from .cone_geometry import ab_floor_data, eta, hilbert_basis, hilbert_basis_oracle, is_grounded
-from .deformations import DeformationDirection, DegreeId
+from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
+from .deformations import DeformationDirection, DegreeId, T1Report
 from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
@@ -94,9 +94,9 @@ def verify_hilbert(n_max: int) -> VerificationResult:
     res = VerificationResult()
     for nq in nq_range(n_max):
         where = f"n={nq.n} q={nq.q}"
-        cone = representations.nq_to_cone(nq)
-        h = hilbert_basis(cone)
-        res.check(h == hilbert_basis_oracle(cone), f"{where} property=hilbert_oracle")
+        cd = class_data(representations.nq_to_cone(nq))
+        h = cd.hilbert
+        res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
         res.check(
             h.coeffs == cone_geometry.continued_fraction(nq.n, nq.n - nq.q).coefficients,
             f"{where} property=hilbert_coeffs_vs_cf",
@@ -108,8 +108,8 @@ def verify_hilbert(n_max: int) -> VerificationResult:
             all(abs(det2_m(h.basis[j], h.basis[j + 1])) == 1 for j in range(h.e - 1)),
             f"{where} property=adjacent_z_basis",
         )
-        alphas = [pairing(cone.alpha, r) for r in h.basis]
-        betas = [pairing(cone.beta, r) for r in h.basis]
+        alphas = [pairing(cd.alpha, r) for r in h.basis]
+        betas = [pairing(cd.beta, r) for r in h.basis]
         res.check(
             alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
             f"{where} property=pairing_monotonicity",
@@ -118,21 +118,21 @@ def verify_hilbert(n_max: int) -> VerificationResult:
             # with e = 3 both eta ratios equal a_2 exactly and the floor
             # identity fails; it is only claimed away from A_(n-1)
             for i in range(2, h.e):
-                value = eta(h, cone, i)
+                value = eta(cd, i)
                 res.check(
                     value.numerator // value.denominator == h.coefficient(i) - 1,
                     f"{where} degree=({i},1) property=eta_floor",
                 )
-        iv = representations.cone_to_interval(cone)
+        iv = cd.interval
         res.check(is_grounded(iv) == h.grounded, f"{where} property=grounded_equivalence")
         if h.grounded and h.e >= 4:
-            ab = ab_floor_data(iv)
+            ab = cd.ab
             ell = h.central_index
             res.check(
                 h.coefficient(ell) == ab.a_central, f"{where} property=central_a_from_interval"
             )
             res.check(
-                eta(h, cone, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
+                eta(cd, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
                 f"{where} property=central_eta_from_interval",
             )
             res.check(iv.length == ab.A + ab.B, f"{where} property=interval_length_AB")
@@ -140,68 +140,70 @@ def verify_hilbert(n_max: int) -> VerificationResult:
 
 
 def verify_deformations(n_max: int) -> VerificationResult:
-    """Per-degree oracle equivalences plus total/mirror/theorem sweeps."""
+    """Per-degree oracle equivalences plus total/mirror/theorem sweeps.
+
+    The report of a mirror class, computed for the mirror comparison, is
+    kept in a sweep-local dict until the sweep reaches that class.
+    """
     res = VerificationResult()
+    mirror_reports: dict[NQForm, T1Report] = {}
     for nq in nq_range(n_max, skip_degenerate=True):
         where = f"n={nq.n} q={nq.q}"
         try:
-            _verify_one_class(nq, res)
+            cd = class_data(representations.nq_to_cone(nq))
+            _verify_one_class(cd, res, mirror_reports)
         except Exception as exc:  # record, keep sweeping
             res.checks += 1
             res.failures.append(f"{where} property=exception: {exc!r}")
     return res
 
 
-def _verify_one_class(nq: NQForm, res: VerificationResult) -> None:
+def _verify_one_class(
+    cd: ClassData, res: VerificationResult, mirror_reports: dict[NQForm, T1Report]
+) -> None:
+    nq, h, m = cd.nq, cd.hilbert, cd.m
     where = f"n={nq.n} q={nq.q}"
-    cone = representations.nq_to_cone(nq)
-    h = hilbert_basis(cone)
-    iv = representations.cone_to_interval(cone)
-    abc = representations.interval_to_abc(iv)
-    m = iv.m
 
-    v = deformations.v_dims(h, cone)
-    qg = deformations.qg_dims(h, iv)
-    vw = deformations.vw_dims(h, iv, abc)
-    v_oracle = deformations.v_dims_oracle(h, cone)
-    w_oracle = deformations.w_dims_oracle(h, cone)
-    vw_oracle_rank = deformations.vw_dims_oracle(h, cone)
+    v = deformations.v_dims(cd)
+    qg = deformations.qg_dims(cd)
+    vw = deformations.vw_dims(cd)
+    v_oracle = deformations.v_dims_oracle(cd)
+    vw_oracle_rank = deformations.vw_dims_oracle(cd)
 
     for d in deformations.t1_degrees(h):
         at = f"{where} degree=({d.i},{d.k})"
         vec = deformations.degree_vector(h, d)
         res.check(v[d] == v_oracle[d], f"{at} property=v_phi_kernel")
         res.check(
-            (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cone)),
+            (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cd)),
             f"{at} property=qg_zone_oracle",
         )
         res.check(
-            (vw[d] == 1) == (v[d] >= 1 and deformations.vw_oracle(vec, cone)),
+            (vw[d] == 1) == (v[d] >= 1 and deformations.vw_oracle(vec, cd)),
             f"{at} property=vw_zone_oracle",
         )
         res.check(vw[d] == vw_oracle_rank[d], f"{at} property=vw_rank_oracle")
-        res.check(vw[d] <= w_oracle[d], f"{at} property=w_contains_vw")
-        for a in deformations.t1_space(h, cone, d):
+        for a in deformations.t1_space(cd, d):
             xi = DeformationDirection(a, d)
             res.check(
-                deformations.iso_oracle(xi, 0, cone), f"{at} property=iso0_automatic"
+                deformations.iso_oracle(xi, 0, cd), f"{at} property=iso0_automatic"
             )
-            phi_zero = deformations.phi_functional(vec, a, cone) == 0
+            phi_zero = deformations.phi_functional(vec, a, cd) == 0
             res.check(
-                deformations.stable_iso_oracle(xi, 0, cone) == phi_zero,
+                deformations.stable_iso_oracle(xi, 0, cd) == phi_zero,
                 f"{at} property=stable_iso0_is_phi_kernel",
             )
             for kappa in (0, -1, m):
-                two_shifts = deformations.iso_oracle(xi, kappa, cone) and deformations.iso_oracle(
-                    xi, kappa + m, cone
+                two_shifts = deformations.iso_oracle(xi, kappa, cd) and deformations.iso_oracle(
+                    xi, kappa + m, cd
                 )
                 res.check(
-                    deformations.stable_iso_oracle(xi, kappa, cone) == two_shifts,
+                    deformations.stable_iso_oracle(xi, kappa, cd) == two_shifts,
                     f"{at} property=stable_iso_two_shifts(kappa={kappa})",
                 )
 
     if h.grounded:
-        ab = ab_floor_data(iv)
+        ab = cd.ab
         ell = h.central_index
         last = DegreeId(ell, ab.a_central - 1)
         res.check(
@@ -225,11 +227,20 @@ def _verify_one_class(nq: NQForm, res: VerificationResult) -> None:
             f"{where} property=qg_initial_segment",
         )
 
-    report = deformations.totals(nq)  # runs the theorem checks internally
+    # totals runs the theorem checks internally
+    report = mirror_reports.pop(nq, None) or deformations.totals(cd)
     res.checks += 1
+    for r in report.per_degree:
+        res.check(
+            vw[r.degree] <= r.dim_w,
+            f"{where} degree=({r.degree.i},{r.degree.k}) property=w_contains_vw",
+        )
     mirror = q_inverse(nq)
     if nq.q <= mirror.q:
-        mirror_report = deformations.totals(mirror)
+        if mirror != nq:
+            mirror_cd = class_data(representations.nq_to_cone(mirror))
+            mirror_reports[mirror] = deformations.totals(mirror_cd)
+        mirror_report = mirror_reports.get(mirror, report)
         res.check(
             report.totals == mirror_report.totals and report.embdim == mirror_report.embdim,
             f"{where} property=totals_mirror_invariance",

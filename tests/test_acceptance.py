@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cqs.cli import main
-from cqs.cone_geometry import hilbert_basis
+from cqs.cone_geometry import class_data
 from cqs.deformations import totals, vw_dims_oracle, w_dims_oracle, t1_degrees
 from cqs.representations import (
     NQForm,
@@ -55,7 +55,10 @@ def criterion(num, label, budget=None):
 
 @lru_cache(maxsize=None)
 def canonical_reports():
-    return [totals(nq) for nq in nq_range(SWEEP_BOUND, skip_degenerate=True, canonical_only=True)]
+    return [
+        totals(class_data(nq_to_cone(nq)))
+        for nq in nq_range(SWEEP_BOUND, skip_degenerate=True, canonical_only=True)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +156,7 @@ def test_criterion_6_roundtrips_and_invariance():
         assert res.ok, "\n".join(res.failures[:20])
         for nq in nq_range(SWEEP_BOUND, skip_degenerate=True, canonical_only=True):
             mirror = q_inverse(nq)
-            rep, rep_m = totals(nq), totals(mirror)
+            rep, rep_m = totals(class_data(nq_to_cone(nq))), totals(class_data(nq_to_cone(mirror)))
             assert rep.totals == rep_m.totals, nq
             assert rep.embdim == rep_m.embdim and rep.flags == rep_m.flags, nq
 
@@ -168,10 +171,10 @@ def test_criterion_7_hilbert_oracle():
 def test_criterion_8_w_consistency():
     with criterion(8, f"VW = V cap W and W >= VW per degree, n <= {SWEEP_BOUND}"):
         for report in canonical_reports():
-            cone = nq_to_cone(report.nq)
-            h = hilbert_basis(cone)
-            vw_rank = vw_dims_oracle(h, cone)
-            w_rank = w_dims_oracle(h, cone)
+            cd = class_data(nq_to_cone(report.nq))
+            h = cd.hilbert
+            vw_rank = vw_dims_oracle(cd)
+            w_rank = w_dims_oracle(cd)
             by_degree = {r.degree: r for r in report.per_degree}
             for d in t1_degrees(h):
                 assert by_degree[d].dim_vw == vw_rank[d], (report.nq, d)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cqs
 from cqs import cli
 from cqs.cli import main, parse_form
 from cqs.lattice import NPoint
@@ -138,6 +142,20 @@ class TestScan:
         assert code == 0
         assert out == (GOLDEN / "scan_25.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("analyze_20_11.json", ("nq:20/11", "--json")),
+            ("analyze_8_3.json", ("nq:8/3", "--json")),
+            ("analyze_20_11.csv", ("nq:20/11", "--csv")),
+            ("analyze_5_4_degenerate.json", ("nq:5/4", "--allow-degenerate", "--json")),
+        ],
+    )
+    def test_golden_analyze(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "analyze", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     def test_b1_rows_have_no_vw(self, capsys):
         code, out, _ = run(capsys, "scan", "20")
         for line in out.splitlines()[1:]:
@@ -178,6 +196,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "60")
         assert code == 2
         assert "oracle" in err
+        for bad in ("abc", "-5", "0"):
+            monkeypatch.setenv("CQS_ORACLE_BOUND", bad)
+            code, out, err = run(capsys, "verify", "8")
+            assert code == 2, bad
+            assert "CQS_ORACLE_BOUND" in err and not out, bad
+
+    def test_totals_once_per_class(self, monkeypatch):
+        # a mirror's report, computed for the mirror comparison, is reused
+        # when the sweep reaches that mirror
+        from cqs import deformations, verify
+
+        seen = []
+        real = deformations.totals
+        monkeypatch.setattr(deformations, "totals", lambda cd: seen.append(cd.nq) or real(cd))
+        assert verify.verify_deformations(20).ok
+        assert sorted(seen, key=lambda nq: (nq.n, nq.q)) == list(
+            verify.nq_range(20, skip_degenerate=True)
+        )
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # sabotage the VW bound and expect the oracle sweep to name it
@@ -185,10 +221,10 @@ class TestVerify:
 
         real = deformations.vw_dims
 
-        def broken(h, iv, abc):
-            out = real(h, iv, abc)
+        def broken(cd):
+            out = real(cd)
             for d in out:
-                if out[d] == 0 and d.k == 1 and 3 <= d.i <= h.e - 2:
+                if out[d] == 0 and d.k == 1 and 3 <= d.i <= cd.hilbert.e - 2:
                     out[d] = 1  # claim a VW deformation that is not there
                     break
             return out
@@ -235,6 +271,23 @@ class TestExitCodes:
         for argv, expected in cases:
             code, _, _ = run(capsys, *argv)
             assert code == expected, argv
+
+    def test_closed_pipe_exits_quietly(self):
+        # the JSON document is larger than a pipe buffer, so the child is
+        # still writing when the reader goes away
+        src = str(Path(cqs.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cqs", "analyze", "nq:1001/2", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,8 @@ from cqs.cone_geometry import (
     ZoneSpec,
     ab_floor_data,
     binomial_equations,
+    class_data,
     continued_fraction,
-    cone_index,
     eta,
     hilbert_basis,
     hilbert_basis_oracle,
@@ -29,6 +29,10 @@ from cqs.representations import (
 
 def cone_of(n, q):
     return nq_to_cone(NQForm(n, q))
+
+
+def data_of(n, q):
+    return class_data(cone_of(n, q))
 
 
 def brute_zone(cone, R, kappa, shifts):
@@ -59,6 +63,31 @@ def brute_zone(cone, R, kappa, shifts):
     return out
 
 
+class TestClassData:
+    def test_worked_example(self):
+        cd = data_of(20, 11)
+        assert cd.nq == NQForm(20, 11)
+        assert (cd.abc.a, cd.abc.b, cd.abc.c, cd.c_prime) == (5, 4, 3, 3)
+        assert cd.interval == IntervalUD(-2, 2, 5) and cd.m == 5
+        assert cd.rbar == cd.hilbert.central_degree == MPoint(5, 3)
+        assert cd.ab == ab_floor_data(cd.interval)
+        assert hilbert_basis(cd) == cd.hilbert
+
+    def test_any_cone_of_the_class(self):
+        from cqs.representations import interval_to_cone
+
+        cd = class_data(interval_to_cone(IntervalUD(-2, 2, 5)))
+        assert cd.nq == NQForm(20, 11) and cd.abc == data_of(20, 11).abc
+        assert data_of(7, 3).ab is None
+
+    def test_smooth_cone_rejected(self):
+        from cqs.lattice import NPoint
+        from cqs.representations import ConeForm
+
+        with pytest.raises(InvalidSingularityError):
+            class_data(ConeForm(NPoint(1, 0), NPoint(0, 1)))
+
+
 class TestContinuedFraction:
     def test_examples(self):
         assert continued_fraction(20, 9).coefficients == (3, 2, 2, 2, 3)
@@ -73,7 +102,7 @@ class TestContinuedFraction:
 
 class TestHilbertBasis:
     def test_worked_example(self):
-        h = hilbert_basis(cone_of(20, 11))
+        h = data_of(20, 11).hilbert
         assert [(r.u, r.v) for r in h.basis] == [
             (0, 1), (1, 1), (3, 2), (5, 3), (7, 4), (9, 5), (20, 11),
         ]
@@ -83,23 +112,23 @@ class TestHilbertBasis:
         assert h.central_degree == MPoint(5, 3)
 
     def test_a1(self):
-        h = hilbert_basis(cone_of(2, 1))
+        h = data_of(2, 1).hilbert
         assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1)]
         assert h.e == 3 and not h.smooth
 
     def test_4_1(self):
-        h = hilbert_basis(cone_of(4, 1))
+        h = data_of(4, 1).hilbert
         assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
         assert h.coeffs == (2, 2, 2)
         assert h.e == 5
 
     def test_oracle_agrees_on_examples(self):
         for n, q in [(20, 11), (2, 1), (7, 3), (4, 1), (30, 17), (59, 12)]:
-            cone = cone_of(n, q)
-            assert hilbert_basis(cone) == hilbert_basis_oracle(cone)
+            cd = data_of(n, q)
+            assert cd.hilbert == hilbert_basis_oracle(cd)
 
     def test_oracle_7_3(self):
-        h = hilbert_basis_oracle(cone_of(7, 3))
+        h = hilbert_basis_oracle(data_of(7, 3))
         assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1), (7, 3)]
         assert h.e == 4
 
@@ -108,9 +137,9 @@ class TestHilbertBasis:
         for q in range(1, n):
             if gcd(n, q) != 1:
                 continue
-            cone = cone_of(n, q)
-            h = hilbert_basis(cone)
-            assert h == hilbert_basis_oracle(cone)
+            cd = data_of(n, q)
+            h = cd.hilbert
+            assert h == hilbert_basis_oracle(cd)
             for i in range(2, h.e):
                 assert h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
             for j in range(h.e - 1):
@@ -118,23 +147,23 @@ class TestHilbertBasis:
 
     def test_oracle_bound(self, monkeypatch):
         with pytest.raises(OracleBoundError):
-            hilbert_basis_oracle(cone_of(101, 1), bound=100)
+            hilbert_basis_oracle(data_of(101, 1), bound=100)
         monkeypatch.setenv("CQS_ORACLE_BOUND", "50")
         with pytest.raises(OracleBoundError):
-            hilbert_basis_oracle(cone_of(101, 1))
+            hilbert_basis_oracle(data_of(101, 1))
 
     def test_nonstandard_coordinates(self):
         # same singularity presented as C(I); basis lives in those coordinates
         from cqs.representations import interval_to_cone
 
-        cone = interval_to_cone(IntervalUD(-2, 2, 5))
-        h = hilbert_basis(cone)
+        cd = class_data(interval_to_cone(IntervalUD(-2, 2, 5)))
+        h = cd.hilbert
         assert h.e == 7 and h.coeffs == (3, 2, 2, 2, 3)
-        assert h == hilbert_basis_oracle(cone)
+        assert h == hilbert_basis_oracle(cd)
         assert h.central_degree == MPoint(0, 1)
 
     def test_equations(self):
-        h = hilbert_basis(cone_of(20, 11))
+        h = data_of(20, 11).hilbert
         eqs = binomial_equations(h)
         assert eqs[0] == "x1*x3 - x2^3"
         assert eqs[2] == "x3*x5 - x4^2"
@@ -143,35 +172,33 @@ class TestHilbertBasis:
 
 class TestEta:
     def test_worked_example(self):
-        cone = cone_of(20, 11)
-        h = hilbert_basis(cone)
-        assert eta(h, cone, 4) == Fraction(7, 5)  # floor 1 = a_4 - 1
-        assert eta(h, cone, 2) == Fraction(20, 9)  # floor 2 = a_2 - 1
+        cd = data_of(20, 11)
+        assert eta(cd, 4) == Fraction(7, 5)  # floor 1 = a_4 - 1
+        assert eta(cd, 2) == Fraction(20, 9)  # floor 2 = a_2 - 1
 
     def test_4_1(self):
-        cone = cone_of(4, 1)
-        h = hilbert_basis(cone)
-        assert eta(h, cone, 3) == Fraction(3, 2)
+        cd = data_of(4, 1)
+        assert eta(cd, 3) == Fraction(3, 2)
 
     def test_grounded_identity(self):
         for n, q in [(20, 11), (4, 1), (8, 3), (30, 17)]:
             cone = cone_of(n, q)
-            h = hilbert_basis(cone)
+            cd = class_data(cone)
+            h = cd.hilbert
             if not h.grounded or h.e < 4:
                 continue
             from cqs.representations import cone_to_interval
 
             ab = ab_floor_data(cone_to_interval(cone))
             expected = 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b)
-            assert eta(h, cone, h.central_index) == expected
+            assert eta(cd, h.central_index) == expected
 
     def test_index_bounds(self):
-        cone = cone_of(20, 11)
-        h = hilbert_basis(cone)
+        cd = data_of(20, 11)
         with pytest.raises(IndexError):
-            eta(h, cone, 1)
+            eta(cd, 1)
         with pytest.raises(IndexError):
-            eta(h, cone, 7)
+            eta(cd, 7)
 
 
 class TestGrounded:
@@ -188,7 +215,7 @@ class TestGrounded:
                 cone = cone_of(n, q)
                 from cqs.representations import cone_to_interval
 
-                assert is_grounded(cone_to_interval(cone)) == hilbert_basis(cone).grounded
+                assert is_grounded(cone_to_interval(cone)) == class_data(cone).hilbert.grounded
 
 
 class TestABFloorData:
@@ -217,28 +244,28 @@ class TestABFloorData:
 
 class TestZones:
     def test_irreducible_degree_zone_is_origin(self):
-        cone = cone_of(20, 11)
-        h = hilbert_basis(cone)
+        cd = data_of(20, 11)
+        h = cd.hilbert
         for i in range(2, h.e):
-            pts = zone_points(ZoneSpec(h.element(i), 0, LatticeTag.M), cone)
+            pts = zone_points(ZoneSpec(h.element(i), 0, LatticeTag.M), cd)
             assert [(p.u, p.v) for p in pts] == [(0, 0)]
 
     def test_multiple_degree_zone(self):
-        cone = cone_of(20, 11)
-        h = hilbert_basis(cone)
-        pts = zone_points(ZoneSpec(2 * h.element(2), 0, LatticeTag.M), cone)
+        cd = data_of(20, 11)
+        h = cd.hilbert
+        pts = zone_points(ZoneSpec(2 * h.element(2), 0, LatticeTag.M), cd)
         assert {(p.u, p.v) for p in pts} == {(0, 0), (1, 1)}
-        cone = cone_of(7, 3)
-        h = hilbert_basis(cone)
-        pts = zone_points(ZoneSpec(3 * h.element(3), 0, LatticeTag.M), cone)
+        cd = data_of(7, 3)
+        h = cd.hilbert
+        pts = zone_points(ZoneSpec(3 * h.element(3), 0, LatticeTag.M), cd)
         assert {(p.u, p.v) for p in pts} == {(0, 0), (2, 1), (4, 2)}
 
     @pytest.mark.parametrize("n,q", [(20, 11), (4, 1), (7, 3), (9, 2)])
     @pytest.mark.parametrize("kappa", [-1, 0, 1, 5])
     def test_against_independent_enumeration(self, n, q, kappa):
         cone = cone_of(n, q)
-        h = hilbert_basis(cone)
-        m = cone_index(cone)
+        cd = class_data(cone)
+        h, m = cd.hilbert, cd.m
         degrees = [h.element(2), h.element(h.e - 1), 2 * h.central_degree]
         for R in degrees:
             for tag, shifts in [
@@ -246,17 +273,16 @@ class TestZones:
                 (LatticeTag.M_SHIFTED, (1,)),
                 (LatticeTag.M_TILDE, range(m)),
             ]:
-                got = {(p.u, p.v) for p in zone_points(ZoneSpec(R, kappa, tag), cone)}
+                got = {(p.u, p.v) for p in zone_points(ZoneSpec(R, kappa, tag), cd)}
                 assert got == brute_zone(cone, R, kappa, shifts), (R, kappa, tag)
 
     def test_translation_by_central_degree(self):
-        cone = cone_of(20, 11)
-        h = hilbert_basis(cone)
-        m = cone_index(cone)
+        cd = data_of(20, 11)
+        h, m = cd.hilbert, cd.m
         rbar = h.central_degree
         for kappa in (-1, 0, 3):
-            base = zone_points(ZoneSpec(h.element(3), kappa, LatticeTag.M), cone)
-            shifted = zone_points(ZoneSpec(h.element(3), kappa + m, LatticeTag.M), cone)
+            base = zone_points(ZoneSpec(h.element(3), kappa, LatticeTag.M), cd)
+            shifted = zone_points(ZoneSpec(h.element(3), kappa + m, LatticeTag.M), cd)
             assert {(p.u + rbar.u, p.v + rbar.v) for p in base} == {
                 (p.u, p.v) for p in shifted
             }
@@ -265,16 +291,15 @@ class TestZones:
         # a degree with iota(R) = (n, n) makes the zone a fundamental box:
         # it holds n points of M, n*m of M_tilde, n of the shifted coset
         for n, q in [(20, 11), (7, 3), (12, 5)]:
-            cone = cone_of(n, q)
-            h = hilbert_basis(cone)
-            m = cone_index(cone)
+            cd = data_of(n, q)
+            h, m = cd.hilbert, cd.m
             b = n // m  # r1 + re = b * Rbar
             big = b * h.central_degree
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M), cone)) == n
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_TILDE), cone)) == n * m
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_SHIFTED), cone)) == n
+            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M), cd)) == n
+            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_TILDE), cd)) == n * m
+            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_SHIFTED), cd)) == n
 
     def test_rejects_boundary_degree(self):
-        cone = cone_of(20, 11)
+        cd = data_of(20, 11)
         with pytest.raises(InvalidSingularityError):
-            zone_points(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cone)
+            zone_points(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cd)

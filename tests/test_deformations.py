@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from cqs.cone_geometry import LatticeTag, ZoneSpec, hilbert_basis, zone_points
+from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
 from cqs.deformations import (
     DeformationDirection,
     DegreeId,
@@ -27,27 +27,16 @@ from cqs.deformations import (
     w_dims_oracle,
 )
 from cqs.lattice import MPoint, NPoint, pairing
-from cqs.representations import (
-    DegenerateSingularityError,
-    IntervalUD,
-    NQForm,
-    cone_to_interval,
-    interval_to_abc,
-    nq_to_cone,
-)
+from cqs.representations import DegenerateSingularityError, IntervalUD, NQForm, nq_to_cone
 
 
 def setup_class_data(n, q):
-    nq = NQForm(n, q)
-    cone = nq_to_cone(nq)
-    h = hilbert_basis(cone)
-    iv = cone_to_interval(cone)
-    return nq, cone, h, iv, interval_to_abc(iv)
+    return class_data(nq_to_cone(NQForm(n, q)))
 
 
 class TestT1Graded:
     def test_worked_example(self):
-        _, _, h, _, _ = setup_class_data(20, 11)
+        h = setup_class_data(20, 11).hilbert
         assert dict(t1_graded(h)) == {
             DegreeId(2, 1): 1,
             DegreeId(2, 2): 1,
@@ -60,12 +49,12 @@ class TestT1Graded:
         assert sum(d for _, d in t1_graded(h)) == 10
 
     def test_4_1(self):
-        _, _, h, _, _ = setup_class_data(4, 1)
+        h = setup_class_data(4, 1).hilbert
         assert [dim for _, dim in t1_graded(h)] == [1, 2, 1]
         assert sum(dim for _, dim in t1_graded(h)) == 4
 
     def test_7_3(self):
-        _, _, h, _, _ = setup_class_data(7, 3)
+        h = setup_class_data(7, 3).hilbert
         assert dict(t1_graded(h)) == {
             DegreeId(2, 1): 1,
             DegreeId(3, 1): 1,
@@ -75,15 +64,15 @@ class TestT1Graded:
 
     def test_rejects_degenerate(self):
         for n, q in [(2, 1), (5, 4), (3, 2)]:
-            _, _, h, _, _ = setup_class_data(n, q)
+            h = setup_class_data(n, q).hilbert
             with pytest.raises(DegenerateSingularityError):
                 t1_graded(h)
 
 
 class TestClosedForms:
     def test_v_worked_example(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
-        v = v_dims(h, cone)
+        cd = setup_class_data(20, 11)
+        v = v_dims(cd)
         assert {d: x for d, x in v.items() if x} == {
             DegreeId(3, 1): 1,
             DegreeId(4, 1): 1,
@@ -91,47 +80,47 @@ class TestClosedForms:
         }
 
     def test_v_7_3_empty(self):
-        _, cone, h, _, _ = setup_class_data(7, 3)
-        assert sum(v_dims(h, cone).values()) == 0
+        cd = setup_class_data(7, 3)
+        assert sum(v_dims(cd).values()) == 0
 
     def test_v_4_1(self):
-        _, cone, h, _, _ = setup_class_data(4, 1)
-        assert {d: x for d, x in v_dims(h, cone).items() if x} == {DegreeId(3, 1): 1}
+        cd = setup_class_data(4, 1)
+        assert {d: x for d, x in v_dims(cd).items() if x} == {DegreeId(3, 1): 1}
 
     def test_qg_worked_example(self):
-        _, _, h, iv, _ = setup_class_data(20, 11)
-        assert sum(qg_dims(h, iv).values()) == 0  # min(a_l - 1, 4/5) < 1
+        cd = setup_class_data(20, 11)
+        assert sum(qg_dims(cd).values()) == 0  # min(a_l - 1, 4/5) < 1
 
     def test_qg_4_1(self):
-        _, _, h, iv, _ = setup_class_data(4, 1)
-        assert {d: x for d, x in qg_dims(h, iv).items() if x} == {DegreeId(3, 1): 1}
+        cd = setup_class_data(4, 1)
+        assert {d: x for d, x in qg_dims(cd).items() if x} == {DegreeId(3, 1): 1}
 
     def test_qg_8_3_total_two(self):
         # interval [-3/2, 1/2]: A + B = 2, qG in degrees -Rbar and -2*Rbar
-        _, _, h, iv, _ = setup_class_data(8, 3)
-        assert {d: x for d, x in qg_dims(h, iv).items() if x} == {
+        cd = setup_class_data(8, 3)
+        assert {d: x for d, x in qg_dims(cd).items() if x} == {
             DegreeId(3, 1): 1,
             DegreeId(3, 2): 1,
         }
 
     def test_vw_worked_example(self):
-        _, _, h, iv, abc = setup_class_data(20, 11)
-        assert {d: x for d, x in vw_dims(h, iv, abc).items() if x} == {DegreeId(4, 1): 1}
+        cd = setup_class_data(20, 11)
+        assert {d: x for d, x in vw_dims(cd).items() if x} == {DegreeId(4, 1): 1}
 
     def test_vw_4_1(self):
-        _, _, h, iv, abc = setup_class_data(4, 1)
-        assert {d: x for d, x in vw_dims(h, iv, abc).items() if x} == {DegreeId(3, 1): 1}
+        cd = setup_class_data(4, 1)
+        assert {d: x for d, x in vw_dims(cd).items() if x} == {DegreeId(3, 1): 1}
 
     def test_vw_grounded_general_case(self):
         # (20,11): fractional parts 2/5 differ from 1/m, so VW total is
         # floor(A) + floor(B) + 1 = 1
-        _, _, h, iv, abc = setup_class_data(20, 11)
-        assert sum(vw_dims(h, iv, abc).values()) == 1
+        cd = setup_class_data(20, 11)
+        assert sum(vw_dims(cd).values()) == 1
 
 
 class TestTotals:
     def test_worked_example(self):
-        rep = totals(NQForm(20, 11))
+        rep = totals(setup_class_data(20, 11))
         t = rep.totals
         assert (t.dim_t1, t.dim_v, t.dim_vw, t.dim_qg) == (10, 3, 1, 0)
         assert rep.gap == 2 == rep.embdim - 5
@@ -140,110 +129,117 @@ class TestTotals:
         assert last == [DegreeId(4, 1)]
 
     def test_7_3(self):
-        rep = totals(NQForm(7, 3))
+        rep = totals(setup_class_data(7, 3))
         t = rep.totals
         assert (t.dim_t1, t.dim_v, t.dim_vw, t.dim_qg) == (4, 0, 0, 0)
         assert rep.gap == 0 == rep.embdim - 4
 
     def test_4_1(self):
-        rep = totals(NQForm(4, 1))
+        rep = totals(setup_class_data(4, 1))
         t = rep.totals
         assert (t.dim_t1, t.dim_v, t.dim_w, t.dim_vw, t.dim_qg) == (4, 1, 1, 1, 1)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSingularityError):
-            totals(NQForm(5, 4))
+            totals(setup_class_data(5, 4))
 
     def test_sums_match_per_degree(self):
-        rep = totals(NQForm(30, 17))
+        rep = totals(setup_class_data(30, 17))
         assert rep.totals.dim_t1 == sum(r.dim_t1 for r in rep.per_degree)
         assert rep.totals.dim_qg == sum(r.dim_qg for r in rep.per_degree)
 
 
 class TestIsoOracles:
     def test_iso0_holds_for_t1(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
         for d in t1_degrees(h):
-            for a in t1_space(h, cone, d):
-                assert iso_oracle(DeformationDirection(a, d), 0, cone)
+            for a in t1_space(cd, d):
+                assert iso_oracle(DeformationDirection(a, d), 0, cd)
 
     def test_v_but_not_w_at_r3(self):
         # direction orthogonal to Rbar - 5*r^3 = [-10,-7]
-        _, cone, h, _, _ = setup_class_data(20, 11)
+        cd = setup_class_data(20, 11)
         a = NPoint(7, -10)
         assert pairing(a, MPoint(-10, -7)) == 0
         xi = DeformationDirection(a, DegreeId(3, 1))
-        assert stable_iso_oracle(xi, 5, cone)
-        assert stable_iso_oracle(xi, 0, cone)
-        assert not iso_oracle(xi, -1, cone)
+        assert stable_iso_oracle(xi, 5, cd)
+        assert stable_iso_oracle(xi, 0, cd)
+        assert not iso_oracle(xi, -1, cd)
 
     def test_empty_zone_accepts_everything(self):
         # Z_{r^3,-1} of (7,3) has no lattice points
-        _, cone, h, _, _ = setup_class_data(7, 3)
-        pts = zone_points(ZoneSpec(h.element(3), -1, LatticeTag.M), cone)
+        cd = setup_class_data(7, 3)
+        h = cd.hilbert
+        pts = zone_points(ZoneSpec(h.element(3), -1, LatticeTag.M), cd)
         assert pts == []
         for a in (NPoint(5, 17), NPoint(-3, 1), NPoint(0, 0)):
             xi = DeformationDirection(a, DegreeId(3, 1))
-            assert iso_oracle(xi, -1, cone)
-            assert stable_iso_oracle(xi, -1, cone)
+            assert iso_oracle(xi, -1, cd)
+            assert stable_iso_oracle(xi, -1, cd)
 
     def test_zero_direction_is_always_stable(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
+        cd = setup_class_data(20, 11)
         xi = DeformationDirection(NPoint(0, 0), DegreeId(4, 1))
         for kappa in (-3, -1, 0, 2, 5):
-            assert stable_iso_oracle(xi, kappa, cone)
+            assert stable_iso_oracle(xi, kappa, cd)
 
     def test_stable_iso_equals_two_shifts(self):
-        _, cone, h, _, _ = setup_class_data(12, 5)
+        cd = setup_class_data(12, 5)
+        h = cd.hilbert
         m = 2  # gcd(12, 6) = 6, a = 2
         for d in t1_degrees(h):
-            for a in t1_space(h, cone, d):
+            for a in t1_space(cd, d):
                 xi = DeformationDirection(a, d)
                 for kappa in (-1, 0, 1):
-                    expected = iso_oracle(xi, kappa, cone) and iso_oracle(xi, kappa + m, cone)
-                    assert stable_iso_oracle(xi, kappa, cone) == expected
+                    expected = iso_oracle(xi, kappa, cd) and iso_oracle(xi, kappa + m, cd)
+                    assert stable_iso_oracle(xi, kappa, cd) == expected
 
 
 class TestContainmentOracles:
     def test_worked_example(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
         r3, r4 = h.element(3), h.element(4)
-        assert not qg_oracle(r4, cone)
-        assert vw_oracle(r4, cone)
-        assert not vw_oracle(r3, cone)
-        assert not qg_oracle(r3, cone)
+        assert not qg_oracle(r4, cd)
+        assert vw_oracle(r4, cd)
+        assert not vw_oracle(r3, cd)
+        assert not qg_oracle(r3, cd)
 
     def test_4_1_central(self):
-        _, cone, h, _, _ = setup_class_data(4, 1)
+        cd = setup_class_data(4, 1)
+        h = cd.hilbert
         rbar = h.central_degree
-        assert qg_oracle(rbar, cone)
-        assert vw_oracle(rbar, cone)
+        assert qg_oracle(rbar, cd)
+        assert vw_oracle(rbar, cd)
 
     def test_nongrounded_fails_at_constraining_degrees(self):
         # every interior or multiple degree of a non-grounded class fails
         # the containment; corner degrees carry no V-line to constrain
         for n, q in [(7, 3), (10, 3), (5, 2), (13, 5)]:
-            _, cone, h, iv, _ = setup_class_data(n, q)
+            cd = setup_class_data(n, q)
+            h = cd.hilbert
             from cqs.cone_geometry import is_grounded
 
-            assert not is_grounded(iv)
+            assert not is_grounded(cd.interval)
             for d in t1_degrees(h):
                 if d.k >= 2 or 3 <= d.i <= h.e - 2:
-                    assert not qg_oracle(degree_vector(h, d), cone), (n, q, d)
+                    assert not qg_oracle(degree_vector(h, d), cd), (n, q, d)
 
     def test_oracles_match_closed_forms(self):
         for n in range(2, 31):
             for q in range(1, n - 1):
                 if gcd(n, q) != 1:
                     continue
-                nq, cone, h, iv, abc = setup_class_data(n, q)
-                v = v_dims(h, cone)
-                qg = qg_dims(h, iv)
-                vw = vw_dims(h, iv, abc)
+                cd = setup_class_data(n, q)
+                nq, h = cd.nq, cd.hilbert
+                v = v_dims(cd)
+                qg = qg_dims(cd)
+                vw = vw_dims(cd)
                 for d in t1_degrees(h):
                     vec = degree_vector(h, d)
-                    assert (qg[d] == 1) == (v[d] >= 1 and qg_oracle(vec, cone)), (nq, d)
-                    assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(vec, cone)), (nq, d)
+                    assert (qg[d] == 1) == (v[d] >= 1 and qg_oracle(vec, cd)), (nq, d)
+                    assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(vec, cd)), (nq, d)
 
 
 class TestRankOracles:
@@ -251,8 +247,8 @@ class TestRankOracles:
         # zones Z_{R,-1} cap M walked by hand: empty at r^2/r^6 (full
         # quotient survives), {0} at the interior degrees (one rank-1
         # condition), and a genuine off-line point at the k=2 multiples
-        _, cone, h, _, _ = setup_class_data(20, 11)
-        assert w_dims_oracle(h, cone) == {
+        cd = setup_class_data(20, 11)
+        assert w_dims_oracle(cd) == {
             DegreeId(2, 1): 1,
             DegreeId(2, 2): 0,
             DegreeId(3, 1): 1,
@@ -264,8 +260,8 @@ class TestRankOracles:
 
     def test_w_7_3_hand_enumerated(self):
         # all four kappa=-1 zones are empty or impose vacuous conditions
-        _, cone, h, _, _ = setup_class_data(7, 3)
-        assert w_dims_oracle(h, cone) == {
+        cd = setup_class_data(7, 3)
+        assert w_dims_oracle(cd) == {
             DegreeId(2, 1): 1,
             DegreeId(3, 1): 1,
             DegreeId(3, 2): 1,
@@ -277,64 +273,69 @@ class TestRankOracles:
             for q in range(1, n - 1):
                 if gcd(n, q) != 1:
                     continue
-                nq, cone, h, iv, abc = setup_class_data(n, q)
-                vw = vw_dims(h, iv, abc)
-                vw_rank = vw_dims_oracle(h, cone)
-                w = w_dims_oracle(h, cone)
-                v = v_dims_oracle(h, cone)
+                cd = setup_class_data(n, q)
+                nq, h = cd.nq, cd.hilbert
+                vw = vw_dims(cd)
+                vw_rank = vw_dims_oracle(cd)
+                w = w_dims_oracle(cd)
+                v = v_dims_oracle(cd)
                 for d in t1_degrees(h):
                     assert vw[d] == vw_rank[d], (nq, d)
                     assert vw[d] <= w[d], (nq, d)
-                    assert v_dims(h, cone)[d] == v[d], (nq, d)
+                    assert v_dims(cd)[d] == v[d], (nq, d)
 
 
 class TestPhi:
     def test_kernel_direction(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
-        assert phi_functional(h.element(3), NPoint(7, -10), cone) == 0
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
+        assert phi_functional(h.element(3), NPoint(7, -10), cd) == 0
 
     def test_direct_arithmetic(self):
         # R = r^4 = Rbar: Rbar - 5R = -4*Rbar = [-20,-12]
-        _, cone, h, _, _ = setup_class_data(20, 11)
-        assert phi_functional(h.element(4), NPoint(1, 1), cone) == -32
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
+        assert phi_functional(h.element(4), NPoint(1, 1), cd) == -32
 
     def test_phi_zero_iff_stable(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
         for d in t1_degrees(h):
             vec = degree_vector(h, d)
-            for a in t1_space(h, cone, d):
+            for a in t1_space(cd, d):
                 xi = DeformationDirection(a, d)
-                assert (phi_functional(vec, a, cone) == 0) == stable_iso_oracle(xi, 0, cone)
+                assert (phi_functional(vec, a, cd) == 0) == stable_iso_oracle(xi, 0, cd)
 
 
 class TestRepresentativeIndependence:
     def test_quotient_degree_constraints_kill_edge(self):
-        _, cone, h, _, _ = setup_class_data(20, 11)
-        for i, edge in [(2, cone.alpha), (h.e - 1, cone.beta)]:
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
+        for i, edge in [(2, cd.alpha), (h.e - 1, cd.beta)]:
             R = h.element(i)
             e_r = pairing(edge, R)
             for kappa in (-1, 0, 3):
-                for r in zone_points(ZoneSpec(R, kappa, LatticeTag.M), cone):
+                for r in zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd):
                     assert kappa * e_r - pairing(edge, r) == 0
 
 
 class TestClassify:
     def test_examples(self):
-        f = classify(NQForm(4, 1))
+        f = classify(setup_class_data(4, 1))
         assert (f.t0_singularity, f.t_singularity, f.qg_exists, f.grounded) == (
             True, True, True, True,
         )
-        f = classify(NQForm(20, 11))
+        f = classify(setup_class_data(20, 11))
         assert (f.t0_singularity, f.t_singularity, f.qg_exists, f.grounded) == (
             False, False, False, True,
         )
-        f = classify(NQForm(7, 3))
+        f = classify(setup_class_data(7, 3))
         assert (f.t0_singularity, f.t_singularity, f.qg_exists, f.grounded) == (
             False, False, False, False,
         )
 
     def test_t_singularity_with_longer_interval(self):
-        f = classify(NQForm(8, 3))  # |I| = 2
+        f = classify(setup_class_data(8, 3))  # |I| = 2
         assert f.t_singularity and not f.t0_singularity and f.qg_exists
 
 
