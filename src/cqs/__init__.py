@@ -10,7 +10,7 @@ with brute-force lattice-point oracles.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-from .lattice import MPoint, MRatPoint, NPoint, Rational, det2, ext_gcd, mod_inverse, pairing, primitive
+from .lattice import MPoint, NPoint, det2, ext_gcd, mod_inverse, pairing, primitive
 from .representations import (
     ABCForm,
     CFForm,

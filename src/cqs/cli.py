@@ -4,10 +4,10 @@ Subcommands: convert, analyze, scan, verify, cayley.  Inputs use the
 grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 | cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
-2 parse error or a CQS_ORACLE_BOUND that is not an integer >= 2,
-3 invalid singularity, 4 degenerate class (embdim <= 3).  A reader that
-closes the pipe early (``cqs scan 400 | head``) ends the run quietly with
-exit 0.
+2 parse error (an integer past the digit limit of int() included) or a
+CQS_ORACLE_BOUND that is not an integer >= 2, 3 invalid singularity,
+4 degenerate class (embdim <= 3).  A reader that closes the pipe early
+(``cqs scan 400 | head``) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ _CONE_RE = re.compile(r"\((-?\d+),(-?\d+)\),\((-?\d+),(-?\d+)\)")
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
+def _int(text: str) -> int:
+    # int() also refuses strings longer than sys.get_int_max_str_digits()
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"not an integer, or too many digits: {text[:40]!r}") from None
+
+
 def parse_form(text: str) -> SingularityForm:
     tag, sep, payload = text.partition(":")
     payload = payload.replace(" ", "")
@@ -74,24 +82,25 @@ def parse_form(text: str) -> SingularityForm:
         m = _NQ_RE.fullmatch(payload)
         if not m:
             raise ParseError(f"nq wants n/q, got {payload!r}")
-        return NQForm(int(m.group(1)), int(m.group(2)))
+        return NQForm(_int(m.group(1)), _int(m.group(2)))
     if tag == "abc":
         m = _ABC_RE.fullmatch(payload)
         if not m:
             raise ParseError(f"abc wants a,b,c, got {payload!r}")
-        return ABCForm(*(int(g) for g in m.groups()))
+        return ABCForm(*(_int(g) for g in m.groups()))
     if tag == "cone":
         m = _CONE_RE.fullmatch(payload)
         if not m:
             raise ParseError(f"cone wants (x,y),(x,y), got {payload!r}")
-        x1, y1, x2, y2 = (int(g) for g in m.groups())
+        x1, y1, x2, y2 = (_int(g) for g in m.groups())
         return ConeForm(NPoint(x1, y1), NPoint(x2, y2))
     if tag == "interval":
         parts = payload.split(",")
         if len(parts) != 2 or not all(_RAT_RE.fullmatch(p) for p in parts):
             raise ParseError(f"interval wants g/m,h/m, got {payload!r}")
+        nums = [_int(d) for p in parts for d in _RAT_RE.fullmatch(p).groups(default="1")]
         try:
-            left, right = (Fraction(p) for p in parts)
+            left, right = Fraction(*nums[:2]), Fraction(*nums[2:])
         except ZeroDivisionError:
             raise InvalidSingularityError(f"zero denominator in {payload!r}") from None
         if left.denominator != right.denominator:
@@ -99,12 +108,7 @@ def parse_form(text: str) -> SingularityForm:
                 f"endpoints {left} and {right} do not have uniform denominators"
             )
         return IntervalUD(left.numerator, right.numerator, left.denominator)
-    parts = payload.split(",")
-    try:
-        coeffs = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"cf wants a comma-separated integer list, got {payload!r}") from None
-    return CFForm(coeffs)
+    return CFForm(tuple(_int(p) for p in payload.split(",")))
 
 
 def format_form(form: SingularityForm) -> str:
@@ -174,7 +178,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
             "interval_length": str(cd.interval.length),
         },
         "t1": None,
-        "cayley": _cayley_block(cayley_family(cd.interval)),
+        "cayley": _cayley_block(cayley_family(cd)),
     }
     if report is not None:
         doc["t1"] = {
@@ -364,7 +368,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cayley(args) -> int:
-    fam = cayley_family(_class_of(args.input).interval)
+    fam = cayley_family(_class_of(args.input))
     if args.json:
         _print_json({"schema_version": "1", "cayley": _cayley_block(fam)})
         return EXIT_OK

@@ -12,8 +12,10 @@ The zones Z_{R,kappa} are the half-open parallelograms
     kappa <= <beta,  r> < kappa + <beta,  R>,
 
 whose lattice points generate all the flatness constraints used in
-:mod:`cqs.deformations`.  Everything here is exact integer/rational
-arithmetic; boundary points are decided without tolerance.
+:mod:`cqs.deformations`.  A zone is cut out by the two integer pairings
+iota(r) = (<alpha,r>, <beta,r>), so its points are found and returned as
+integer pairs (u, v) = iota(r); the zone path uses integers only and
+boundary points are decided without tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .lattice import MPoint, MRatPoint, NPoint, det2, ext_gcd, pairing, primitive
+from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
 from .representations import (
     ABCForm,
     CFForm,
@@ -175,10 +177,14 @@ def class_data(c: ConeForm) -> ClassData:
     )
 
 
-def _preimage(cd: ClassData, u: int, v: int) -> MRatPoint:
+def _preimage(cd: ClassData, u: int, v: int) -> MPoint:
     # inverse of the matrix with rows alpha, beta, applied to (u, v)
     a, b = cd.alpha, cd.beta
-    return MRatPoint(Fraction(b.y * u - a.y * v, cd.det), Fraction(-b.x * u + a.x * v, cd.det))
+    x, rx = divmod(b.y * u - a.y * v, cd.det)
+    y, ry = divmod(a.x * v - b.x * u, cd.det)
+    if rx or ry:
+        raise AssertionError(f"({u}, {v}) not in iota(M) for <{a}, {b}>")
+    return MPoint(x, y)
 
 
 def continued_fraction(p: int, s: int) -> CFForm:
@@ -204,10 +210,7 @@ def hilbert_basis(cd: ClassData) -> HilbertData:
     """
     n, q = cd.nq.n, cd.nq.q
     coeffs = continued_fraction(n, n - q).coefficients
-    r2 = _preimage(cd, 1, n - q)
-    if not r2.is_integral():
-        raise AssertionError(f"seed (1, n-q) not in iota(M) for <{cd.alpha}, {cd.beta}>")
-    basis = [cd.r1, MPoint(int(r2.u), int(r2.v))]
+    basis = [cd.r1, _preimage(cd, 1, n - q)]
     for a in coeffs:
         basis.append(a * basis[-1] - basis[-2])
     if basis[-1] != cd.re:
@@ -241,12 +244,7 @@ def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData
         if min_v is None or v < min_v:
             iota_basis.append((u, v))
             min_v = v
-    basis = []
-    for u, v in iota_basis:
-        p = _preimage(cd, u, v)
-        if not p.is_integral():
-            raise AssertionError("candidate not in iota(M)")
-        basis.append(MPoint(int(p.u), int(p.v)))
+    basis = [_preimage(cd, u, v) for u, v in iota_basis]
     coeffs = []
     for j in range(1, len(basis) - 1):
         s = basis[j - 1] + basis[j + 1]
@@ -315,15 +313,17 @@ def ab_floor_data(i: IntervalUD) -> ABFloorData:
     return ABFloorData(a, b, fa, fb, a - fa, b - fb, 2 + fa + fb)
 
 
-def zone_points(z: ZoneSpec, cd: ClassData) -> list[MRatPoint]:
+def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     """All points of the requested lattice inside the half-open zone.
 
-    Works in iota-coordinates: integer pairs (u, v) with
+    The points are returned in iota-coordinates, as the integer pairs
+    (u, v) = iota(r), in no particular order.  A pair with
     kappa <= u < kappa + <alpha,R> and kappa <= v < kappa + <beta,R>
-    belong to iota(M) iff v = u*bw (mod n); the other two lattices are
-    unions of translates of iota(M) by multiples of (1,1).  For each u
-    the admissible v form arithmetic progressions of step n, so the cost
-    is proportional to the number of fibers, not the zone area.
+    belongs to iota(M) iff v = u*bw (mod n); the other two lattices are
+    unions of translates of iota(M) by multiples of (1,1) = iota(Rbar/m).
+    For each u the admissible v form arithmetic progressions of step n,
+    so the cost is proportional to the number of fibers, not the zone
+    area.
     """
     u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
     if u_r <= 0 or v_r <= 0:
@@ -343,8 +343,7 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[MRatPoint]:
             while v < z.kappa + v_r:
                 found.append((u, v))
                 v += n
-    found.sort()
-    return [_preimage(cd, u, v) for u, v in found]
+    return found
 
 
 def binomial_equations(h: HilbertData) -> list[str]:

@@ -36,12 +36,10 @@ from .cone_geometry import (
     HilbertData,
     LatticeTag,
     ZoneSpec,
-    ab_floor_data,
-    is_grounded,
     zone_points,
 )
-from .lattice import MPoint, NPoint, ext_gcd, pairing
-from .representations import DegenerateSingularityError, IntervalUD, NQForm
+from .lattice import MPoint, NPoint, det2, ext_gcd, pairing
+from .representations import DegenerateSingularityError, NQForm
 
 
 class InternalConsistencyError(RuntimeError):
@@ -252,12 +250,26 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
+def _offsets(R: MPoint, kappa: int, cd: ClassData, tag=LatticeTag.M) -> list[tuple[int, int]]:
+    """iota(kappa*R - r) = (du, dv) for every lattice point r of Z_{R,kappa}.
+
+    det * <a, kappa*R - r> = A*du + B*dv with (A, B) = _iota_coeffs(a, cd);
+    det != 0, so every "= 0" test and every rank is decided on integers.
+    """
+    ku, kv = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
+    return [(ku - u, kv - v) for u, v in zone_points(ZoneSpec(R, kappa, tag), cd)]
+
+
+def _iota_coeffs(a: NPoint, cd: ClassData) -> tuple[int, int]:
+    """(A, B) with det * <a, r> = A*<alpha, r> + B*<beta, r> for every r."""
+    return det2(a, cd.beta), det2(cd.alpha, a)
+
+
 def iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
     """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point."""
     R = degree_vector(cd.hilbert, xi.degree)
-    a_r = pairing(xi.a, R)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
-    return all(kappa * a_r - pairing(xi.a, r) == 0 for r in pts)
+    A, B = _iota_coeffs(xi.a, cd)
+    return all(A * du + B * dv == 0 for du, dv in _offsets(R, kappa, cd))
 
 
 def stable_iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
@@ -268,11 +280,11 @@ def stable_iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bo
     shifts differ exactly by that pairing.
     """
     R = degree_vector(cd.hilbert, xi.degree)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
-    if not pts:
+    offsets = _offsets(R, kappa, cd)
+    if not offsets:
         return True
-    a_r = pairing(xi.a, R)
-    if any(kappa * a_r - pairing(xi.a, r) != 0 for r in pts):
+    A, B = _iota_coeffs(xi.a, cd)
+    if any(A * du + B * dv != 0 for du, dv in offsets):
         return False
     return phi_functional(R, xi.a, cd) == 0
 
@@ -282,8 +294,8 @@ def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
     line = cd.rbar - cd.m * R
     if line.is_zero():
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
-    pts = zone_points(ZoneSpec(R, 0, tag), cd)
-    return all(r.u * line.v - r.v * line.u == 0 for r in pts)
+    lu, lv = pairing(cd.alpha, line), pairing(cd.beta, line)
+    return all(du * lv - dv * lu == 0 for du, dv in _offsets(R, 0, cd, tag))
 
 
 def qg_oracle(R: MPoint, cd: ClassData) -> bool:
@@ -317,15 +329,15 @@ def _rank(rows: list[tuple]) -> int:
 def _constrained_dim(cd: ClassData, d: DegreeId, kappa: int, with_phi: bool) -> int:
     R = degree_vector(cd.hilbert, d)
     basis = t1_space(cd, d)
-    pts = zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd)
+    offsets = _offsets(R, kappa, cd)
     if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
-        # quotient degree: every constraint must kill alpha resp. beta
-        edge = cd.alpha if d.i == 2 else cd.beta
-        e_r = pairing(edge, R)
-        for r in pts:
-            if kappa * e_r - pairing(edge, r) != 0:
-                raise InternalConsistencyError("zone constraint does not descend to the quotient")
-    rows = [tuple(kappa * pairing(a, R) - pairing(a, r) for a in basis) for r in pts]
+        # quotient degree: every constraint must kill alpha resp. beta,
+        # and <alpha, kappa*R - r> = du, <beta, kappa*R - r> = dv
+        side = 0 if d.i == 2 else 1
+        if any(off[side] != 0 for off in offsets):
+            raise InternalConsistencyError("zone constraint does not descend to the quotient")
+    coeffs = [_iota_coeffs(a, cd) for a in basis]
+    rows = [tuple(A * du + B * dv for A, B in coeffs) for du, dv in offsets]
     if with_phi:
         rows.append(tuple(phi_functional(R, a, cd) for a in basis))
     return len(basis) - _rank(rows)
@@ -361,9 +373,8 @@ def classify(cd: ClassData) -> ClassificationFlags:
     The implications T0 => T-singularity => (some qG-deformation exists)
     => grounded hold by construction and are re-checked here.
     """
-    iv = cd.interval
-    grounded = is_grounded(iv)
-    length = iv.length
+    grounded = cd.ab is not None
+    length = cd.interval.length
     t0 = length == 1
     t_sing = length >= 1 and length.denominator == 1
     qg_exists = grounded and length >= 1
@@ -444,19 +455,16 @@ def _check_theorems(report: T1Report, cd: ClassData) -> None:
         raise InternalConsistencyError(f"qG <= VW <= qG+1 fails for {report.nq}")
 
 
-def cayley_family(i: IntervalUD) -> CayleyFamily:
-    """Ray matrix of the Cayley cone over I = I' + d*[0,1].
+def cayley_family(cd: ClassData) -> CayleyFamily:
+    """Ray matrix of the Cayley cone over the interval I = I' + d*[0,1].
 
     d = floor(A+B) on a grounded interval (for embdim >= 4 this equals
     dim T1_qG) and 0 otherwise, in which case the family is the trivial
     one over a point and the cone is C(I) itself.  The decomposition is
     fixed as I' = [-A, B-d].
     """
-    if is_grounded(i):
-        ab = ab_floor_data(i)
-        d = math.floor(ab.A + ab.B)
-    else:
-        d = 0
+    i = cd.interval
+    d = math.floor(cd.ab.A + cd.ab.B) if cd.ab is not None else 0
     g, h = i.g, i.h - d * i.m
     width = d + 2
     degenerate = g == h

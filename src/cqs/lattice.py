@@ -1,20 +1,18 @@
 """Exact arithmetic in the rank-two character lattice M and its dual N.
 
-Everything downstream runs on arbitrary-precision integers and
-``fractions.Fraction``: no floats, no overflow, no tolerances.  Following
-the usual convention for toric surfaces, points of M are written [u,v]
-and points of N are written (x,y); degrees live in M, cone generators
-and deformation directions in N.
+Everything downstream runs on arbitrary-precision integers, with
+``fractions.Fraction`` only for interval data and eta: no floats, no
+overflow, no tolerances.  Following the usual convention for toric
+surfaces, points of M are written [u,v] and points of N are written
+(x,y); degrees live in M, cone generators and deformation directions
+in N.  Zones are enumerated in integer coordinates
+(:mod:`cqs.cone_geometry`), so no point of M_Q is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-
-# Exact rational scalar used throughout the package.
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -69,22 +67,8 @@ class NPoint:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class MRatPoint:
-    """Rational point of M_Q (zone points, the canonical degree R/m, ...)."""
-
-    u: Fraction
-    v: Fraction
-
-    def is_integral(self) -> bool:
-        return self.u.denominator == 1 and self.v.denominator == 1
-
-    def __str__(self) -> str:
-        return f"[{self.u},{self.v}]"
-
-
-def pairing(n: NPoint, m: MPoint | MRatPoint):
-    """Natural pairing <n, m> = x*u + y*v; exact (int or Fraction)."""
+def pairing(n: NPoint, m: MPoint) -> int:
+    """Natural pairing <n, m> = x*u + y*v."""
     return n.x * m.u + n.y * m.v
 
 

@@ -142,16 +142,15 @@ def verify_hilbert(n_max: int) -> VerificationResult:
 def verify_deformations(n_max: int) -> VerificationResult:
     """Per-degree oracle equivalences plus total/mirror/theorem sweeps.
 
-    The report of a mirror class, computed for the mirror comparison, is
-    kept in a sweep-local dict until the sweep reaches that class.
+    The record and report of a mirror class, built for the mirror
+    comparison, are kept until the sweep reaches that class.
     """
     res = VerificationResult()
-    mirror_reports: dict[NQForm, T1Report] = {}
+    mirrors: dict[NQForm, tuple[ClassData, T1Report]] = {}
     for nq in nq_range(n_max, skip_degenerate=True):
         where = f"n={nq.n} q={nq.q}"
         try:
-            cd = class_data(representations.nq_to_cone(nq))
-            _verify_one_class(cd, res, mirror_reports)
+            _verify_one_class(nq, res, mirrors)
         except Exception as exc:  # record, keep sweeping
             res.checks += 1
             res.failures.append(f"{where} property=exception: {exc!r}")
@@ -159,9 +158,10 @@ def verify_deformations(n_max: int) -> VerificationResult:
 
 
 def _verify_one_class(
-    cd: ClassData, res: VerificationResult, mirror_reports: dict[NQForm, T1Report]
+    nq: NQForm, res: VerificationResult, mirrors: dict[NQForm, tuple[ClassData, T1Report]]
 ) -> None:
-    nq, h, m = cd.nq, cd.hilbert, cd.m
+    cd, report = mirrors.pop(nq, None) or (class_data(representations.nq_to_cone(nq)), None)
+    h, m = cd.hilbert, cd.m
     where = f"n={nq.n} q={nq.q}"
 
     v = deformations.v_dims(cd)
@@ -228,7 +228,7 @@ def _verify_one_class(
         )
 
     # totals runs the theorem checks internally
-    report = mirror_reports.pop(nq, None) or deformations.totals(cd)
+    report = report or deformations.totals(cd)
     res.checks += 1
     for r in report.per_degree:
         res.check(
@@ -237,10 +237,11 @@ def _verify_one_class(
         )
     mirror = q_inverse(nq)
     if nq.q <= mirror.q:
+        mirror_report = report
         if mirror != nq:
             mirror_cd = class_data(representations.nq_to_cone(mirror))
-            mirror_reports[mirror] = deformations.totals(mirror_cd)
-        mirror_report = mirror_reports.get(mirror, report)
+            mirror_report = deformations.totals(mirror_cd)
+            mirrors[mirror] = (mirror_cd, mirror_report)
         res.check(
             report.totals == mirror_report.totals and report.embdim == mirror_report.embdim,
             f"{where} property=totals_mirror_invariance",

@@ -207,13 +207,17 @@ class TestVerify:
         # when the sweep reaches that mirror
         from cqs import deformations, verify
 
-        seen = []
+        seen, built = [], []
         real = deformations.totals
         monkeypatch.setattr(deformations, "totals", lambda cd: seen.append(cd.nq) or real(cd))
-        assert verify.verify_deformations(20).ok
-        assert sorted(seen, key=lambda nq: (nq.n, nq.q)) == list(
-            verify.nq_range(20, skip_degenerate=True)
+        real_data = verify.class_data
+        monkeypatch.setattr(
+            verify, "class_data", lambda cone: built.append(real_data(cone)) or built[-1]
         )
+        assert verify.verify_deformations(20).ok
+        classes = list(verify.nq_range(20, skip_degenerate=True))
+        assert sorted(seen, key=lambda nq: (nq.n, nq.q)) == classes
+        assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == classes
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # sabotage the VW bound and expect the oracle sweep to name it
@@ -267,6 +271,8 @@ class TestExitCodes:
             (("convert", "nq:6/3", "--to", "nq"), 3),
             (("analyze", "nq:3/2"), 4),
             (("verify", "1"), 2),
+            (("convert", f"nq:{'1' * 5000}/3", "--to", "nq"), 2),
+            (("convert", f"interval:-2/5,{'1' * 5000}/5", "--to", "nq"), 2),
         ]
         for argv, expected in cases:
             code, _, _ = run(capsys, *argv)

@@ -23,6 +23,7 @@ from cqs.representations import (
     InvalidSingularityError,
     NQForm,
     central_degree,
+    interval_to_cone,
     nq_to_cone,
 )
 
@@ -61,6 +62,12 @@ def brute_zone(cone, R, kappa, shifts):
                 y += 1
             x0 += 1
     return out
+
+
+def iota(cd, p):
+    """(<alpha,p>, <beta,p>) of a point p = (x, y) of M_Q."""
+    x, y = p
+    return (cd.alpha.x * x + cd.alpha.y * y, cd.beta.x * x + cd.beta.y * y)
 
 
 class TestClassData:
@@ -154,8 +161,6 @@ class TestHilbertBasis:
 
     def test_nonstandard_coordinates(self):
         # same singularity presented as C(I); basis lives in those coordinates
-        from cqs.representations import interval_to_cone
-
         cd = class_data(interval_to_cone(IntervalUD(-2, 2, 5)))
         h = cd.hilbert
         assert h.e == 7 and h.coeffs == (3, 2, 2, 2, 3)
@@ -248,17 +253,17 @@ class TestZones:
         h = cd.hilbert
         for i in range(2, h.e):
             pts = zone_points(ZoneSpec(h.element(i), 0, LatticeTag.M), cd)
-            assert [(p.u, p.v) for p in pts] == [(0, 0)]
+            assert pts == [(0, 0)]
 
     def test_multiple_degree_zone(self):
         cd = data_of(20, 11)
         h = cd.hilbert
         pts = zone_points(ZoneSpec(2 * h.element(2), 0, LatticeTag.M), cd)
-        assert {(p.u, p.v) for p in pts} == {(0, 0), (1, 1)}
+        assert set(pts) == {iota(cd, p) for p in [(0, 0), (1, 1)]}
         cd = data_of(7, 3)
         h = cd.hilbert
         pts = zone_points(ZoneSpec(3 * h.element(3), 0, LatticeTag.M), cd)
-        assert {(p.u, p.v) for p in pts} == {(0, 0), (2, 1), (4, 2)}
+        assert set(pts) == {iota(cd, p) for p in [(0, 0), (2, 1), (4, 2)]}
 
     @pytest.mark.parametrize("n,q", [(20, 11), (4, 1), (7, 3), (9, 2)])
     @pytest.mark.parametrize("kappa", [-1, 0, 1, 5])
@@ -273,19 +278,48 @@ class TestZones:
                 (LatticeTag.M_SHIFTED, (1,)),
                 (LatticeTag.M_TILDE, range(m)),
             ]:
-                got = {(p.u, p.v) for p in zone_points(ZoneSpec(R, kappa, tag), cd)}
-                assert got == brute_zone(cone, R, kappa, shifts), (R, kappa, tag)
+                got = set(zone_points(ZoneSpec(R, kappa, tag), cd))
+                want = {iota(cd, p) for p in brute_zone(cone, R, kappa, shifts)}
+                assert got == want, (R, kappa, tag)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1, 5])
+    def test_nonstandard_cone_against_box_walk(self, kappa):
+        # C(I) for I = [-2/5, 2/5]: alpha = (-2,5), det < 0.  Walk the whole
+        # box and keep (u, v) whose preimage minus (t/m)*Rbar lies in M.
+        cd = class_data(interval_to_cone(IntervalUD(-2, 2, 5)))
+        h, m, rbar = cd.hilbert, cd.m, cd.rbar
+        a, b = cd.alpha, cd.beta
+        assert (a.x, a.y) != (1, 0) and cd.det < 0
+        for R in [h.element(2), h.element(h.e - 1), 2 * h.central_degree]:
+            u_r, v_r = pairing(a, R), pairing(b, R)
+            for tag, shifts in [
+                (LatticeTag.M, (0,)),
+                (LatticeTag.M_SHIFTED, (1,)),
+                (LatticeTag.M_TILDE, range(m)),
+            ]:
+                want = set()
+                for u in range(kappa, kappa + u_r):
+                    for v in range(kappa, kappa + v_r):
+                        x = Fraction(b.y * u - a.y * v, cd.det)
+                        y = Fraction(a.x * v - b.x * u, cd.det)
+                        if any(
+                            (x - Fraction(t * rbar.u, m)).denominator == 1
+                            and (y - Fraction(t * rbar.v, m)).denominator == 1
+                            for t in shifts
+                        ):
+                            want.add((u, v))
+                got = zone_points(ZoneSpec(R, kappa, tag), cd)
+                assert len(got) == len(want) and set(got) == want, (R, kappa, tag)
 
     def test_translation_by_central_degree(self):
         cd = data_of(20, 11)
         h, m = cd.hilbert, cd.m
         rbar = h.central_degree
+        assert iota(cd, (rbar.u, rbar.v)) == (m, m)
         for kappa in (-1, 0, 3):
             base = zone_points(ZoneSpec(h.element(3), kappa, LatticeTag.M), cd)
             shifted = zone_points(ZoneSpec(h.element(3), kappa + m, LatticeTag.M), cd)
-            assert {(p.u + rbar.u, p.v + rbar.v) for p in base} == {
-                (p.u, p.v) for p in shifted
-            }
+            assert {(u + m, v + m) for u, v in base} == set(shifted)
 
     def test_lattice_indices(self):
         # a degree with iota(R) = (n, n) makes the zone a fundamental box:

@@ -27,11 +27,24 @@ from cqs.deformations import (
     w_dims_oracle,
 )
 from cqs.lattice import MPoint, NPoint, pairing
-from cqs.representations import DegenerateSingularityError, IntervalUD, NQForm, nq_to_cone
+from cqs.representations import (
+    ConeForm,
+    DegenerateSingularityError,
+    IntervalUD,
+    NQForm,
+    interval_to_cone,
+    nq_to_cone,
+)
 
 
 def setup_class_data(n, q):
     return class_data(nq_to_cone(NQForm(n, q)))
+
+
+def interval_data(iv):
+    cd = class_data(interval_to_cone(iv))
+    assert cd.interval == iv
+    return cd
 
 
 class TestT1Graded:
@@ -311,12 +324,13 @@ class TestRepresentativeIndependence:
     def test_quotient_degree_constraints_kill_edge(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
-        for i, edge in [(2, cd.alpha), (h.e - 1, cd.beta)]:
+        # zone points come as iota pairs r = (<alpha,r>, <beta,r>)
+        for i, side, edge in [(2, 0, cd.alpha), (h.e - 1, 1, cd.beta)]:
             R = h.element(i)
             e_r = pairing(edge, R)
             for kappa in (-1, 0, 3):
                 for r in zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd):
-                    assert kappa * e_r - pairing(edge, r) == 0
+                    assert kappa * e_r - r[side] == 0
 
 
 class TestClassify:
@@ -341,24 +355,24 @@ class TestClassify:
 
 class TestCayley:
     def test_d_zero_is_interval_cone(self):
-        fam = cayley_family(IntervalUD(-2, 2, 5))
+        fam = cayley_family(interval_data(IntervalUD(-2, 2, 5)))
         assert fam.d == 0 and not fam.degenerate_base
         assert fam.rays == ((-2, 5), (2, 5))
 
     def test_degenerate_t_singularity(self):
-        fam = cayley_family(IntervalUD(-1, 1, 2))
+        fam = cayley_family(interval_data(IntervalUD(-1, 1, 2)))
         assert fam.d == 1 and fam.degenerate_base
         assert fam.i_prime == (Fraction(-1, 2), Fraction(-1, 2))
         assert fam.rays == ((-1, 2, 0), (0, 0, 1), (1, 0, 1))
 
     def test_fractional_example(self):
-        fam = cayley_family(IntervalUD(-2, 4, 5))
+        fam = cayley_family(interval_data(IntervalUD(-2, 4, 5)))
         assert fam.d == 1 and not fam.degenerate_base
         assert fam.i_prime == (Fraction(-2, 5), Fraction(-1, 5))
         assert fam.rays == ((-2, 5, 0), (-1, 5, 0), (0, 0, 1), (1, 0, 1))
 
     def test_nongrounded_trivial(self):
-        fam = cayley_family(IntervalUD(5, 6, 7))
+        fam = cayley_family(interval_data(IntervalUD(5, 6, 7)))
         assert fam.d == 0
         assert fam.rays == ((5, 7), (6, 7))
 
@@ -367,14 +381,51 @@ class TestCayley:
         from functools import reduce
 
         for iv in (IntervalUD(-2, 2, 5), IntervalUD(-1, 1, 2), IntervalUD(-3, 1, 2)):
-            for ray in cayley_family(iv).rays:
+            for ray in cayley_family(interval_data(iv)).rays:
                 assert reduce(_gcd, ray) == 1
 
     def test_minkowski_identity(self):
         # I = I' + d*[0,1] and |I'| is the fractional part of |I|
         for iv in (IntervalUD(-2, 4, 5), IntervalUD(-3, 1, 2), IntervalUD(-7, 1, 2)):
-            fam = cayley_family(iv)
+            fam = cayley_family(interval_data(iv))
             left, right = fam.i_prime
             assert left == iv.left
             assert right + fam.d == iv.right
             assert right - left == iv.length - fam.d
+
+
+# unimodular changes of coordinates of N; all but the first reverse orientation
+UNIMODULAR = [((2, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 3), (0, -1)), ((-3, 2), (5, -3))]
+
+
+def transform(cone, g):
+    (a, b), (c, d) = g
+
+    def act(p):
+        return NPoint(a * p.x + b * p.y, c * p.x + d * p.y)
+
+    return ConeForm(act(cone.alpha), act(cone.beta))
+
+
+class TestNonstandardCones:
+    @pytest.mark.parametrize("g", UNIMODULAR)
+    def test_zone_oracles_are_coordinate_free(self, g):
+        checked = 0
+        for n in range(2, 26):
+            for q in range(1, n):
+                if gcd(n, q) != 1:
+                    continue
+                cone = nq_to_cone(NQForm(n, q))
+                std = class_data(cone)
+                if std.hilbert.e < 4:
+                    continue
+                cd = class_data(transform(cone, g))
+                assert cd.nq == std.nq and (cd.alpha, cd.beta) != (std.alpha, std.beta)
+                assert w_dims_oracle(cd) == w_dims_oracle(std)
+                assert vw_dims_oracle(cd) == vw_dims_oracle(std)
+                for d in t1_degrees(std.hilbert):
+                    R, R_std = degree_vector(cd.hilbert, d), degree_vector(std.hilbert, d)
+                    assert qg_oracle(R, cd) == qg_oracle(R_std, std), (n, q, d)
+                    assert vw_oracle(R, cd) == vw_oracle(R_std, std), (n, q, d)
+                checked += 1
+        assert checked > 100

@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from cqs.lattice import (
     MPoint,
-    MRatPoint,
     NPoint,
-    Rational,
     det2,
     det2_m,
     ext_gcd,
@@ -22,11 +20,6 @@ def test_pairing_examples():
     assert pairing(NPoint(1, 0), MPoint(0, 1)) == 0
     assert pairing(NPoint(0, 0), MPoint(7, 9)) == 0
     assert pairing(NPoint(-2, 5), MPoint(5, 3)) == 5
-
-
-def test_pairing_rational():
-    value = pairing(NPoint(-2, 5), MRatPoint(Rational(5, 3), Rational(1, 3)))
-    assert value == Rational(-5, 3)
 
 
 def test_det2_examples():
