@@ -48,7 +48,6 @@ from .cone_geometry import (
 from .deformations import (
     CayleyFamily,
     ClassificationFlags,
-    DeformationDirection,
     DegreeId,
     DegreeReport,
     T1Report,
@@ -68,4 +67,5 @@ from .deformations import (
     vw_dims_oracle,
     vw_oracle,
     w_dims_oracle,
+    zone_offsets,
 )

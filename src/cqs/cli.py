@@ -25,6 +25,7 @@ from .cone_geometry import (
     OracleBoundError,
     binomial_equations,
     class_data,
+    continued_fraction,
     oracle_bound,
 )
 from .deformations import CayleyFamily, T1Report, cayley_family, classify, totals
@@ -148,7 +149,7 @@ def _forms_block(cd: ClassData) -> dict:
             "right": str(iv.right),
             "length": str(iv.length),
         },
-        "cf": list(cd.hilbert.coeffs),
+        "cf": list(continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients),
         "canonical_nq": {"n": canon.n, "q": canon.q},
     }
 
@@ -236,7 +237,8 @@ def cmd_convert(args) -> int:
         _print_json({"schema_version": "1", "forms": _forms_block(cd)})
         return EXIT_OK
     cone = ConeForm(cd.alpha, cd.beta)
-    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, cone, cd.interval, CFForm(cd.hilbert.coeffs))))
+    cf = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
+    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, cone, cd.interval, cf)))
     tags = FORM_TAGS if args.all else (args.to,)
     for tag in tags:
         print(format_form(forms[tag]))

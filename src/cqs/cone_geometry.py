@@ -24,6 +24,7 @@ import enum
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
@@ -124,16 +125,17 @@ class ClassData:
     The descriptions nq, abc and interval sit next to the pairing
     coordinates iota(r) = (<alpha,r>, <beta,r>) of the cone <alpha, beta>.
     iota embeds M as an index-n sublattice of Z^2; the canonical rational
-    degree Rbar/m maps to (1,1).  ``unit`` is an M-point with
-    <alpha, unit> = 1, so the fiber over u meets iota(M) exactly in
-    v = u * bw (mod n) where bw = <beta, unit>.  ``c_prime`` is the abc
-    invariant c' of the mirror class.
+    degree Rbar/m maps to (1,1).  The fiber over u meets iota(M) exactly
+    in v = u * bw (mod n), where bw = <beta, r> for any M-point r with
+    <alpha, r> = 1.  ``c_prime`` is the abc invariant c' of the mirror
+    class.
 
-    The frame fields are all fields before ``hilbert``.  Constructing the
-    record runs :func:`hilbert_basis` on them once and stores the result
-    as ``hilbert``; ``ab`` holds the endpoint data of the interval when it
-    is grounded and is None otherwise.  The oracles read only the frame
-    fields and basis elements, never a closed-form result.
+    The frame fields are all fields before ``ab``.  ``hilbert`` is built
+    by :func:`hilbert_basis` from them on first read and kept on the
+    record, so a caller that never reads it never pays for it; ``ab``
+    holds the endpoint data of the interval when it is grounded and is
+    None otherwise.  The oracles read only the frame fields and basis
+    elements, never a closed-form result.
     """
 
     nq: NQForm
@@ -147,15 +149,16 @@ class ClassData:
     rbar: MPoint
     m: int
     det: int
-    unit: MPoint
     bw: int
-    hilbert: HilbertData = field(init=False)
     ab: ABFloorData | None = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hilbert", hilbert_basis(self))
         grounded = is_grounded(self.interval)
         object.__setattr__(self, "ab", ab_floor_data(self.interval) if grounded else None)
+
+    @cached_property
+    def hilbert(self) -> HilbertData:
+        return hilbert_basis(self)
 
 
 def class_data(c: ConeForm) -> ClassData:
@@ -169,11 +172,10 @@ def class_data(c: ConeForm) -> ClassData:
     abc = interval_to_abc(iv)
     r1, re = dual_generators(c)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
-    unit = MPoint(s, t)
-    bw = pairing(c.beta, unit) % c.order
+    bw = pairing(c.beta, MPoint(s, t)) % c.order
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
-        r1, re, primitive(r1 + re), iv.m, det2(c.alpha, c.beta), unit, bw,
+        r1, re, primitive(r1 + re), iv.m, det2(c.alpha, c.beta), bw,
     )
 
 
@@ -205,8 +207,8 @@ def hilbert_basis(cd: ClassData) -> HilbertData:
 
     Seeds are r^1 and the unique element r^2 with <alpha, r^2> = 1 and
     <beta, r^2> = n - q; the recursion r^(i+1) = a_i r^i - r^(i-1) then
-    walks to r^e.  Reads only the frame fields of ``cd``; every ClassData
-    runs it once on construction, so callers read ``cd.hilbert``.
+    walks to r^e.  Reads only the frame fields of ``cd``; a ClassData
+    runs it on the first read of ``cd.hilbert``, so callers read that.
     """
     n, q = cd.nq.n, cd.nq.q
     coeffs = continued_fraction(n, n - q).coefficients
@@ -224,20 +226,18 @@ def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData
     Enumerates all candidates in iota-coordinates (every basis element
     satisfies 0 <= <alpha,r>, <beta,r> <= n), discards the decomposable
     ones (those dominating another nonzero semigroup element in both
-    coordinates), and sorts by <alpha, .>.  Cost O(n log n).  Reads the
-    frame fields of ``cd`` only, never ``cd.hilbert``.
+    coordinates), walking the candidates in order of <alpha, .>.  Cost
+    O(n).  Reads the frame fields of ``cd`` only, never ``cd.hilbert``.
     """
     n = cd.nq.n
     limit = oracle_bound() if bound is None else bound
     if n > limit:
         raise OracleBoundError(f"n={n} exceeds the oracle bound {limit}")
-    pts = []
-    for u in range(n + 1):
-        v0 = (u * cd.bw) % n
-        for v in (v0, v0 + n) if v0 == 0 else (v0,):
-            if v <= n and (u, v) != (0, 0):
-                pts.append((u, v))
-    pts.sort()
+    # the fiber over u is the progression v = u*bw (mod n), so the
+    # candidates come out sorted
+    pts = [
+        (u, v) for u in range(n + 1) for v in range(u * cd.bw % n, n + 1, n) if u or v
+    ]
     iota_basis = []
     min_v: int | None = None
     for u, v in pts:

@@ -23,6 +23,10 @@ V, VW and qG have exact closed-form dimensions per degree; W does not
 have a known closed form and is always reported from the lattice oracle.
 Every closed form in this module is cross-checked against the zone
 oracles by :mod:`cqs.verify`.
+
+``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on a zone
+the caller enumerated with ``zone_offsets(R, kappa, cd)``, so one
+enumeration serves every direction in the degree.
 """
 
 from __future__ import annotations
@@ -52,19 +56,6 @@ class DegreeId:
 
     i: int
     k: int
-
-
-@dataclass(frozen=True)
-class DeformationDirection:
-    """A representative a in N of a homogeneous deformation x^(-R) d_a.
-
-    For degrees with k >= 2 a valid representative satisfies <a, r^i> = 0;
-    for the quotient degrees r^2 and r^(e-1) any a outside the line
-    spanned by alpha resp. beta represents a generator.
-    """
-
-    a: NPoint
-    degree: DegreeId
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,7 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
-def _offsets(R: MPoint, kappa: int, cd: ClassData, tag=LatticeTag.M) -> list[tuple[int, int]]:
+def zone_offsets(R: MPoint, kappa: int, cd: ClassData, tag=LatticeTag.M) -> list[tuple[int, int]]:
     """iota(kappa*R - r) = (du, dv) for every lattice point r of Z_{R,kappa}.
 
     det * <a, kappa*R - r> = A*du + B*dv with (A, B) = _iota_coeffs(a, cd);
@@ -265,28 +256,28 @@ def _iota_coeffs(a: NPoint, cd: ClassData) -> tuple[int, int]:
     return det2(a, cd.beta), det2(cd.alpha, a)
 
 
-def iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
-    """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point."""
-    R = degree_vector(cd.hilbert, xi.degree)
-    A, B = _iota_coeffs(xi.a, cd)
-    return all(A * du + B * dv == 0 for du, dv in _offsets(R, kappa, cd))
+def iso_oracle(a: NPoint, offsets: list[tuple[int, int]], cd: ClassData) -> bool:
+    """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point.
+
+    ``offsets`` is the zone as enumerated by ``zone_offsets(R, kappa, cd)``.
+    """
+    A, B = _iota_coeffs(a, cd)
+    return all(A * du + B * dv == 0 for du, dv in offsets)
 
 
-def stable_iso_oracle(xi: DeformationDirection, kappa: int, cd: ClassData) -> bool:
+def stable_iso_oracle(
+    a: NPoint, R: MPoint, offsets: list[tuple[int, int]], cd: ClassData
+) -> bool:
     """iso[kappa + l*m] for all integers l, decided finitely.
 
-    An empty zone makes every shift hold; otherwise the condition is
-    iso[kappa] together with <a, Rbar - m*R> = 0, because consecutive
-    shifts differ exactly by that pairing.
+    ``offsets`` is ``zone_offsets(R, kappa, cd)``.  An empty zone makes
+    every shift hold; otherwise the condition is iso[kappa] together with
+    <a, Rbar - m*R> = 0, because consecutive shifts differ exactly by
+    that pairing.
     """
-    R = degree_vector(cd.hilbert, xi.degree)
-    offsets = _offsets(R, kappa, cd)
     if not offsets:
         return True
-    A, B = _iota_coeffs(xi.a, cd)
-    if any(A * du + B * dv != 0 for du, dv in offsets):
-        return False
-    return phi_functional(R, xi.a, cd) == 0
+    return iso_oracle(a, offsets, cd) and phi_functional(R, a, cd) == 0
 
 
 def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
@@ -295,7 +286,7 @@ def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
     if line.is_zero():
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
     lu, lv = pairing(cd.alpha, line), pairing(cd.beta, line)
-    return all(du * lv - dv * lu == 0 for du, dv in _offsets(R, 0, cd, tag))
+    return all(du * lv - dv * lu == 0 for du, dv in zone_offsets(R, 0, cd, tag))
 
 
 def qg_oracle(R: MPoint, cd: ClassData) -> bool:
@@ -329,7 +320,7 @@ def _rank(rows: list[tuple]) -> int:
 def _constrained_dim(cd: ClassData, d: DegreeId, kappa: int, with_phi: bool) -> int:
     R = degree_vector(cd.hilbert, d)
     basis = t1_space(cd, d)
-    offsets = _offsets(R, kappa, cd)
+    offsets = zone_offsets(R, kappa, cd)
     if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
         # quotient degree: every constraint must kill alpha resp. beta,
         # and <alpha, kappa*R - r> = du, <beta, kappa*R - r> = dv

@@ -15,7 +15,7 @@ from math import gcd
 
 from . import cone_geometry, deformations, representations
 from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
-from .deformations import DeformationDirection, DegreeId, T1Report
+from .deformations import DegreeId, T1Report
 from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
@@ -183,22 +183,23 @@ def _verify_one_class(
             f"{at} property=vw_zone_oracle",
         )
         res.check(vw[d] == vw_oracle_rank[d], f"{at} property=vw_rank_oracle")
+        # each M-zone of the degree is enumerated once, for every direction
+        zones = {
+            kappa: deformations.zone_offsets(vec, kappa, cd)
+            for kappa in (0, -1, m - 1, m, 2 * m)
+        }
         for a in deformations.t1_space(cd, d):
-            xi = DeformationDirection(a, d)
-            res.check(
-                deformations.iso_oracle(xi, 0, cd), f"{at} property=iso0_automatic"
-            )
+            iso = {kappa: deformations.iso_oracle(a, zone, cd) for kappa, zone in zones.items()}
+            stable = {
+                kappa: deformations.stable_iso_oracle(a, vec, zones[kappa], cd)
+                for kappa in (0, -1, m)
+            }
+            res.check(iso[0], f"{at} property=iso0_automatic")
             phi_zero = deformations.phi_functional(vec, a, cd) == 0
-            res.check(
-                deformations.stable_iso_oracle(xi, 0, cd) == phi_zero,
-                f"{at} property=stable_iso0_is_phi_kernel",
-            )
+            res.check(stable[0] == phi_zero, f"{at} property=stable_iso0_is_phi_kernel")
             for kappa in (0, -1, m):
-                two_shifts = deformations.iso_oracle(xi, kappa, cd) and deformations.iso_oracle(
-                    xi, kappa + m, cd
-                )
                 res.check(
-                    deformations.stable_iso_oracle(xi, kappa, cd) == two_shifts,
+                    stable[kappa] == (iso[kappa] and iso[kappa + m]),
                     f"{at} property=stable_iso_two_shifts(kappa={kappa})",
                 )
 

@@ -70,6 +70,19 @@ class TestConvert:
         assert "abc:7,1,6" in lines
         assert "canonical:nq:7/3" in lines
 
+    def test_convert_and_cayley_skip_the_hilbert_basis(self, capsys, monkeypatch):
+        # neither command prints the basis, so neither may build it
+        from cqs import cone_geometry
+
+        calls = []
+        monkeypatch.setattr(cone_geometry, "hilbert_basis", lambda cd: calls.append(cd.nq))
+        code, out, _ = run(capsys, "convert", "nq:1000001/2", "--all")
+        assert code == 0
+        assert out.splitlines()[4] == "cf:" + ",".join(["2"] * 499999 + ["3"])
+        code, out, _ = run(capsys, "cayley", "nq:8/3")
+        assert code == 0 and out.startswith("d = 2")
+        assert calls == []
+
     def test_roundtrip_through_grammar(self, capsys):
         for text in ("nq:20/11", "abc:5,4,3", "cone:(1,0),(-11,20)", "interval:-2/5,2/5"):
             tag = text.split(":")[0]
@@ -218,6 +231,24 @@ class TestVerify:
         classes = list(verify.nq_range(20, skip_degenerate=True))
         assert sorted(seen, key=lambda nq: (nq.n, nq.q)) == classes
         assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == classes
+
+    def test_each_zone_enumerated_at_most_three_times(self, monkeypatch):
+        # per (class, R, kappa, lattice): one list for the iso and stable
+        # oracles, one for the VW rank oracle and one for W in totals
+        from collections import Counter
+
+        from cqs import deformations, verify
+
+        seen = Counter()
+        real = deformations.zone_points
+
+        def counted(z, cd):
+            seen[cd.nq, z.R, z.kappa, z.lattice] += 1
+            return real(z, cd)
+
+        monkeypatch.setattr(deformations, "zone_points", counted)
+        assert verify.verify_deformations(20).ok
+        assert seen and max(seen.values()) <= 3
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # sabotage the VW bound and expect the oracle sweep to name it

@@ -5,7 +5,6 @@ import pytest
 
 from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
 from cqs.deformations import (
-    DeformationDirection,
     DegreeId,
     cayley_family,
     classify,
@@ -25,6 +24,7 @@ from cqs.deformations import (
     vw_dims_oracle,
     vw_oracle,
     w_dims_oracle,
+    zone_offsets,
 )
 from cqs.lattice import MPoint, NPoint, pairing
 from cqs.representations import (
@@ -167,46 +167,48 @@ class TestIsoOracles:
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         for d in t1_degrees(h):
+            zone = zone_offsets(degree_vector(h, d), 0, cd)
             for a in t1_space(cd, d):
-                assert iso_oracle(DeformationDirection(a, d), 0, cd)
+                assert iso_oracle(a, zone, cd)
 
     def test_v_but_not_w_at_r3(self):
         # direction orthogonal to Rbar - 5*r^3 = [-10,-7]
         cd = setup_class_data(20, 11)
         a = NPoint(7, -10)
         assert pairing(a, MPoint(-10, -7)) == 0
-        xi = DeformationDirection(a, DegreeId(3, 1))
-        assert stable_iso_oracle(xi, 5, cd)
-        assert stable_iso_oracle(xi, 0, cd)
-        assert not iso_oracle(xi, -1, cd)
+        R = degree_vector(cd.hilbert, DegreeId(3, 1))
+        assert stable_iso_oracle(a, R, zone_offsets(R, 5, cd), cd)
+        assert stable_iso_oracle(a, R, zone_offsets(R, 0, cd), cd)
+        assert not iso_oracle(a, zone_offsets(R, -1, cd), cd)
 
     def test_empty_zone_accepts_everything(self):
         # Z_{r^3,-1} of (7,3) has no lattice points
         cd = setup_class_data(7, 3)
-        h = cd.hilbert
-        pts = zone_points(ZoneSpec(h.element(3), -1, LatticeTag.M), cd)
+        R = cd.hilbert.element(3)
+        pts = zone_points(ZoneSpec(R, -1, LatticeTag.M), cd)
         assert pts == []
+        zone = zone_offsets(R, -1, cd)
         for a in (NPoint(5, 17), NPoint(-3, 1), NPoint(0, 0)):
-            xi = DeformationDirection(a, DegreeId(3, 1))
-            assert iso_oracle(xi, -1, cd)
-            assert stable_iso_oracle(xi, -1, cd)
+            assert iso_oracle(a, zone, cd)
+            assert stable_iso_oracle(a, R, zone, cd)
 
     def test_zero_direction_is_always_stable(self):
         cd = setup_class_data(20, 11)
-        xi = DeformationDirection(NPoint(0, 0), DegreeId(4, 1))
+        R = degree_vector(cd.hilbert, DegreeId(4, 1))
         for kappa in (-3, -1, 0, 2, 5):
-            assert stable_iso_oracle(xi, kappa, cd)
+            assert stable_iso_oracle(NPoint(0, 0), R, zone_offsets(R, kappa, cd), cd)
 
     def test_stable_iso_equals_two_shifts(self):
         cd = setup_class_data(12, 5)
         h = cd.hilbert
         m = 2  # gcd(12, 6) = 6, a = 2
         for d in t1_degrees(h):
+            R = degree_vector(h, d)
             for a in t1_space(cd, d):
-                xi = DeformationDirection(a, d)
                 for kappa in (-1, 0, 1):
-                    expected = iso_oracle(xi, kappa, cd) and iso_oracle(xi, kappa + m, cd)
-                    assert stable_iso_oracle(xi, kappa, cd) == expected
+                    zone, shifted = zone_offsets(R, kappa, cd), zone_offsets(R, kappa + m, cd)
+                    expected = iso_oracle(a, zone, cd) and iso_oracle(a, shifted, cd)
+                    assert stable_iso_oracle(a, R, zone, cd) == expected
 
 
 class TestContainmentOracles:
@@ -315,9 +317,9 @@ class TestPhi:
         h = cd.hilbert
         for d in t1_degrees(h):
             vec = degree_vector(h, d)
+            zone = zone_offsets(vec, 0, cd)
             for a in t1_space(cd, d):
-                xi = DeformationDirection(a, d)
-                assert (phi_functional(vec, a, cd) == 0) == stable_iso_oracle(xi, 0, cd)
+                assert (phi_functional(vec, a, cd) == 0) == stable_iso_oracle(a, vec, zone, cd)
 
 
 class TestRepresentativeIndependence:
