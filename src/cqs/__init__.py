@@ -52,6 +52,7 @@ from .deformations import (
     DegreeReport,
     T1Report,
     Totals,
+    assemble_report,
     cayley_family,
     classify,
     iso_oracle,

@@ -164,7 +164,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
             "e": h.e,
             "basis": [[r.u, r.v] for r in h.basis],
             "coeffs": list(h.coeffs),
-            "central_degree": [h.central_degree.u, h.central_degree.v],
+            "central_degree": [cd.rbar.u, cd.rbar.v],
             "central_index": h.central_index,
             "grounded": h.grounded,
             "equations": binomial_equations(h),
@@ -236,12 +236,11 @@ def cmd_convert(args) -> int:
     if args.json:
         _print_json({"schema_version": "1", "forms": _forms_block(cd)})
         return EXIT_OK
-    cone = ConeForm(cd.alpha, cd.beta)
-    cf = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
-    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, cone, cd.interval, cf)))
-    tags = FORM_TAGS if args.all else (args.to,)
-    for tag in tags:
-        print(format_form(forms[tag]))
+    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval)))
+    for tag in FORM_TAGS if args.all else (args.to,):
+        # the cf of nq:n/2 has about n/2 terms, so it is built only when printed
+        form = forms[tag] if tag != "cf" else continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
+        print(format_form(form))
     print(f"canonical:{format_form(canonical_class(cd.nq))}")
     return EXIT_OK
 

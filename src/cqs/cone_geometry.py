@@ -73,22 +73,17 @@ class HilbertData:
     """Ordered Hilbert basis of the dual cone plus its central data.
 
     ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e), coeffs
-    are [a_2, ..., a_{e-1}], ``central_degree`` is the primitive
-    generator Rbar of the ray through r^1 + r^e, and ``grounded`` records
-    whether Rbar itself is a basis element (then ``central_index`` is its
-    1-based position).
+    are [a_2, ..., a_{e-1}], and ``grounded`` records whether the central
+    degree Rbar (``ClassData.rbar``, the primitive generator of the ray
+    through r^1 + r^e) is itself a basis element; then ``central_index``
+    is its 1-based position.
     """
 
     basis: tuple[MPoint, ...]
     coeffs: tuple[int, ...]
     e: int
-    central_degree: MPoint
     central_index: int | None
     grounded: bool
-
-    @property
-    def smooth(self) -> bool:
-        return self.e == 2
 
     def coefficient(self, i: int) -> int:
         """a_i for 2 <= i <= e-1."""
@@ -259,7 +254,7 @@ def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData
 def _finish(cd: ClassData, basis: tuple[MPoint, ...], coeffs) -> HilbertData:
     grounded = cd.rbar in basis
     index = basis.index(cd.rbar) + 1 if grounded else None
-    return HilbertData(basis, tuple(coeffs), len(basis), cd.rbar, index, grounded)
+    return HilbertData(basis, tuple(coeffs), len(basis), index, grounded)
 
 
 def eta(cd: ClassData, i: int) -> Fraction:

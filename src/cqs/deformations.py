@@ -26,7 +26,8 @@ oracles by :mod:`cqs.verify`.
 
 ``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on a zone
 the caller enumerated with ``zone_offsets(R, kappa, cd)``, so one
-enumeration serves every direction in the degree.
+enumeration serves every direction in the degree.  ``assemble_report``
+builds and checks a report from columns its caller already holds.
 """
 
 from __future__ import annotations
@@ -317,10 +318,13 @@ def _rank(rows: list[tuple]) -> int:
     return 1
 
 
-def _constrained_dim(cd: ClassData, d: DegreeId, kappa: int, with_phi: bool) -> int:
+def _constrained_dim(
+    cd: ClassData, d: DegreeId, offsets: list[tuple[int, int]], with_phi: bool
+) -> int:
+    """Directions in degree -R that every constraint of the zone ``offsets``
+    (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free."""
     R = degree_vector(cd.hilbert, d)
     basis = t1_space(cd, d)
-    offsets = zone_offsets(R, kappa, cd)
     if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
         # quotient degree: every constraint must kill alpha resp. beta,
         # and <alpha, kappa*R - r> = du, <beta, kappa*R - r> = dv
@@ -350,12 +354,20 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     No closed form is known for W alone; this enumeration is the
     definition, and reports derive the W column from it.
     """
-    return {d: _constrained_dim(cd, d, -1, False) for d in t1_degrees(cd.hilbert)}
+    return _iso_minus_one_dims(cd, False)
 
 
 def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim (V intersect W) per degree via the same rank computation."""
-    return {d: _constrained_dim(cd, d, -1, True) for d in t1_degrees(cd.hilbert)}
+    return _iso_minus_one_dims(cd, True)
+
+
+def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
+    h = cd.hilbert
+    return {
+        d: _constrained_dim(cd, d, zone_offsets(degree_vector(h, d), -1, cd), with_phi)
+        for d in t1_degrees(h)
+    }
 
 
 def classify(cd: ClassData) -> ClassificationFlags:
@@ -375,33 +387,30 @@ def classify(cd: ClassData) -> ClassificationFlags:
 
 
 def totals(cd: ClassData) -> T1Report:
-    """Assemble the full per-degree and total report for a class.
+    """The report of a class: V, qG and VW in closed form, W by its oracle.
 
-    Raises DegenerateSingularityError when the embedding dimension is
-    at most 3.  Before returning, the report is checked against the
-    independent total formulas (V = e-4 [+ floor(A)+floor(B)],
-    qG = floor(A+B), VW by the fractional-part cases), the V-VW gap
-    dichotomy, and the qG/VW comparison statements; a failure raises
+    Raises DegenerateSingularityError when the embedding dimension is at most 3.
+    """
+    return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_dims_oracle(cd))
+
+
+def assemble_report(
+    cd: ClassData, v: dict[DegreeId, int], qg: dict[DegreeId, int],
+    vw: dict[DegreeId, int], w: dict[DegreeId, int],
+) -> T1Report:
+    """The report of a class from its V, qG, VW and W columns.
+
+    Before returning, the report is checked against the independent
+    total formulas (V = e-4 [+ floor(A)+floor(B)], qG = floor(A+B), VW
+    by the fractional-part cases), the V-VW gap dichotomy, and the
+    qG/VW comparison statements; a failure raises
     InternalConsistencyError and indicates a bug, not bad input.
     """
     h = cd.hilbert
     t1 = dict(t1_graded(h))
-    v = v_dims(cd)
-    qg = qg_dims(cd)
-    vw = vw_dims(cd)
-    w = w_dims_oracle(cd)
-    a_central = h.coefficient(h.central_index) if h.grounded else None
+    last = DegreeId(h.central_index, h.coefficient(h.central_index) - 1) if h.grounded else None
     per_degree = tuple(
-        DegreeReport(
-            d,
-            t1[d],
-            v[d],
-            w[d],
-            vw[d],
-            qg[d],
-            h.grounded and d.i == h.central_index and d.k == a_central - 1,
-        )
-        for d in t1_degrees(h)
+        DegreeReport(d, t1[d], v[d], w[d], vw[d], qg[d], d == last) for d in t1_degrees(h)
     )
     tot = Totals(
         sum(r.dim_t1 for r in per_degree),

@@ -141,11 +141,6 @@ class IntervalUD:
         """|I| = (h-g)/m = b/a = n/m^2."""
         return Fraction(self.h - self.g, self.m)
 
-    @property
-    def index(self) -> int:
-        """Index of the dualizing sheaf of the associated singularity."""
-        return self.m
-
 
 @dataclass(frozen=True)
 class CFForm:

@@ -4,7 +4,10 @@ Every formula in :mod:`cqs.deformations` has an independent brute-force
 counterpart built on zone enumeration, and every conversion in
 :mod:`cqs.representations` can be round-tripped.  This module sweeps all
 classes (n, q) up to a bound and records every mismatch; the CLI `verify`
-subcommand and the acceptance test suite both run on top of it.
+subcommand and the acceptance test suite both run on top of it.  The
+deformation sweep computes each closed form and enumerates each zone once
+per class, and assembles the report from those columns (W is the rank on
+the kappa = -1 zone).
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import cone_geometry, deformations, representations
-from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
-from .deformations import DegreeId, T1Report
+from .cone_geometry import class_data, eta, hilbert_basis_oracle, is_grounded
+from .deformations import DegreeId, DegreeReport, T1Report
 from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
@@ -24,7 +27,6 @@ from .representations import IntervalUD, NQForm, q_inverse
 class VerificationResult:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
-    witnesses_v_not_vw: list[tuple[NQForm, DegreeId]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -142,11 +144,11 @@ def verify_hilbert(n_max: int) -> VerificationResult:
 def verify_deformations(n_max: int) -> VerificationResult:
     """Per-degree oracle equivalences plus total/mirror/theorem sweeps.
 
-    The record and report of a mirror class, built for the mirror
-    comparison, are kept until the sweep reaches that class.
+    A class leaves its report in ``mirrors`` until the sweep reaches its
+    mirror, where the two reports are compared.
     """
     res = VerificationResult()
-    mirrors: dict[NQForm, tuple[ClassData, T1Report]] = {}
+    mirrors: dict[NQForm, tuple[str, T1Report]] = {}
     for nq in nq_range(n_max, skip_degenerate=True):
         where = f"n={nq.n} q={nq.q}"
         try:
@@ -158,9 +160,9 @@ def verify_deformations(n_max: int) -> VerificationResult:
 
 
 def _verify_one_class(
-    nq: NQForm, res: VerificationResult, mirrors: dict[NQForm, tuple[ClassData, T1Report]]
+    nq: NQForm, res: VerificationResult, mirrors: dict[NQForm, tuple[str, T1Report]]
 ) -> None:
-    cd, report = mirrors.pop(nq, None) or (class_data(representations.nq_to_cone(nq)), None)
+    cd = class_data(representations.nq_to_cone(nq))
     h, m = cd.hilbert, cd.m
     where = f"n={nq.n} q={nq.q}"
 
@@ -168,11 +170,18 @@ def _verify_one_class(
     qg = deformations.qg_dims(cd)
     vw = deformations.vw_dims(cd)
     v_oracle = deformations.v_dims_oracle(cd)
-    vw_oracle_rank = deformations.vw_dims_oracle(cd)
+    w: dict[DegreeId, int] = {}
 
     for d in deformations.t1_degrees(h):
         at = f"{where} degree=({d.i},{d.k})"
         vec = deformations.degree_vector(h, d)
+        # each M-zone of the degree is enumerated once, for every direction;
+        # the zone at kappa = -1 also gives the W and VW ranks
+        zones = {
+            kappa: deformations.zone_offsets(vec, kappa, cd)
+            for kappa in (0, -1, m - 1, m, 2 * m)
+        }
+        w[d] = deformations._constrained_dim(cd, d, zones[-1], False)
         res.check(v[d] == v_oracle[d], f"{at} property=v_phi_kernel")
         res.check(
             (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cd)),
@@ -182,12 +191,10 @@ def _verify_one_class(
             (vw[d] == 1) == (v[d] >= 1 and deformations.vw_oracle(vec, cd)),
             f"{at} property=vw_zone_oracle",
         )
-        res.check(vw[d] == vw_oracle_rank[d], f"{at} property=vw_rank_oracle")
-        # each M-zone of the degree is enumerated once, for every direction
-        zones = {
-            kappa: deformations.zone_offsets(vec, kappa, cd)
-            for kappa in (0, -1, m - 1, m, 2 * m)
-        }
+        res.check(
+            vw[d] == deformations._constrained_dim(cd, d, zones[-1], True),
+            f"{at} property=vw_rank_oracle",
+        )
         for a in deformations.t1_space(cd, d):
             iso = {kappa: deformations.iso_oracle(a, zone, cd) for kappa, zone in zones.items()}
             stable = {
@@ -228,8 +235,8 @@ def _verify_one_class(
             f"{where} property=qg_initial_segment",
         )
 
-    # totals runs the theorem checks internally
-    report = report or deformations.totals(cd)
+    # assemble_report runs the theorem checks internally
+    report = deformations.assemble_report(cd, v, qg, vw, w)
     res.checks += 1
     for r in report.per_degree:
         res.check(
@@ -238,36 +245,23 @@ def _verify_one_class(
         )
     mirror = q_inverse(nq)
     if nq.q <= mirror.q:
-        mirror_report = report
-        if mirror != nq:
-            mirror_cd = class_data(representations.nq_to_cone(mirror))
-            mirror_report = deformations.totals(mirror_cd)
-            mirrors[mirror] = (mirror_cd, mirror_report)
+        mirrors[mirror] = (where, report)
+    if nq in mirrors:  # the mirror's turn; a self-mirror class is its own mirror
+        first_where, first = mirrors.pop(nq)
         res.check(
-            report.totals == mirror_report.totals and report.embdim == mirror_report.embdim,
-            f"{where} property=totals_mirror_invariance",
+            first.totals == report.totals and first.embdim == report.embdim,
+            f"{first_where} property=totals_mirror_invariance",
         )
         flipped = {
-            DegreeId(report.embdim + 1 - r.degree.i, r.degree.k): (
-                r.dim_t1,
-                r.dim_v,
-                r.dim_w,
-                r.dim_vw,
-                r.dim_qg,
-            )
-            for r in mirror_report.per_degree
-        }
-        own = {
-            r.degree: (r.dim_t1, r.dim_v, r.dim_w, r.dim_vw, r.dim_qg)
+            DegreeId(first.embdim + 1 - r.degree.i, r.degree.k): _columns(r)
             for r in report.per_degree
         }
-        res.check(own == flipped, f"{where} property=per_degree_mirror_reversal")
+        own = {r.degree: _columns(r) for r in first.per_degree}
+        res.check(own == flipped, f"{first_where} property=per_degree_mirror_reversal")
 
-    if report.embdim >= 6:
-        for r in report.per_degree:
-            if r.dim_v == 1 and r.dim_vw == 0:
-                res.witnesses_v_not_vw.append((nq, r.degree))
-                break
+
+def _columns(r: DegreeReport) -> tuple[int, ...]:
+    return r.dim_t1, r.dim_v, r.dim_w, r.dim_vw, r.dim_qg
 
 
 def run_checks(n_max: int) -> dict[str, VerificationResult]:

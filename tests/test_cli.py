@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cqs
 from cqs import cli
-from cqs.cli import main, parse_form
+from cqs.cli import format_form, main, parse_form
+from cqs.cone_geometry import continued_fraction
 from cqs.lattice import NPoint
 from cqs.representations import (
     ABCForm,
@@ -17,6 +21,9 @@ from cqs.representations import (
     IntervalUD,
     InvalidSingularityError,
     NQForm,
+    cone_to_interval,
+    nq_to_abc,
+    nq_to_cone,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +49,15 @@ class TestParsing:
         for bad in ("nq:20", "nq20/11", "abc:1,2", "cone:(1,0)", "cf:2,x", "what:1/2"):
             with pytest.raises(cli.ParseError):
                 parse_form(bad)
+
+    @given(st.integers(min_value=2, max_value=300), st.data())
+    def test_format_then_parse_is_identity(self, n, data):
+        q = data.draw(st.sampled_from([q for q in range(1, n) if gcd(n, q) == 1]))
+        nq = NQForm(n, q)
+        cone = nq_to_cone(nq)
+        forms = (nq, nq_to_abc(nq), cone, cone_to_interval(cone), continued_fraction(n, n - q))
+        for form in forms:
+            assert parse_form(format_form(form)) == form
 
     def test_nonuniform_denominators_rejected(self):
         with pytest.raises(InvalidSingularityError):
@@ -83,8 +99,23 @@ class TestConvert:
         assert code == 0 and out.startswith("d = 2")
         assert calls == []
 
+    def test_cf_built_only_when_printed(self, capsys, monkeypatch):
+        # the cf of nq:100000001/2 has 50,000,000 terms
+        def refuse(p, s):
+            raise MemoryError(f"continued_fraction({p}, {s})")
+
+        monkeypatch.setattr(cli, "continued_fraction", refuse)
+        for tag, line in (("nq", "nq:100000001/2"), ("abc", "abc:100000001,1,3")):
+            code, out, _ = run(capsys, "convert", "nq:100000001/2", "--to", tag)
+            assert code == 0
+            assert out.splitlines() == [line, "canonical:nq:100000001/2"]
+        with pytest.raises(MemoryError):
+            main(["convert", "nq:100000001/2", "--to", "cf"])
+
     def test_roundtrip_through_grammar(self, capsys):
-        for text in ("nq:20/11", "abc:5,4,3", "cone:(1,0),(-11,20)", "interval:-2/5,2/5"):
+        for text in (
+            "nq:20/11", "abc:5,4,3", "cone:(1,0),(-11,20)", "interval:-2/5,2/5", "cf:3,2,2,2,3"
+        ):
             tag = text.split(":")[0]
             code, out, _ = run(capsys, "convert", text, "--to", tag)
             assert code == 0
@@ -215,26 +246,40 @@ class TestVerify:
             assert code == 2, bad
             assert "CQS_ORACLE_BOUND" in err and not out, bad
 
-    def test_totals_once_per_class(self, monkeypatch):
-        # a mirror's report, computed for the mirror comparison, is reused
-        # when the sweep reaches that mirror
+    def test_each_class_derived_once(self, monkeypatch):
+        # one record, one closed form of each kind and one report per class;
+        # a mirror is compared with the report kept from its first class
+        from collections import Counter
+
         from cqs import deformations, verify
 
-        seen, built = [], []
-        real = deformations.totals
-        monkeypatch.setattr(deformations, "totals", lambda cd: seen.append(cd.nq) or real(cd))
+        calls = Counter()
+
+        def counted(name, real):
+            def call(cd, *rest):
+                calls[name, cd.nq] += 1
+                return real(cd, *rest)
+
+            monkeypatch.setattr(deformations, name, call)
+
+        for name in ("v_dims", "qg_dims", "vw_dims", "assemble_report", "totals"):
+            counted(name, getattr(deformations, name))
+        built = []
         real_data = verify.class_data
         monkeypatch.setattr(
             verify, "class_data", lambda cone: built.append(real_data(cone)) or built[-1]
         )
         assert verify.verify_deformations(20).ok
         classes = list(verify.nq_range(20, skip_degenerate=True))
-        assert sorted(seen, key=lambda nq: (nq.n, nq.q)) == classes
         assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == classes
+        for name in ("v_dims", "qg_dims", "vw_dims", "assemble_report"):
+            assert [nq for (f, nq) in calls if f == name] == classes, name
+        assert set(calls.values()) == {1}
+        assert not any(f == "totals" for f, _ in calls)
 
-    def test_each_zone_enumerated_at_most_three_times(self, monkeypatch):
-        # per (class, R, kappa, lattice): one list for the iso and stable
-        # oracles, one for the VW rank oracle and one for W in totals
+    def test_each_zone_enumerated_once(self, monkeypatch):
+        # per (class, R, kappa, lattice): one list serves the iso and
+        # stable oracles and, at kappa = -1, the W and VW ranks
         from collections import Counter
 
         from cqs import deformations, verify
@@ -248,7 +293,7 @@ class TestVerify:
 
         monkeypatch.setattr(deformations, "zone_points", counted)
         assert verify.verify_deformations(20).ok
-        assert seen and max(seen.values()) <= 3
+        assert seen and set(seen.values()) == {1}
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # sabotage the VW bound and expect the oracle sweep to name it

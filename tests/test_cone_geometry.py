@@ -76,7 +76,7 @@ class TestClassData:
         assert cd.nq == NQForm(20, 11)
         assert (cd.abc.a, cd.abc.b, cd.abc.c, cd.c_prime) == (5, 4, 3, 3)
         assert cd.interval == IntervalUD(-2, 2, 5) and cd.m == 5
-        assert cd.rbar == cd.hilbert.central_degree == MPoint(5, 3)
+        assert cd.rbar == MPoint(5, 3)
         assert cd.ab == ab_floor_data(cd.interval)
         assert hilbert_basis(cd) == cd.hilbert
 
@@ -109,19 +109,20 @@ class TestContinuedFraction:
 
 class TestHilbertBasis:
     def test_worked_example(self):
-        h = data_of(20, 11).hilbert
+        cd = data_of(20, 11)
+        h = cd.hilbert
         assert [(r.u, r.v) for r in h.basis] == [
             (0, 1), (1, 1), (3, 2), (5, 3), (7, 4), (9, 5), (20, 11),
         ]
         assert h.coeffs == (3, 2, 2, 2, 3)
         assert h.e == 7
         assert h.grounded and h.central_index == 4
-        assert h.central_degree == MPoint(5, 3)
+        assert h.element(h.central_index) == cd.rbar == MPoint(5, 3)
 
     def test_a1(self):
         h = data_of(2, 1).hilbert
         assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1)]
-        assert h.e == 3 and not h.smooth
+        assert h.e == 3
 
     def test_4_1(self):
         h = data_of(4, 1).hilbert
@@ -165,7 +166,7 @@ class TestHilbertBasis:
         h = cd.hilbert
         assert h.e == 7 and h.coeffs == (3, 2, 2, 2, 3)
         assert h == hilbert_basis_oracle(cd)
-        assert h.central_degree == MPoint(0, 1)
+        assert cd.rbar == MPoint(0, 1)
 
     def test_equations(self):
         h = data_of(20, 11).hilbert
@@ -271,7 +272,7 @@ class TestZones:
         cone = cone_of(n, q)
         cd = class_data(cone)
         h, m = cd.hilbert, cd.m
-        degrees = [h.element(2), h.element(h.e - 1), 2 * h.central_degree]
+        degrees = [h.element(2), h.element(h.e - 1), 2 * cd.rbar]
         for R in degrees:
             for tag, shifts in [
                 (LatticeTag.M, (0,)),
@@ -290,7 +291,7 @@ class TestZones:
         h, m, rbar = cd.hilbert, cd.m, cd.rbar
         a, b = cd.alpha, cd.beta
         assert (a.x, a.y) != (1, 0) and cd.det < 0
-        for R in [h.element(2), h.element(h.e - 1), 2 * h.central_degree]:
+        for R in [h.element(2), h.element(h.e - 1), 2 * cd.rbar]:
             u_r, v_r = pairing(a, R), pairing(b, R)
             for tag, shifts in [
                 (LatticeTag.M, (0,)),
@@ -314,7 +315,7 @@ class TestZones:
     def test_translation_by_central_degree(self):
         cd = data_of(20, 11)
         h, m = cd.hilbert, cd.m
-        rbar = h.central_degree
+        rbar = cd.rbar
         assert iota(cd, (rbar.u, rbar.v)) == (m, m)
         for kappa in (-1, 0, 3):
             base = zone_points(ZoneSpec(h.element(3), kappa, LatticeTag.M), cd)
@@ -328,7 +329,7 @@ class TestZones:
             cd = data_of(n, q)
             h, m = cd.hilbert, cd.m
             b = n // m  # r1 + re = b * Rbar
-            big = b * h.central_degree
+            big = b * cd.rbar
             assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M), cd)) == n
             assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_TILDE), cd)) == n * m
             assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_SHIFTED), cd)) == n

@@ -224,7 +224,7 @@ class TestContainmentOracles:
     def test_4_1_central(self):
         cd = setup_class_data(4, 1)
         h = cd.hilbert
-        rbar = h.central_degree
+        rbar = cd.rbar
         assert qg_oracle(rbar, cd)
         assert vw_oracle(rbar, cd)
 

@@ -120,7 +120,7 @@ class TestConversions:
         abc = interval_to_abc(iv)
         n = abc.a * abc.b
         assert iv.length == Fraction(abc.b, abc.a) == Fraction(n, iv.m**2)
-        assert iv.index == 5
+        assert iv.m == 5
 
     def test_q_inverse(self):
         assert q_inverse(NQForm(20, 11)) == NQForm(20, 11)

@@ -1,0 +1,32 @@
+"""The traced CLI (benchmarks/tracer.py) keeps the CLI's stdout and counts zones.
+
+The benchmark's per-layer metrics read the function names below and the
+``zone_points(ZoneSpec, cd)`` arguments, so a rename or a new signature
+shows here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MARKER = "PERFBENCH_TRACE "
+
+
+def test_traced_scan_keeps_stdout_and_counts_zones():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "tracer.py"), "scan", "25"],
+        capture_output=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "scan_25.csv").read_bytes()
+    lines = [line for line in proc.stderr.decode().splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr.decode()
+    trace = json.loads(lines[0][len(MARKER):])
+    assert trace["calls"]["cone_geometry.zone_points"] > 0
+    assert trace["calls"]["deformations.w_dims_oracle"] > 0
+    assert trace["counts"]["zone_points.fibers"] > 0
+    assert trace["counts"]["w_dims_oracle.zone_points"] > 0
