@@ -4,10 +4,12 @@ Subcommands: convert, analyze, scan, verify, cayley.  Inputs use the
 grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 | cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
-2 parse error (an integer past the digit limit of int() included) or a
-CQS_ORACLE_BOUND that is not an integer >= 2, 3 invalid singularity,
-4 degenerate class (embdim <= 3).  A reader that closes the pipe early
-(``cqs scan 400 | head``) ends the run quietly with exit 0.
+2 parse error (an integer past the digit limit of int() included, and a
+class whose n is past it), a CQS_ORACLE_BOUND that is not an integer
+>= 2, or an ``analyze`` class with more than MAX_T1_DEGREES T1-carrying
+degrees, 3 invalid singularity, 4 degenerate class (embdim <= 3).  A
+reader that closes the pipe early (``cqs scan 400 | head``) ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .cone_geometry import (
@@ -26,6 +29,7 @@ from .cone_geometry import (
     binomial_equations,
     class_data,
     continued_fraction,
+    hj_coefficients,
     oracle_bound,
 )
 from .deformations import CayleyFamily, T1Report, cayley_family, classify, totals
@@ -54,6 +58,11 @@ EXIT_DEGENERATE = 4
 SCAN_HEADER = "n,q,a,b,c,e,grounded,t_sing,dim_t1,dim_v,dim_w,dim_vw,dim_qg,gap"
 DEGREE_HEADER = "i,k,deg_u,deg_v,dim_t1,dim_v,dim_w,dim_vw,dim_qg,last_deformation"
 FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
+
+# analyze refuses a class with more T1-carrying degrees than this before
+# any work: its table and W zones grow with the count, and nq:1000003/500001
+# (500,002 degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
+MAX_T1_DEGREES = 20_000
 
 
 class ParseError(ValueError):
@@ -127,8 +136,17 @@ def format_form(form: SingularityForm) -> str:
 
 
 def _class_of(text: str) -> ClassData:
-    """The record of the parsed class, in the standard cone of its nq."""
-    return class_data(nq_to_cone(to_nq(parse_form(text))))
+    """The record of the parsed class, in the standard cone of its nq.
+
+    The five forms print integers of at most n, so a class whose n has
+    more digits than str() converts is refused as a parse error.
+    """
+    nq = to_nq(parse_form(text))
+    try:
+        str(nq.n)
+    except ValueError:
+        raise ParseError(f"n of {text[:40]!r}... has too many digits to print") from None
+    return class_data(nq_to_cone(nq))
 
 
 def _forms_block(cd: ClassData) -> dict:
@@ -247,6 +265,16 @@ def cmd_convert(args) -> int:
 
 def cmd_analyze(args) -> int:
     cd = _class_of(args.input)
+    # the degrees (i, k) have 1 <= k <= a_i - 1, so there are sum(a_i - 1)
+    # of them; every a_i >= 2, so the first MAX_T1_DEGREES + 2 terms of the
+    # continued fraction decide the bound, without the Hilbert basis
+    cf = list(islice(hj_coefficients(cd.nq.n, cd.nq.n - cd.nq.q), MAX_T1_DEGREES + 2))
+    degrees = sum(cf) - len(cf) if len(cf) >= 2 else 0
+    if degrees > MAX_T1_DEGREES:
+        raise OracleBoundError(
+            f"{format_form(cd.nq)} has more than {MAX_T1_DEGREES} T1 degrees, "
+            "the bound of analyze"
+        )
     try:
         report = totals(cd)
     except DegenerateSingularityError:

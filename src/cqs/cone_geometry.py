@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -186,15 +187,17 @@ def _preimage(cd: ClassData, u: int, v: int) -> MPoint:
 
 def continued_fraction(p: int, s: int) -> CFForm:
     """Hirzebruch-Jung expansion of p/s: ceil, negate remainder, recurse."""
+    return CFForm(tuple(hj_coefficients(p, s)))
+
+
+def hj_coefficients(p: int, s: int) -> Iterator[int]:
+    """The coefficients of ``continued_fraction(p, s)``, one at a time (each >= 2)."""
     if not (p > s >= 1 and gcd(p, s) == 1):
         raise InvalidSingularityError(f"need p > s >= 1 coprime, got {p}/{s}")
-    coeffs = []
-    while True:
+    while s:
         a = -(-p // s)  # ceil(p/s)
-        coeffs.append(a)
+        yield a
         p, s = s, a * s - p
-        if s == 0:
-            return CFForm(tuple(coeffs))
 
 
 def hilbert_basis(cd: ClassData) -> HilbertData:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cone_geometry import (
     ClassData,
@@ -51,8 +52,7 @@ class InternalConsistencyError(RuntimeError):
     """A structural theorem failed on computed data; indicates a bug."""
 
 
-@dataclass(frozen=True, order=True)
-class DegreeId:
+class DegreeId(NamedTuple):
     """T1-carrying degree R = k * r^i (the T1 piece sits in degree -R)."""
 
     i: int
@@ -120,20 +120,14 @@ class CayleyFamily:
     rays: tuple[tuple[int, ...], ...]
 
 
-def _require_embdim4(h: HilbertData) -> None:
+def t1_degrees(h: HilbertData) -> tuple[DegreeId, ...]:
+    """All T1-carrying degrees, ordered by (i, k)."""
     if h.e <= 3:
         raise DegenerateSingularityError(
             f"embedding dimension {h.e} <= 3: smooth points and A_(n-1) "
             "singularities (q = n-1) carry no graded deformation theory here"
         )
-
-
-def t1_degrees(h: HilbertData) -> tuple[DegreeId, ...]:
-    """All T1-carrying degrees, ordered by (i, k)."""
-    _require_embdim4(h)
-    return tuple(
-        DegreeId(i, k) for i in range(2, h.e) for k in range(1, h.coefficient(i))
-    )
+    return tuple(DegreeId(i, k) for i, a in enumerate(h.coeffs, 2) for k in range(1, a))
 
 
 def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
@@ -142,22 +136,13 @@ def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
 
 def t1_graded(h: HilbertData) -> list[tuple[DegreeId, int]]:
     """Per-degree dimensions of T1."""
-    out = []
-    for d in t1_degrees(h):
-        dim = 2 if d.k == 1 and 3 <= d.i <= h.e - 2 else 1
-        out.append((d, dim))
-    return out
+    return [(d, 2 if d.k == 1 and 3 <= d.i <= h.e - 2 else 1) for d in t1_degrees(h)]
 
 
 def _basis_completion(v: NPoint) -> NPoint:
     """Some w with {v, w} a Z-basis of N (det(v, w) = 1)."""
     _, s, t = ext_gcd(v.x, v.y)
     return NPoint(-t, s)
-
-
-def _degree_perp(r: MPoint) -> NPoint:
-    """Primitive generator of the line r^perp in N."""
-    return NPoint(-r.v, r.u)
 
 
 def t1_space(cd: ClassData, d: DegreeId) -> tuple[NPoint, ...]:
@@ -169,7 +154,8 @@ def t1_space(cd: ClassData, d: DegreeId) -> tuple[NPoint, ...]:
     zone points kill alpha resp. beta there, so the choice is immaterial.
     """
     if d.k >= 2:
-        return (_degree_perp(cd.hilbert.element(d.i)),)
+        r = cd.hilbert.element(d.i)
+        return (NPoint(-r.v, r.u),)  # spans (r^i)^perp, primitive as r^i is
     if d.i == 2:
         return (_basis_completion(cd.alpha),)
     if d.i == cd.hilbert.e - 1:
@@ -195,7 +181,8 @@ def v_dims(cd: ClassData) -> dict[DegreeId, int]:
         if d.k == 1:
             # the counting needs Rbar - m*R != 0, which holds at every
             # lattice degree (only the rational Rbar/m is annihilated)
-            if (cd.rbar - cd.m * h.element(d.i)).is_zero():
+            r = h.element(d.i)
+            if cd.rbar.u == cd.m * r.u and cd.rbar.v == cd.m * r.v:
                 raise InternalConsistencyError(f"vanishing functional at r^{d.i}")
             out[d] = 0 if d.i in (2, h.e - 1) else 1
         else:
@@ -217,9 +204,7 @@ def qg_dims(cd: ClassData) -> dict[DegreeId, int]:
     ab, ell = cd.ab, h.central_index
     if ab is None or ab.a_central != h.coefficient(ell):
         raise InternalConsistencyError("a_l from the interval disagrees with the recursion")
-    for k in range(1, ab.a_central):
-        if k <= cd.interval.length:
-            out[DegreeId(ell, k)] = 1
+    out.update((DegreeId(ell, k), 1) for k in range(1, ab.a_central) if k <= cd.interval.length)
     return out
 
 
@@ -236,9 +221,7 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
         return out
     ell = h.central_index
     bound = min(cd.abc.c, cd.c_prime) * cd.interval.length
-    for k in range(1, cd.ab.a_central):
-        if k <= bound:
-            out[DegreeId(ell, k)] = 1
+    out.update((DegreeId(ell, k), 1) for k in range(1, cd.ab.a_central) if k <= bound)
     return out
 
 
@@ -305,37 +288,54 @@ def vw_oracle(R: MPoint, cd: ClassData) -> bool:
     return _containment_oracle(R, cd, LatticeTag.M_SHIFTED)
 
 
-def _rank(rows: list[tuple]) -> int:
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    if len(rows[0]) == 1:
-        return 1
-    first = rows[0]
-    for r in rows[1:]:
-        if first[0] * r[1] - first[1] * r[0] != 0:
-            return 2
-    return 1
-
-
 def _constrained_dim(
-    cd: ClassData, d: DegreeId, offsets: list[tuple[int, int]], with_phi: bool
+    cd: ClassData, d: DegreeId, offsets: list[tuple[int, int]], with_phi: bool,
+    base: tuple[int, int] = (0, 0),
 ) -> int:
     """Directions in degree -R that every constraint of the zone ``offsets``
-    (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free."""
-    R = degree_vector(cd.hilbert, d)
-    basis = t1_space(cd, d)
-    if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
-        # quotient degree: every constraint must kill alpha resp. beta,
-        # and <alpha, kappa*R - r> = du, <beta, kappa*R - r> = dv
-        side = 0 if d.i == 2 else 1
-        if any(off[side] != 0 for off in offsets):
-            raise InternalConsistencyError("zone constraint does not descend to the quotient")
-    coeffs = [_iota_coeffs(a, cd) for a in basis]
-    rows = [tuple(A * du + B * dv for A, B in coeffs) for du, dv in offsets]
+    (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free.
+
+    An offset (du, dv) = iota(x) of x = kappa*R - r constrains a by
+    <a, x> = 0, and iota is injective.  So in an interior degree (k = 1,
+    3 <= i <= e-2, T1(-R) = N) the rank is the rank of the offsets, and
+    ``with_phi`` adds iota(Rbar - m*R) = (m - m*u_R, m - m*v_R).  In a
+    one-dimensional degree spanned by a it is 1 exactly when some
+    A*du + B*dv != 0, (A, B) = _iota_coeffs(a, cd), or, with phi, when
+    <a, Rbar - m*R> != 0.  The rank is read off p - base for p in
+    ``offsets``, so the zone points themselves serve with base
+    iota(kappa*R): that gives -iota(x), and negation keeps every rank.
+    The list is read once, in order, up to full rank; only the descent
+    check of a quotient degree reads it all.
+    """
+    h, m = cd.hilbert, cd.m
+    (bu, bv), x0, y0 = base, 0, 0
     if with_phi:
-        rows.append(tuple(phi_functional(R, a, cd) for a in basis))
-    return len(basis) - _rank(rows)
+        R = degree_vector(h, d)
+        x0, y0 = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
+    if d.k == 1 and 3 <= d.i <= h.e - 2:
+        rest = iter(offsets)
+        if not (x0 or y0):
+            for u, v in rest:
+                if u != bu or v != bv:
+                    x0, y0 = u - bu, v - bv
+                    break
+            else:
+                return 2
+        # (u - bu, v - bv) is parallel to (x0, y0) iff x0*v - y0*u = c
+        c = x0 * bv - y0 * bu
+        return 0 if any(x0 * v - y0 * u != c for u, v in rest) else 1
+    if d.k == 1:
+        # quotient degree: every constraint must kill alpha resp. beta,
+        # and <alpha, x> = du, <beta, x> = dv
+        side = 0 if d.i == 2 else 1
+        if any(p[side] != base[side] for p in offsets):
+            raise InternalConsistencyError("zone constraint does not descend to the quotient")
+    A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
+    # det * <a, Rbar - m*R> = A*x0 + B*y0, and det != 0
+    if A * x0 + B * y0 != 0:
+        return 0
+    c = A * bu + B * bv
+    return 0 if any(A * u + B * v != c for u, v in offsets) else 1
 
 
 def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -344,7 +344,8 @@ def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     for d in t1_degrees(cd.hilbert):
         R = degree_vector(cd.hilbert, d)
         basis = t1_space(cd, d)
-        out[d] = len(basis) - _rank([tuple(phi_functional(R, a, cd) for a in basis)])
+        # Phi is one row: rank 1 unless it vanishes on the whole basis
+        out[d] = len(basis) - any(phi_functional(R, a, cd) != 0 for a in basis)
     return out
 
 
@@ -352,7 +353,12 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, by exact rank of the iso[-1] zone constraints.
 
     No closed form is known for W alone; this enumeration is the
-    definition, and reports derive the W column from it.
+    definition, and reports derive the W column from it.  A zone point r
+    gives the M-vector x = -R - r, with iota(x) = (du, dv).  In an interior
+    degree (k = 1, 3 <= i <= e-2) the rank is the rank of these vectors;
+    in a one-dimensional degree spanned by a it is 1 exactly when some
+    A*du + B*dv != 0.  ``zone_points`` lists every point of each zone, and
+    the rank reads that list once, stopping at full rank.
     """
     return _iso_minus_one_dims(cd, False)
 
@@ -363,11 +369,13 @@ def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
-    h = cd.hilbert
-    return {
-        d: _constrained_dim(cd, d, zone_offsets(degree_vector(h, d), -1, cd), with_phi)
-        for d in t1_degrees(h)
-    }
+    h, alpha, beta = cd.hilbert, cd.alpha, cd.beta
+    out = {}
+    for d in t1_degrees(h):
+        R = degree_vector(h, d)
+        base = -pairing(alpha, R), -pairing(beta, R)
+        out[d] = _constrained_dim(cd, d, zone_points(ZoneSpec(R, -1), cd), with_phi, base)
+    return out
 
 
 def classify(cd: ClassData) -> ClassificationFlags:
@@ -409,16 +417,8 @@ def assemble_report(
     h = cd.hilbert
     t1 = dict(t1_graded(h))
     last = DegreeId(h.central_index, h.coefficient(h.central_index) - 1) if h.grounded else None
-    per_degree = tuple(
-        DegreeReport(d, t1[d], v[d], w[d], vw[d], qg[d], d == last) for d in t1_degrees(h)
-    )
-    tot = Totals(
-        sum(r.dim_t1 for r in per_degree),
-        sum(r.dim_v for r in per_degree),
-        sum(r.dim_w for r in per_degree),
-        sum(r.dim_vw for r in per_degree),
-        sum(r.dim_qg for r in per_degree),
-    )
+    per_degree = tuple(DegreeReport(d, t1[d], v[d], w[d], vw[d], qg[d], d == last) for d in t1)
+    tot = Totals(*(sum(col[d] for d in t1) for col in (t1, v, w, vw, qg)))
     report = T1Report(cd.nq, per_degree, tot, classify(cd), h.e)
     _check_theorems(report, cd)
     return report

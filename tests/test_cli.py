@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqs
@@ -18,15 +22,24 @@ from cqs.representations import (
     ABCForm,
     CFForm,
     ConeForm,
+    DegenerateSingularityError,
     IntervalUD,
     InvalidSingularityError,
     NQForm,
     cone_to_interval,
     nq_to_abc,
     nq_to_cone,
+    to_nq,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def cqs_env():
+    """The environment of a `python -m cqs` child that imports these sources."""
+    src = str(Path(cqs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run(capsys, *argv):
@@ -357,12 +370,9 @@ class TestExitCodes:
     def test_closed_pipe_exits_quietly(self):
         # the JSON document is larger than a pipe buffer, so the child is
         # still writing when the reader goes away
-        src = str(Path(cqs.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.Popen(
             [sys.executable, "-m", "cqs", "analyze", "nq:1001/2", "--json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cqs_env(),
         )
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
@@ -375,3 +385,106 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["scan"])  # missing bound
         assert exc.value.code == 2
+
+    def test_analyze_refuses_past_the_degree_bound(self):
+        # nq:1000003/500001 has 500,002 T1 degrees; under 128 MiB of address
+        # space it used to die in a MemoryError traceback with exit 1
+        cap = 128 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", "analyze", "nq:1000003/500001", "--json"],
+            capture_output=True, text=True, env=cqs_env(), preexec_fn=limit, timeout=60,
+        )
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2, proc.stderr
+        assert elapsed < 5, elapsed
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(cli.MAX_T1_DEGREES) in proc.stderr
+
+    def test_degree_bound_counts_sum_a_minus_1(self, capsys, monkeypatch):
+        # nq:(2t+1)/2 has t+1 degrees: the class one past the bound and its
+        # mirror are refused, and e = 3 stays degenerate at any size
+        t = cli.MAX_T1_DEGREES
+        for text, expected in (
+            (f"nq:{2 * t + 3}/2", 2),
+            (f"nq:{2 * t + 3}/{t + 2}", 2),
+            (f"nq:{10**30 + 1}/2", 2),
+            (f"nq:{10**30}/{10**30 - 1}", 4),
+        ):
+            code, out, err = run(capsys, "analyze", text)
+            assert (code, out) == (expected, ""), text
+            assert err.startswith("error: ") and err.count("\n") == 1, text
+        # the class with exactly t degrees reaches totals
+        cf = continued_fraction(2 * t - 1, 2 * t - 3).coefficients
+        assert sum(cf) - len(cf) == t
+        reached = []
+
+        def stop(cd):
+            reached.append(cd.nq)
+            raise DegenerateSingularityError("stopped before the W oracle")
+
+        monkeypatch.setattr(cli, "totals", stop)
+        code, _, _ = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
+        assert code == 4 and reached == [NQForm(2 * t - 1, 2)]
+
+    def test_unprintable_class_is_a_parse_error(self, capsys):
+        # both factors parse, but n = a*b has more digits than str() prints
+        big = "7" * 3000
+        for text in (f"abc:{big},{big},1", f"cf:{big},{big}"):
+            code, out, err = run(capsys, "convert", text, "--to", "abc")
+            assert (code, out) == (2, ""), text
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _field():
+    """One integer field of a form: small, large, signed, padded, empty or junk."""
+    number = st.one_of(st.integers(-60, 60), st.integers(-(10**40), 10**40)).map(str)
+    junk = st.sampled_from(["", "-", "+1", "1 2", "0x1f", "1" * 5000, "-" + "9" * 4200])
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return st.tuples(pad, st.one_of(number, junk), pad).map("".join)
+
+
+_PAYLOADS = {
+    "nq": st.tuples(_field(), _field()).map("/".join),
+    "abc": st.lists(_field(), min_size=2, max_size=4).map(",".join),
+    "cone": st.tuples(*[_field()] * 4).map(lambda f: f"({f[0]},{f[1]}),({f[2]},{f[3]})"),
+    "interval": st.lists(_field(), min_size=1, max_size=4).map(
+        lambda f: ",".join("/".join(f[i:i + 2]) for i in range(0, len(f), 2))
+    ),
+    "cf": st.lists(_field(), min_size=0, max_size=6).map(",".join),
+}
+_INPUTS = st.one_of(
+    st.sampled_from(sorted(_PAYLOADS)).flatmap(
+        lambda tag: _PAYLOADS[tag].map(lambda payload: f"{tag}:{payload}")
+    ),
+    st.text(max_size=30),
+)
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_INPUTS, st.sampled_from(["nq", "abc", "cone", "interval", "cf", "--all", "--json"]))
+    def test_convert_ends_with_a_documented_code(self, text, target):
+        # the cf of nq:n/2 has n/2 terms, so it is printed for small n only
+        try:
+            small = to_nq(parse_form(text)).n <= 10_000
+        except Exception:
+            small = True
+        if target in ("cf", "--all", "--json") and not small:
+            target = "abc"
+        argv = ["convert", text] + (["--to", target] if not target.startswith("-") else [target])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects an input that looks like an option
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == "" and err.getvalue().count("\n") >= 1

@@ -3,9 +3,12 @@ from math import gcd
 
 import pytest
 
+from cqs import deformations
 from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
 from cqs.deformations import (
     DegreeId,
+    _constrained_dim,
+    _iota_coeffs,
     cayley_family,
     classify,
     degree_vector,
@@ -45,6 +48,40 @@ def interval_data(iv):
     cd = class_data(interval_to_cone(iv))
     assert cd.interval == iv
     return cd
+
+
+def reference_rank(rows):
+    """Rank of rows of length 1 or 2, as the rank oracle once computed it."""
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        return 0
+    if len(rows[0]) == 1:
+        return 1
+    first = rows[0]
+    return 2 if any(first[0] * r[1] - first[1] * r[0] != 0 for r in rows[1:]) else 1
+
+
+def reference_constrained_dim(cd, d, offsets, with_phi):
+    """One row <a, x> per offset and basis direction a, ranked as a matrix."""
+    R = degree_vector(cd.hilbert, d)
+    basis = t1_space(cd, d)
+    coeffs = [_iota_coeffs(a, cd) for a in basis]
+    rows = [tuple(A * du + B * dv for A, B in coeffs) for du, dv in offsets]
+    if with_phi:
+        rows.append(tuple(phi_functional(R, a, cd) for a in basis))
+    return len(basis) - reference_rank(rows)
+
+
+def assert_rank_rule(cd):
+    """The W and VW oracles and _constrained_dim against the row reference."""
+    h = cd.hilbert
+    columns = {False: w_dims_oracle(cd), True: vw_dims_oracle(cd)}
+    for d in t1_degrees(h):
+        offsets = zone_offsets(degree_vector(h, d), -1, cd)
+        for with_phi, column in columns.items():
+            expected = reference_constrained_dim(cd, d, offsets, with_phi)
+            assert _constrained_dim(cd, d, offsets, with_phi) == expected, (cd.nq, d, with_phi)
+            assert column[d] == expected, (cd.nq, d, with_phi)
 
 
 class TestT1Graded:
@@ -300,6 +337,77 @@ class TestRankOracles:
                     assert v_dims(cd)[d] == v[d], (nq, d)
 
 
+class TestRankRule:
+    def test_matches_row_reference_up_to_40(self):
+        checked = 0
+        for n in range(2, 41):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    assert_rank_rule(setup_class_data(n, q))
+                    checked += 1
+        assert checked > 400
+
+    def test_interior_ranks_occur(self):
+        # interior degrees reach rank 2, where the read stops early, and
+        # rank 1, where it reads every point; rank 0 needs a zone with no
+        # vector off the base, which no class here has, so it is built
+        cd = setup_class_data(20, 11)
+        for offsets in ([], [(0, 0)]):
+            assert _constrained_dim(cd, DegreeId(3, 1), offsets, False) == 2
+            assert _constrained_dim(cd, DegreeId(3, 1), offsets, True) == 1
+        seen = set()
+        for n in range(5, 41):
+            for q in range(1, n - 1):
+                if gcd(n, q) != 1:
+                    continue
+                cd = setup_class_data(n, q)
+                h = cd.hilbert
+                for d in t1_degrees(h):
+                    if d.k == 1 and 3 <= d.i <= h.e - 2:
+                        offsets = zone_offsets(degree_vector(h, d), -1, cd)
+                        seen.add(2 - reference_constrained_dim(cd, d, offsets, False))
+        assert {1, 2} <= seen
+
+    def test_quotient_degree_must_descend(self):
+        cd = setup_class_data(20, 11)
+        with pytest.raises(deformations.InternalConsistencyError):
+            _constrained_dim(cd, DegreeId(2, 1), [(0, 3), (1, 0)], False)
+        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0), (0, 3)], False) == 0
+        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0)], False) == 1
+
+    def test_totals_reads_one_full_zone_per_degree(self, monkeypatch):
+        # totals lists each kappa = -1 zone once, and the rank does not
+        # shorten or alter the list zone_points returned
+        calls = []
+        real = deformations.zone_points
+
+        def recorded(z, cd):
+            points = real(z, cd)
+            calls.append((z, points, list(points)))
+            return points
+
+        monkeypatch.setattr(deformations, "zone_points", recorded)
+        for n in range(4, 31):
+            for q in range(1, n - 1):
+                if gcd(n, q) != 1:
+                    continue
+                cd = setup_class_data(n, q)
+                calls.clear()
+                totals(cd)
+                h, bw = cd.hilbert, cd.bw
+                degrees = t1_degrees(h)
+                assert [z for z, _, _ in calls] == [
+                    ZoneSpec(degree_vector(h, d), -1) for d in degrees
+                ]
+                for z, points, copy in calls:
+                    u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
+                    box = {
+                        (u, v) for u in range(-1, u_r - 1) for v in range(-1, v_r - 1)
+                        if (v - u * bw) % n == 0
+                    }
+                    assert points == copy and len(points) == len(box) and set(points) == box
+
+
 class TestPhi:
     def test_kernel_direction(self):
         cd = setup_class_data(20, 11)
@@ -431,3 +539,10 @@ class TestNonstandardCones:
                     assert vw_oracle(R, cd) == vw_oracle(R_std, std), (n, q, d)
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("g", UNIMODULAR)
+    def test_rank_rule_is_coordinate_free(self, g):
+        for n in range(2, 26):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    assert_rank_rule(class_data(transform(nq_to_cone(NQForm(n, q)), g)))
