@@ -6,10 +6,14 @@ grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
 2 parse error (an integer past the digit limit of int() included, and a
 class whose n is past it), a CQS_ORACLE_BOUND that is not an integer
->= 2, or an ``analyze`` class with more than MAX_T1_DEGREES T1-carrying
-degrees, 3 invalid singularity, 4 degenerate class (embdim <= 3).  A
-reader that closes the pipe early (``cqs scan 400 | head``) ends the run
-quietly with exit 0.
+>= 2, or an input past a size bound: an ``analyze`` class with more than
+MAX_T1_DEGREES T1-carrying degrees or whose W zones walk more than
+MAX_ZONE_FIBERS fibers, a printed continued fraction of more than
+MAX_CF_TERMS terms, or a Cayley family with d > MAX_CAYLEY_D
+(deformations), 3 invalid singularity, 4 degenerate class (embdim <= 3).
+A reader that closes the pipe early (``cqs scan 400 | head``) ends the
+run quietly with exit 0.  ``scan`` and ``verify`` run on every CPU the
+process may use (``verify.fan_out``) and print the same bytes at any count.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .cone_geometry import (
     hj_coefficients,
     oracle_bound,
 )
-from .deformations import CayleyFamily, T1Report, cayley_family, classify, totals
+from .deformations import CayleyFamily, T1Report, cayley_d, cayley_family, classify, totals
 from .lattice import NPoint
 from .representations import (
     ABCForm,
@@ -47,7 +51,7 @@ from .representations import (
     nq_to_cone,
     to_nq,
 )
-from .verify import nq_range, run_checks
+from .verify import fan_out, nq_range, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,6 +67,15 @@ FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
 # any work: its table and W zones grow with the count, and nq:1000003/500001
 # (500,002 degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
 MAX_T1_DEGREES = 20_000
+# ... and a class whose W zones walk more fibers than this, the sum of
+# <alpha, R> over the T1 degrees R: the zone oracle's time grows with it.
+# nq:2995/1498 walks 2.24 M fibers and nq:10007/5003 25.0 M (about 40 s);
+# cf:3,...,3 with 30 threes would walk 7.5e12.
+MAX_ZONE_FIBERS = 10**8
+# convert and analyze refuse to print a continued fraction longer than
+# this: nq:2000001/2 (1,000,000 terms) still prints as JSON in 128 MiB,
+# nq:3000001/2 does not.
+MAX_CF_TERMS = 500_000
 
 
 class ParseError(ValueError):
@@ -167,9 +180,23 @@ def _forms_block(cd: ClassData) -> dict:
             "right": str(iv.right),
             "length": str(iv.length),
         },
-        "cf": list(continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients),
+        "cf": list(_printed_cf(cd).coefficients),
         "canonical_nq": {"n": canon.n, "q": canon.q},
     }
+
+
+def _printed_cf(cd: ClassData) -> CFForm:
+    """The continued fraction of the class, refused past MAX_CF_TERMS terms.
+
+    The cf of nq:n/2 has about n/2 terms, so it is counted before it is built.
+    """
+    n, s = cd.nq.n, cd.nq.n - cd.nq.q
+    if sum(1 for _ in islice(hj_coefficients(n, s), MAX_CF_TERMS + 1)) > MAX_CF_TERMS:
+        raise OracleBoundError(
+            f"the continued fraction of {format_form(cd.nq)} has more than "
+            f"{MAX_CF_TERMS} terms, the bound of a printed cf"
+        )
+    return continued_fraction(n, s)
 
 
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
@@ -255,10 +282,11 @@ def cmd_convert(args) -> int:
         _print_json({"schema_version": "1", "forms": _forms_block(cd)})
         return EXIT_OK
     forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval)))
-    for tag in FORM_TAGS if args.all else (args.to,):
-        # the cf of nq:n/2 has about n/2 terms, so it is built only when printed
-        form = forms[tag] if tag != "cf" else continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
-        print(format_form(form))
+    tags = FORM_TAGS if args.all else (args.to,)
+    if "cf" in tags:  # built only when printed, and before anything is
+        forms["cf"] = _printed_cf(cd)
+    for tag in tags:
+        print(format_form(forms[tag]))
     print(f"canonical:{format_form(canonical_class(cd.nq))}")
     return EXIT_OK
 
@@ -275,6 +303,13 @@ def cmd_analyze(args) -> int:
             f"{format_form(cd.nq)} has more than {MAX_T1_DEGREES} T1 degrees, "
             "the bound of analyze"
         )
+    if degrees and _w_zone_fibers(cf) > MAX_ZONE_FIBERS:
+        raise OracleBoundError(
+            f"the W zones of {format_form(cd.nq)} walk more than {MAX_ZONE_FIBERS} "
+            "fibers, the bound of analyze"
+        )
+    if degrees or args.allow_degenerate:
+        cayley_d(cd)  # the report's Cayley family, refused past its bound before any work
     try:
         report = totals(cd)
     except DegenerateSingularityError:
@@ -296,6 +331,20 @@ def cmd_analyze(args) -> int:
     else:
         _print_human(doc)
     return EXIT_OK
+
+
+def _w_zone_fibers(cf: list[int]) -> int:
+    """The fibers that the W zones of all T1 degrees walk, from the cf alone.
+
+    The zone of R = k*r^i walks <alpha, R> = k*u_i fibers, and u_i =
+    <alpha, r^i> follows the recursion of the basis, u_(i+1) = a_i*u_i -
+    u_(i-1) from u_1 = 0, u_2 = 1; so r^i's degrees walk u_i*a_i*(a_i-1)/2.
+    """
+    fibers, u_prev, u = 0, 0, 1
+    for a in cf:
+        fibers += u * a * (a - 1) // 2
+        u_prev, u = u, a * u - u_prev
+    return fibers
 
 
 def _print_human(doc: dict) -> None:
@@ -359,17 +408,22 @@ def cmd_scan(args) -> int:
     if args.n_max < 2:
         raise ParseError(f"scan bound must be >= 2, got {args.n_max}")
     print(SCAN_HEADER)
-    for nq in nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q):
-        cd = class_data(nq_to_cone(nq))
-        report = totals(cd)
-        abc = cd.abc
-        f, t = report.flags, report.totals
-        print(
-            f"{nq.n},{nq.q},{abc.a},{abc.b},{abc.c},{report.embdim},"
-            f"{_bool(f.grounded)},{_bool(f.t_singularity)},"
-            f"{t.dim_t1},{t.dim_v},{t.dim_w},{t.dim_vw},{t.dim_qg},{report.gap}"
-        )
+    classes = nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q)
+    for row in fan_out(_scan_row, classes):
+        print(row)
     return EXIT_OK
+
+
+def _scan_row(nq: NQForm) -> str:
+    cd = class_data(nq_to_cone(nq))
+    report = totals(cd)
+    abc = cd.abc
+    f, t = report.flags, report.totals
+    return (
+        f"{nq.n},{nq.q},{abc.a},{abc.b},{abc.c},{report.embdim},"
+        f"{_bool(f.grounded)},{_bool(f.t_singularity)},"
+        f"{t.dim_t1},{t.dim_v},{t.dim_w},{t.dim_vw},{t.dim_qg},{report.gap}"
+    )
 
 
 def cmd_verify(args) -> int:

@@ -41,6 +41,7 @@ from .cone_geometry import (
     ClassData,
     HilbertData,
     LatticeTag,
+    OracleBoundError,
     ZoneSpec,
     zone_points,
 )
@@ -455,16 +456,35 @@ def _check_theorems(report: T1Report, cd: ClassData) -> None:
         raise InternalConsistencyError(f"qG <= VW <= qG+1 fails for {report.nq}")
 
 
+# cayley_family refuses d above this: the ray matrix has (2d+2)*(d+2)
+# entries, and as JSON it fits in 128 MiB at d = 700 but not at d = 800.
+MAX_CAYLEY_D = 500
+
+
+def cayley_d(cd: ClassData) -> int:
+    """d = floor(A+B) on a grounded interval and 0 otherwise.
+
+    Raises OracleBoundError when d exceeds MAX_CAYLEY_D.
+    """
+    d = math.floor(cd.ab.A + cd.ab.B) if cd.ab is not None else 0
+    if d > MAX_CAYLEY_D:
+        raise OracleBoundError(
+            f"the Cayley family of nq:{cd.nq.n}/{cd.nq.q} has d = {d} > {MAX_CAYLEY_D}, "
+            "the bound of its ray matrix"
+        )
+    return d
+
+
 def cayley_family(cd: ClassData) -> CayleyFamily:
     """Ray matrix of the Cayley cone over the interval I = I' + d*[0,1].
 
-    d = floor(A+B) on a grounded interval (for embdim >= 4 this equals
-    dim T1_qG) and 0 otherwise, in which case the family is the trivial
-    one over a point and the cone is C(I) itself.  The decomposition is
-    fixed as I' = [-A, B-d].
+    d = ``cayley_d(cd)``: floor(A+B) on a grounded interval (for embdim >= 4
+    this equals dim T1_qG) and 0 otherwise, in which case the family is the
+    trivial one over a point and the cone is C(I) itself.  The
+    decomposition is fixed as I' = [-A, B-d].
     """
     i = cd.interval
-    d = math.floor(cd.ab.A + cd.ab.B) if cd.ab is not None else 0
+    d = cayley_d(cd)
     g, h = i.g, i.h - d * i.m
     width = d + 2
     degenerate = g == h

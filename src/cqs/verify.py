@@ -8,13 +8,23 @@ subcommand and the acceptance test suite both run on top of it.  The
 deformation sweep computes each closed form and enumerates each zone once
 per class, and assembles the report from those columns (W is the rank on
 the kappa = -1 zone).
+
+Each sweep is a loop over per-class checks.  ``run_checks``, which the CLI
+runs, calls the same per-class checks through ``fan_out``, which spreads
+the classes of a sweep over the CPUs this process may use and hands the
+results back in enumeration order; the CLI's scan uses it as well.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
+from typing import BinaryIO
 
 from . import cone_geometry, deformations, representations
 from .cone_geometry import class_data, eta, hilbert_basis_oracle, is_grounded
@@ -37,6 +47,10 @@ class VerificationResult:
         if not ok:
             self.failures.append(msg)
 
+    def merge(self, other: VerificationResult) -> None:
+        self.checks += other.checks
+        self.failures += other.failures
+
 
 def nq_range(n_max: int, skip_degenerate: bool = False, canonical_only: bool = False):
     """All NQForm with 2 <= n <= n_max, optionally dropping q = n-1 / mirrors."""
@@ -52,42 +66,137 @@ def nq_range(n_max: int, skip_degenerate: bool = False, canonical_only: bool = F
             yield nq
 
 
+def cpu_count() -> int:
+    """The number of CPUs this process may run on: its affinity mask, else
+    the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def fan_out(work: Callable, items: Iterable) -> Iterator:
+    """``work(item)`` for every item, yielded in order, in W processes.
+
+    W is ``cpu_count()`` capped at the number of items; with W = 1 every
+    item is computed here.  Otherwise item j goes to worker j mod W: this
+    process is worker 0, and workers 1..W-1 are children forked (this
+    process starts no threads) after stdout is flushed.  Every worker
+    walks its own copy of the iterator, so no list of the items is built.
+    A child pickles each result into its own pipe, or the exception that
+    ended its share, and ends in ``os._exit``, so it never returns into
+    the caller.  At each item's turn this process computes the item or
+    reads it from that child's pipe, so results stream in enumeration
+    order and an exception is raised at the turn the serial loop would
+    raise it.  However the caller leaves the loop, the children are
+    killed and reaped.
+    """
+    items = iter(items)
+    head = list(islice(items, cpu_count()))
+    workers = len(head)
+    items = chain(head, items)
+    if workers <= 1:
+        yield from map(work, items)
+        return
+    import pickle
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(rfd)
+                    for _, reader in children:
+                        reader.close()
+                    _serve(work, islice(items, w, None, workers), wfd)
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            children.append((pid, os.fdopen(rfd, "rb")))
+        for j, item in enumerate(items):
+            if not j % workers:
+                yield work(item)
+                continue
+            try:
+                ok, value = pickle.load(children[j % workers - 1][1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {j % workers} ended before item {j}") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, reader in children:
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _serve(work: Callable, share: Iterable, fd: int) -> None:
+    """Write (True, work(item)) for each item of a worker's share to fd,
+    or (False, exception) for the first item that raises, and stop there."""
+    import pickle
+
+    with os.fdopen(fd, "wb") as out:
+        for item in share:
+            try:
+                out.write(pickle.dumps((True, work(item))))
+            except Exception as exc:
+                try:
+                    message = pickle.dumps((False, exc))
+                    pickle.loads(message)
+                except Exception:  # an exception that does not survive pickling
+                    message = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                out.write(message)
+                return
+            out.flush()
+
+
 def verify_conversions(n_max: int) -> VerificationResult:
     """Round-trips through all five descriptions, plus mirror identities."""
     res = VerificationResult()
     for nq in nq_range(n_max):
-        where = f"n={nq.n} q={nq.q}"
-        abc = representations.nq_to_abc(nq)
-        res.check(representations.abc_to_nq(abc) == nq, f"{where} property=abc_roundtrip")
-        cone = representations.nq_to_cone(nq)
-        iv = representations.cone_to_interval(cone)
-        res.check(
-            representations.abc_to_nq(representations.interval_to_abc(iv)) == nq,
-            f"{where} property=cone_interval_abc_roundtrip",
-        )
-        res.check(
-            representations.cone_to_interval(representations.interval_to_cone(iv)) == iv,
-            f"{where} property=interval_cone_interval_roundtrip",
-        )
-        cf = cone_geometry.continued_fraction(nq.n, nq.n - nq.q)
-        res.check(representations.cf_to_nq(cf) == nq, f"{where} property=cf_roundtrip")
+        res.merge(_conversion_checks(nq))
+    return res
 
-        mirror = q_inverse(nq)
-        abc_m = representations.nq_to_abc(mirror)
-        res.check(
-            (abc.a, abc.b) == (abc_m.a, abc_m.b), f"{where} property=mirror_shares_a_b"
-        )
-        iv_m = representations.cone_to_interval(representations.nq_to_cone(mirror))
-        res.check(
-            IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, f"{where} property=mirror_interval_negation"
-        )
-        res.check(
-            representations.mirror_c(iv) == abc_m.c, f"{where} property=mirror_c_prime"
-        )
-        res.check(
-            representations.canonical_class(nq) == representations.canonical_class(mirror),
-            f"{where} property=canonical_class_invariance",
-        )
+
+def _conversion_checks(nq: NQForm) -> VerificationResult:
+    res = VerificationResult()
+    where = f"n={nq.n} q={nq.q}"
+    abc = representations.nq_to_abc(nq)
+    res.check(representations.abc_to_nq(abc) == nq, f"{where} property=abc_roundtrip")
+    cone = representations.nq_to_cone(nq)
+    iv = representations.cone_to_interval(cone)
+    res.check(
+        representations.abc_to_nq(representations.interval_to_abc(iv)) == nq,
+        f"{where} property=cone_interval_abc_roundtrip",
+    )
+    res.check(
+        representations.cone_to_interval(representations.interval_to_cone(iv)) == iv,
+        f"{where} property=interval_cone_interval_roundtrip",
+    )
+    cf = cone_geometry.continued_fraction(nq.n, nq.n - nq.q)
+    res.check(representations.cf_to_nq(cf) == nq, f"{where} property=cf_roundtrip")
+
+    mirror = q_inverse(nq)
+    abc_m = representations.nq_to_abc(mirror)
+    res.check((abc.a, abc.b) == (abc_m.a, abc_m.b), f"{where} property=mirror_shares_a_b")
+    iv_m = representations.cone_to_interval(representations.nq_to_cone(mirror))
+    res.check(
+        IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, f"{where} property=mirror_interval_negation"
+    )
+    res.check(representations.mirror_c(iv) == abc_m.c, f"{where} property=mirror_c_prime")
+    res.check(
+        representations.canonical_class(nq) == representations.canonical_class(mirror),
+        f"{where} property=canonical_class_invariance",
+    )
     return res
 
 
@@ -95,49 +204,55 @@ def verify_hilbert(n_max: int) -> VerificationResult:
     """Three-term recursion against the convex-hull oracle, and eta identities."""
     res = VerificationResult()
     for nq in nq_range(n_max):
-        where = f"n={nq.n} q={nq.q}"
-        cd = class_data(representations.nq_to_cone(nq))
-        h = cd.hilbert
-        res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
-        res.check(
-            h.coeffs == cone_geometry.continued_fraction(nq.n, nq.n - nq.q).coefficients,
-            f"{where} property=hilbert_coeffs_vs_cf",
-        )
+        res.merge(_hilbert_checks(nq))
+    return res
+
+
+def _hilbert_checks(nq: NQForm) -> VerificationResult:
+    res = VerificationResult()
+    where = f"n={nq.n} q={nq.q}"
+    cd = class_data(representations.nq_to_cone(nq))
+    h = cd.hilbert
+    res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
+    res.check(
+        h.coeffs == cone_geometry.continued_fraction(nq.n, nq.n - nq.q).coefficients,
+        f"{where} property=hilbert_coeffs_vs_cf",
+    )
+    for i in range(2, h.e):
+        ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
+        res.check(ok, f"{where} degree=({i},1) property=three_term_recursion")
+    res.check(
+        all(abs(det2_m(h.basis[j], h.basis[j + 1])) == 1 for j in range(h.e - 1)),
+        f"{where} property=adjacent_z_basis",
+    )
+    alphas = [pairing(cd.alpha, r) for r in h.basis]
+    betas = [pairing(cd.beta, r) for r in h.basis]
+    res.check(
+        alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
+        f"{where} property=pairing_monotonicity",
+    )
+    if h.e >= 4:
+        # with e = 3 both eta ratios equal a_2 exactly and the floor
+        # identity fails; it is only claimed away from A_(n-1)
         for i in range(2, h.e):
-            ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
-            res.check(ok, f"{where} degree=({i},1) property=three_term_recursion")
-        res.check(
-            all(abs(det2_m(h.basis[j], h.basis[j + 1])) == 1 for j in range(h.e - 1)),
-            f"{where} property=adjacent_z_basis",
-        )
-        alphas = [pairing(cd.alpha, r) for r in h.basis]
-        betas = [pairing(cd.beta, r) for r in h.basis]
-        res.check(
-            alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
-            f"{where} property=pairing_monotonicity",
-        )
-        if h.e >= 4:
-            # with e = 3 both eta ratios equal a_2 exactly and the floor
-            # identity fails; it is only claimed away from A_(n-1)
-            for i in range(2, h.e):
-                value = eta(cd, i)
-                res.check(
-                    value.numerator // value.denominator == h.coefficient(i) - 1,
-                    f"{where} degree=({i},1) property=eta_floor",
-                )
-        iv = cd.interval
-        res.check(is_grounded(iv) == h.grounded, f"{where} property=grounded_equivalence")
-        if h.grounded and h.e >= 4:
-            ab = cd.ab
-            ell = h.central_index
+            value = eta(cd, i)
             res.check(
-                h.coefficient(ell) == ab.a_central, f"{where} property=central_a_from_interval"
+                value.numerator // value.denominator == h.coefficient(i) - 1,
+                f"{where} degree=({i},1) property=eta_floor",
             )
-            res.check(
-                eta(cd, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
-                f"{where} property=central_eta_from_interval",
-            )
-            res.check(iv.length == ab.A + ab.B, f"{where} property=interval_length_AB")
+    iv = cd.interval
+    res.check(is_grounded(iv) == h.grounded, f"{where} property=grounded_equivalence")
+    if h.grounded and h.e >= 4:
+        ab = cd.ab
+        ell = h.central_index
+        res.check(
+            h.coefficient(ell) == ab.a_central, f"{where} property=central_a_from_interval"
+        )
+        res.check(
+            eta(cd, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
+            f"{where} property=central_eta_from_interval",
+        )
+        res.check(iv.length == ab.A + ab.B, f"{where} property=interval_length_AB")
     return res
 
 
@@ -150,18 +265,22 @@ def verify_deformations(n_max: int) -> VerificationResult:
     res = VerificationResult()
     mirrors: dict[NQForm, tuple[str, T1Report]] = {}
     for nq in nq_range(n_max, skip_degenerate=True):
-        where = f"n={nq.n} q={nq.q}"
-        try:
-            _verify_one_class(nq, res, mirrors)
-        except Exception as exc:  # record, keep sweeping
-            res.checks += 1
-            res.failures.append(f"{where} property=exception: {exc!r}")
+        _merge_deformations(res, mirrors, nq, *_deformation_checks(nq))
     return res
 
 
-def _verify_one_class(
-    nq: NQForm, res: VerificationResult, mirrors: dict[NQForm, tuple[str, T1Report]]
-) -> None:
+def _deformation_checks(nq: NQForm) -> tuple[VerificationResult, T1Report | None]:
+    """The checks of one class and its report; an exception is recorded as
+    one failed check, and the class then has no report."""
+    res = VerificationResult()
+    try:
+        return res, _verify_one_class(nq, res)
+    except Exception as exc:  # record, keep sweeping
+        res.check(False, f"n={nq.n} q={nq.q} property=exception: {exc!r}")
+        return res, None
+
+
+def _verify_one_class(nq: NQForm, res: VerificationResult) -> T1Report:
     cd = class_data(representations.nq_to_cone(nq))
     h, m = cd.hilbert, cd.m
     where = f"n={nq.n} q={nq.q}"
@@ -243,6 +362,19 @@ def _verify_one_class(
             vw[r.degree] <= r.dim_w,
             f"{where} degree=({r.degree.i},{r.degree.k}) property=w_contains_vw",
         )
+    return report
+
+
+def _merge_deformations(
+    res: VerificationResult, mirrors: dict[NQForm, tuple[str, T1Report]],
+    nq: NQForm, class_res: VerificationResult, report: T1Report | None,
+) -> None:
+    """Add the checks of one class, then compare it with its mirror once
+    the sweep, in (n, q) order, has reached both."""
+    res.merge(class_res)
+    if report is None:
+        return
+    where = f"n={nq.n} q={nq.q}"
     mirror = q_inverse(nq)
     if nq.q <= mirror.q:
         mirrors[mirror] = (where, report)
@@ -265,9 +397,24 @@ def _columns(r: DegreeReport) -> tuple[int, ...]:
 
 
 def run_checks(n_max: int) -> dict[str, VerificationResult]:
-    """The full suite at one bound, as run by the CLI verify subcommand."""
-    return {
-        "conversions": verify_conversions(n_max),
-        "hilbert": verify_hilbert(n_max),
-        "deformations": verify_deformations(n_max),
-    }
+    """The full suite at one bound, as run by the CLI verify subcommand.
+
+    The checks of ``verify_conversions``, ``verify_hilbert`` and
+    ``verify_deformations``, computed class by class with ``fan_out`` and
+    merged section by section in (n, q) order, so the counts and the order
+    of the failures are those of the three sweeps.
+    """
+    results = {name: VerificationResult() for name in ("conversions", "hilbert", "deformations")}
+    mirrors: dict[NQForm, tuple[str, T1Report]] = {}
+    for nq, conv, hil, defo in fan_out(_class_checks, nq_range(n_max)):
+        results["conversions"].merge(conv)
+        results["hilbert"].merge(hil)
+        if defo is not None:
+            _merge_deformations(results["deformations"], mirrors, nq, *defo)
+    return results
+
+
+def _class_checks(nq: NQForm):
+    # verify_deformations skips the classes that nq_range(skip_degenerate=True) drops
+    defo = None if nq.q == nq.n - 1 else _deformation_checks(nq)
+    return nq, _conversion_checks(nq), _hilbert_checks(nq), defo

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqs
-from cqs import cli
+from cqs import cli, deformations
 from cqs.cli import format_form, main, parse_form
-from cqs.cone_geometry import continued_fraction
-from cqs.lattice import NPoint
+from cqs.cone_geometry import class_data, continued_fraction
+from cqs.lattice import NPoint, pairing
 from cqs.representations import (
     ABCForm,
     CFForm,
@@ -29,7 +29,6 @@ from cqs.representations import (
     cone_to_interval,
     nq_to_abc,
     nq_to_cone,
-    to_nq,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +39,11 @@ def cqs_env():
     src = str(Path(cqs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def _limit_128_mib():
+    cap = 128 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def run(capsys, *argv):
@@ -122,8 +126,10 @@ class TestConvert:
             code, out, _ = run(capsys, "convert", "nq:100000001/2", "--to", tag)
             assert code == 0
             assert out.splitlines() == [line, "canonical:nq:100000001/2"]
-        with pytest.raises(MemoryError):
-            main(["convert", "nq:100000001/2", "--to", "cf"])
+        # a cf of more than MAX_CF_TERMS terms is refused before it is built
+        code, out, err = run(capsys, "convert", "nq:100000001/2", "--to", "cf")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(cli.MAX_CF_TERMS) in err
 
     def test_roundtrip_through_grammar(self, capsys):
         for text in (
@@ -389,15 +395,10 @@ class TestExitCodes:
     def test_analyze_refuses_past_the_degree_bound(self):
         # nq:1000003/500001 has 500,002 T1 degrees; under 128 MiB of address
         # space it used to die in a MemoryError traceback with exit 1
-        cap = 128 * 2**20
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "cqs", "analyze", "nq:1000003/500001", "--json"],
-            capture_output=True, text=True, env=cqs_env(), preexec_fn=limit, timeout=60,
+            capture_output=True, text=True, env=cqs_env(), preexec_fn=_limit_128_mib, timeout=60,
         )
         elapsed = time.monotonic() - start
         assert proc.returncode == 2, proc.stderr
@@ -419,9 +420,14 @@ class TestExitCodes:
             code, out, err = run(capsys, "analyze", text)
             assert (code, out) == (expected, ""), text
             assert err.startswith("error: ") and err.count("\n") == 1, text
-        # the class with exactly t degrees reaches totals
+        # the class with exactly t degrees passes the degree bound; its W
+        # zones walk 2.0e8 fibers, so the fiber bound refuses it
         cf = continued_fraction(2 * t - 1, 2 * t - 3).coefficients
         assert sum(cf) - len(cf) == t
+        code, out, err = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
+        assert (code, out) == (2, "") and str(cli.MAX_ZONE_FIBERS) in err
+        # and with that bound lifted it reaches totals
+        monkeypatch.setattr(cli, "MAX_ZONE_FIBERS", 10**9)
         reached = []
 
         def stop(cd):
@@ -431,6 +437,78 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "totals", stop)
         code, _, _ = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
         assert code == 4 and reached == [NQForm(2 * t - 1, 2)]
+
+    def test_analyze_refuses_past_the_fiber_bound(self):
+        # cf:3,...,3 (30 threes) has 60 degrees, whose W zones walk about
+        # 7.5e12 fibers; it used to run for minutes
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", "analyze", "cf:" + ",".join(["3"] * 30)],
+            capture_output=True, text=True, env=cqs_env(), timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert time.monotonic() - start < 5
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(cli.MAX_ZONE_FIBERS) in proc.stderr
+
+    def test_fiber_count_is_the_sum_over_the_w_zones(self):
+        # each degree's W zone walks <alpha, R> fibers (zone_points' u-range)
+        for n in range(5, 41):
+            for q in range(1, n - 1):
+                if gcd(n, q) != 1:
+                    continue
+                cd = class_data(nq_to_cone(NQForm(n, q)))
+                expected = sum(
+                    pairing(cd.alpha, deformations.degree_vector(cd.hilbert, d))
+                    for d in deformations.t1_degrees(cd.hilbert)
+                )
+                assert cli._w_zone_fibers(list(cd.hilbert.coeffs)) == expected, (n, q)
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("cayley", "interval:-30000,30000"), "MAX_CAYLEY_D"),
+            (("analyze", "interval:-30000,30000", "--allow-degenerate", "--json"),
+             "MAX_CAYLEY_D"),
+            (("convert", "nq:100000001/2", "--to", "cf"), "MAX_CF_TERMS"),
+            (("convert", "nq:100000001/2", "--all"), "MAX_CF_TERMS"),
+            (("convert", "nq:100000001/2", "--json"), "MAX_CF_TERMS"),
+        ],
+    )
+    def test_large_outputs_are_refused_in_128_mib(self, argv, bound):
+        # d = 60,000 gives a 120,002 x 60,002 ray matrix, and the cf of
+        # nq:100000001/2 has 50,000,000 terms: both used to end in a
+        # MemoryError traceback with exit 1 under this limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", *argv],
+            capture_output=True, text=True, env=cqs_env(), preexec_fn=_limit_128_mib,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        limit = getattr(cli, bound, None) or getattr(deformations, bound)
+        assert str(limit) in proc.stderr
+
+    def test_largest_admitted_outputs_print_in_128_mib(self):
+        # the bounds leave room: d = MAX_CAYLEY_D and a cf of MAX_CF_TERMS
+        # terms print as JSON, and the nq and abc forms of any class print
+        def output(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cqs", *argv],
+                capture_output=True, text=True, env=cqs_env(), preexec_fn=_limit_128_mib,
+                timeout=60,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+            return proc.stdout
+
+        d, terms = deformations.MAX_CAYLEY_D, cli.MAX_CF_TERMS
+        assert json.loads(output("cayley", f"interval:0,{d}", "--json"))["cayley"]["d"] == d
+        doc = json.loads(output("convert", f"nq:{2 * terms + 1}/2", "--json"))
+        assert len(doc["forms"]["cf"]) == terms
+        assert output("convert", "nq:100000001/2", "--to", "nq").startswith("nq:100000001/2\n")
+        assert output("convert", "nq:100000001/2", "--to", "abc").startswith("abc:100000001,1,3\n")
 
     def test_unprintable_class_is_a_parse_error(self, capsys):
         # both factors parse, but n = a*b has more digits than str() prints
@@ -470,13 +548,6 @@ class TestGrammarFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_INPUTS, st.sampled_from(["nq", "abc", "cone", "interval", "cf", "--all", "--json"]))
     def test_convert_ends_with_a_documented_code(self, text, target):
-        # the cf of nq:n/2 has n/2 terms, so it is printed for small n only
-        try:
-            small = to_nq(parse_form(text)).n <= 10_000
-        except Exception:
-            small = True
-        if target in ("cf", "--all", "--json") and not small:
-            target = "abc"
         argv = ["convert", text] + (["--to", target] if not target.startswith("-") else [target])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

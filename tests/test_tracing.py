@@ -30,3 +30,26 @@ def test_traced_scan_keeps_stdout_and_counts_zones():
     assert trace["calls"]["deformations.w_dims_oracle"] > 0
     assert trace["counts"]["zone_points.fibers"] > 0
     assert trace["counts"]["w_dims_oracle.zone_points"] > 0
+
+
+def test_traced_scan_with_two_workers_prints_one_trace():
+    # forked workers end in os._exit, so only the parent reaches the
+    # tracer's report; its counters cover the parent's share of the classes
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+        "import cqs.verify, tracer\n"
+        "cqs.verify.cpu_count = lambda: 2\n"
+        "sys.exit(tracer.main(['scan', '25']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "scan_25.csv").read_bytes()
+    lines = [line for line in proc.stderr.decode().splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr.decode()
+    trace = json.loads(lines[0][len(MARKER):])
+    classes = len(proc.stdout.splitlines()) - 1
+    assert 0 < trace["calls"]["deformations.totals"] < classes
