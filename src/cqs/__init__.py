@@ -68,5 +68,6 @@ from .deformations import (
     vw_dims_oracle,
     vw_oracle,
     w_dims_oracle,
+    w_fast,
     zone_offsets,
 )

@@ -68,8 +68,8 @@ FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
 # (500,002 degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
 MAX_T1_DEGREES = 20_000
 # ... and a class whose W zones walk more fibers than this, the sum of
-# <alpha, R> over the T1 degrees R: the zone oracle's time grows with it.
-# nq:2995/1498 walks 2.24 M fibers and nq:10007/5003 25.0 M (about 40 s);
+# <alpha, R> over the zones w_fast requests: its time grows with it.
+# nq:2995/1498 walks 2.24 M fibers (about 2 s) and nq:10007/5003 10,009;
 # cf:3,...,3 with 30 threes would walk 7.5e12.
 MAX_ZONE_FIBERS = 10**8
 # convert and analyze refuse to print a continued fraction longer than
@@ -334,15 +334,16 @@ def cmd_analyze(args) -> int:
 
 
 def _w_zone_fibers(cf: list[int]) -> int:
-    """The fibers that the W zones of all T1 degrees walk, from the cf alone.
+    """The fibers that the W zones of ``w_fast`` walk, from the cf alone.
 
     The zone of R = k*r^i walks <alpha, R> = k*u_i fibers, and u_i =
     <alpha, r^i> follows the recursion of the basis, u_(i+1) = a_i*u_i -
-    u_(i-1) from u_1 = 0, u_2 = 1; so r^i's degrees walk u_i*a_i*(a_i-1)/2.
+    u_(i-1) from u_1 = 0, u_2 = 1.  ``w_fast`` walks the zone of r^i and,
+    when a_i > 2, that of (a_i - 1)*r^i: u_i*a_i fibers, else u_i.
     """
     fibers, u_prev, u = 0, 0, 1
     for a in cf:
-        fibers += u * a * (a - 1) // 2
+        fibers += u * a if a > 2 else u
         u_prev, u = u, a * u - u_prev
     return fibers
 

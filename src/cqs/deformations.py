@@ -20,9 +20,12 @@ iso[kappa] says that every M-point r of the zone Z_{R,kappa} satisfies
   qG  iso[kappa] for every kappa.
 
 V, VW and qG have exact closed-form dimensions per degree; W does not
-have a known closed form and is always reported from the lattice oracle.
-Every closed form in this module is cross-checked against the zone
-oracles by :mod:`cqs.verify`.
+have a known closed form and is reported by ``w_fast``, which walks the
+kappa = -1 zone of each degree -r^i and one such zone per chain k*r^i,
+k >= 2.  Every closed form in this module is cross-checked against the
+zone oracles by :mod:`cqs.verify`, and ``w_fast`` against
+``w_dims_oracle``, which walks the zone of every degree, by
+:mod:`cqs.verify` and acceptance criterion 8.
 
 ``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on a zone
 the caller enumerated with ``zone_offsets(R, kappa, cd)``, so one
@@ -354,7 +357,7 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, by exact rank of the iso[-1] zone constraints.
 
     No closed form is known for W alone; this enumeration is the
-    definition, and reports derive the W column from it.  A zone point r
+    definition, against which ``w_fast`` is checked.  A zone point r
     gives the M-vector x = -R - r, with iota(x) = (du, dv).  In an interior
     degree (k = 1, 3 <= i <= e-2) the rank is the rank of these vectors;
     in a one-dimensional degree spanned by a it is 1 exactly when some
@@ -362,6 +365,68 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     the rank reads that list once, stopping at full rank.
     """
     return _iso_minus_one_dims(cd, False)
+
+
+def w_fast(cd: ClassData) -> dict[DegreeId, int]:
+    """dim T1_W per degree, as ``w_dims_oracle``, from one zone per chain.
+
+    A degree -r^i keeps its own kappa = -1 zone and rank.  The chain
+    k*r^i, 2 <= k <= a_i - 1, is read off the one zone of its top,
+    (a_i - 1)*r^i, by ``w_chain_threshold``: W = 1 for k below the
+    threshold and 0 from it on.  Two facts make that exact:
+      - T1(-k*r^i) is the line of a = (r^i)^perp for every k >= 2 and
+        <a, k*r^i> = 0, so iso[-1], <a, -k*r^i - r> = 0, is <a, r> = 0;
+      - Z_{k*r^i,-1} is -1 <= u < -1 + k*u_i, -1 <= v < -1 + k*v_i, and
+        these boxes grow with k, so each lies in the top one.
+    No closed form is read.
+    """
+    h, alpha, beta = cd.hilbert, cd.alpha, cd.beta
+    out = {}
+    for d in t1_degrees(h):
+        if d.k == 1:
+            r = h.element(d.i)
+            base = -pairing(alpha, r), -pairing(beta, r)
+            out[d] = _constrained_dim(cd, d, zone_points(ZoneSpec(r, -1), cd), False, base)
+            continue
+        if d.k == 2:
+            top = (h.coefficient(d.i) - 1) * h.element(d.i)
+            base = -pairing(alpha, top), -pairing(beta, top)
+            threshold = w_chain_threshold(cd, d.i, zone_points(ZoneSpec(top, -1), cd), base)
+        out[d] = int(d.k < threshold)
+    return out
+
+
+def w_chain_threshold(
+    cd: ClassData, i: int, zone: list[tuple[int, int]], base: tuple[int, int] = (0, 0)
+) -> int:
+    """The K with W(-k*r^i) = 1 exactly for 2 <= k < K (see ``w_fast``).
+
+    ``zone`` is the kappa = -1 zone of R = (a_i - 1)*r^i, read as
+    p - base the way ``_constrained_dim`` reads it: the zone points with
+    base iota(-R), or ``zone_offsets(R, -1, cd)`` with base (0, 0), give
+    iota(R + r) resp. its negative for each zone point r.  Both
+    coordinates of R + r are >= 1 (u >= -1 and u_R >= 2), so their
+    absolute values are (s, t) = iota(R + r), and with (A, B) =
+    _iota_coeffs(a, cd), A*s + B*t = det * <a, r>.  A point with
+    <a, r> != 0 first lies in Z_{k*r^i,-1} at k = max((s + 1)//u_i,
+    (t + 1)//v_i) + 2 - a_i; K is the least such k, or a_i if none.  No
+    chain degree lies below k = 2, so the read stops at the first k <= 2
+    and returns 2.
+    """
+    h = cd.hilbert
+    a_i, r = h.coefficient(i), h.element(i)
+    u_i, v_i = pairing(cd.alpha, r), pairing(cd.beta, r)
+    A, B = _iota_coeffs(t1_space(cd, DegreeId(i, 2))[0], cd)
+    bu, bv = base
+    least = a_i
+    for u, v in zone:
+        s, t = abs(u - bu), abs(v - bv)
+        if A * s + B * t:
+            k = max((s + 1) // u_i, (t + 1) // v_i) + 2 - a_i
+            if k <= 2:
+                return 2
+            least = min(least, k)
+    return least
 
 
 def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -396,11 +461,11 @@ def classify(cd: ClassData) -> ClassificationFlags:
 
 
 def totals(cd: ClassData) -> T1Report:
-    """The report of a class: V, qG and VW in closed form, W by its oracle.
+    """The report of a class: V, qG and VW in closed form, W by ``w_fast``.
 
     Raises DegenerateSingularityError when the embedding dimension is at most 3.
     """
-    return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_dims_oracle(cd))
+    return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_fast(cd))
 
 
 def assemble_report(

@@ -7,7 +7,8 @@ classes (n, q) up to a bound and records every mismatch; the CLI `verify`
 subcommand and the acceptance test suite both run on top of it.  The
 deformation sweep computes each closed form and enumerates each zone once
 per class, and assembles the report from those columns (W is the rank on
-the kappa = -1 zone).
+the kappa = -1 zone of each degree, against which the chain threshold of
+``w_fast`` is checked on the zone of each chain's top degree).
 
 Each sweep is a loop over per-class checks.  ``run_checks``, which the CLI
 runs, calls the same per-class checks through ``fan_out``, which spreads
@@ -27,7 +28,7 @@ from math import gcd
 from typing import BinaryIO
 
 from . import cone_geometry, deformations, representations
-from .cone_geometry import class_data, eta, hilbert_basis_oracle, is_grounded
+from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
 from .deformations import DegreeId, DegreeReport, T1Report
 from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
@@ -204,14 +205,18 @@ def verify_hilbert(n_max: int) -> VerificationResult:
     """Three-term recursion against the convex-hull oracle, and eta identities."""
     res = VerificationResult()
     for nq in nq_range(n_max):
-        res.merge(_hilbert_checks(nq))
+        res.merge(_hilbert_checks(_class(nq)))
     return res
 
 
-def _hilbert_checks(nq: NQForm) -> VerificationResult:
+def _class(nq: NQForm) -> ClassData:
+    return class_data(representations.nq_to_cone(nq))
+
+
+def _hilbert_checks(cd: ClassData) -> VerificationResult:
     res = VerificationResult()
+    nq = cd.nq
     where = f"n={nq.n} q={nq.q}"
-    cd = class_data(representations.nq_to_cone(nq))
     h = cd.hilbert
     res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
     res.check(
@@ -265,25 +270,24 @@ def verify_deformations(n_max: int) -> VerificationResult:
     res = VerificationResult()
     mirrors: dict[NQForm, tuple[str, T1Report]] = {}
     for nq in nq_range(n_max, skip_degenerate=True):
-        _merge_deformations(res, mirrors, nq, *_deformation_checks(nq))
+        _merge_deformations(res, mirrors, nq, *_deformation_checks(_class(nq)))
     return res
 
 
-def _deformation_checks(nq: NQForm) -> tuple[VerificationResult, T1Report | None]:
+def _deformation_checks(cd: ClassData) -> tuple[VerificationResult, T1Report | None]:
     """The checks of one class and its report; an exception is recorded as
     one failed check, and the class then has no report."""
     res = VerificationResult()
     try:
-        return res, _verify_one_class(nq, res)
+        return res, _verify_one_class(cd, res)
     except Exception as exc:  # record, keep sweeping
-        res.check(False, f"n={nq.n} q={nq.q} property=exception: {exc!r}")
+        res.check(False, f"n={cd.nq.n} q={cd.nq.q} property=exception: {exc!r}")
         return res, None
 
 
-def _verify_one_class(nq: NQForm, res: VerificationResult) -> T1Report:
-    cd = class_data(representations.nq_to_cone(nq))
+def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
     h, m = cd.hilbert, cd.m
-    where = f"n={nq.n} q={nq.q}"
+    where = f"n={cd.nq.n} q={cd.nq.q}"
 
     v = deformations.v_dims(cd)
     qg = deformations.qg_dims(cd)
@@ -301,6 +305,14 @@ def _verify_one_class(nq: NQForm, res: VerificationResult) -> T1Report:
             for kappa in (0, -1, m - 1, m, 2 * m)
         }
         w[d] = deformations._constrained_dim(cd, d, zones[-1], False)
+        if d.k >= 2 and d.k == h.coefficient(d.i) - 1:
+            # the top of the chain: its zone decides the whole chain in w_fast
+            threshold = deformations.w_chain_threshold(cd, d.i, zones[-1])
+            for k in range(2, d.k + 1):
+                res.check(
+                    int(k < threshold) == w[DegreeId(d.i, k)],
+                    f"{where} degree=({d.i},{k}) property=w_fast_vs_oracle",
+                )
         res.check(v[d] == v_oracle[d], f"{at} property=v_phi_kernel")
         res.check(
             (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cd)),
@@ -415,6 +427,8 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
 
 
 def _class_checks(nq: NQForm):
-    # verify_deformations skips the classes that nq_range(skip_degenerate=True) drops
-    defo = None if nq.q == nq.n - 1 else _deformation_checks(nq)
-    return nq, _conversion_checks(nq), _hilbert_checks(nq), defo
+    # one record serves both; verify_deformations skips the classes that
+    # nq_range(skip_degenerate=True) drops
+    cd = _class(nq)
+    defo = None if nq.q == nq.n - 1 else _deformation_checks(cd)
+    return nq, _conversion_checks(nq), _hilbert_checks(cd), defo

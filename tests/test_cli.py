@@ -452,17 +452,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert str(cli.MAX_ZONE_FIBERS) in proc.stderr
 
-    def test_fiber_count_is_the_sum_over_the_w_zones(self):
-        # each degree's W zone walks <alpha, R> fibers (zone_points' u-range)
+    def test_fiber_count_is_the_sum_over_the_w_zones(self, monkeypatch):
+        # each zone that totals requests walks <alpha, R> fibers (zone_points'
+        # u-range); the count must equal their sum
+        requested = []
+        real = deformations.zone_points
+
+        def recorded(z, cd):
+            requested.append(z.R)
+            return real(z, cd)
+
+        monkeypatch.setattr(deformations, "zone_points", recorded)
         for n in range(5, 41):
             for q in range(1, n - 1):
                 if gcd(n, q) != 1:
                     continue
                 cd = class_data(nq_to_cone(NQForm(n, q)))
-                expected = sum(
-                    pairing(cd.alpha, deformations.degree_vector(cd.hilbert, d))
-                    for d in deformations.t1_degrees(cd.hilbert)
-                )
+                requested.clear()
+                deformations.totals(cd)
+                expected = sum(pairing(cd.alpha, R) for R in requested)
                 assert cli._w_zone_fibers(list(cd.hilbert.coeffs)) == expected, (n, q)
 
     @pytest.mark.parametrize(

@@ -26,7 +26,9 @@ from cqs.deformations import (
     vw_dims,
     vw_dims_oracle,
     vw_oracle,
+    w_chain_threshold,
     w_dims_oracle,
+    w_fast,
     zone_offsets,
 )
 from cqs.lattice import MPoint, NPoint, pairing
@@ -37,6 +39,7 @@ from cqs.representations import (
     NQForm,
     interval_to_cone,
     nq_to_cone,
+    q_inverse,
 )
 
 
@@ -376,8 +379,9 @@ class TestRankRule:
         assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0)], False) == 1
 
     def test_totals_reads_one_full_zone_per_degree(self, monkeypatch):
-        # totals lists each kappa = -1 zone once, and the rank does not
-        # shorten or alter the list zone_points returned
+        # totals lists, once each, the kappa = -1 zone of every r^i and of
+        # (a_i - 1)*r^i when a_i > 2, and the rank and the chain threshold
+        # do not shorten or alter the list zone_points returned
         calls = []
         real = deformations.zone_points
 
@@ -395,10 +399,12 @@ class TestRankRule:
                 calls.clear()
                 totals(cd)
                 h, bw = cd.hilbert, cd.bw
-                degrees = t1_degrees(h)
-                assert [z for z, _, _ in calls] == [
-                    ZoneSpec(degree_vector(h, d), -1) for d in degrees
-                ]
+                expected = []
+                for i, a in enumerate(h.coeffs, 2):
+                    expected.append(ZoneSpec(h.element(i), -1))
+                    if a > 2:
+                        expected.append(ZoneSpec((a - 1) * h.element(i), -1))
+                assert [z for z, _, _ in calls] == expected
                 for z, points, copy in calls:
                     u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
                     box = {
@@ -406,6 +412,64 @@ class TestRankRule:
                         if (v - u * bw) % n == 0
                     }
                     assert points == copy and len(points) == len(box) and set(points) == box
+
+
+def classes(n_max):
+    for n in range(4, n_max + 1):
+        for q in range(1, n - 1):
+            if gcd(n, q) == 1:
+                yield setup_class_data(n, q)
+
+
+class TestWFast:
+    def test_equals_the_oracle_up_to_60(self):
+        checked = 0
+        for cd in classes(60):
+            if cd.hilbert.e >= 4:
+                assert w_fast(cd) == w_dims_oracle(cd), cd.nq
+                checked += 1
+        assert checked > 1000
+
+    def test_equals_the_oracle_on_the_wide_family(self):
+        # nq:(2a-1)/(a-1) has continued fraction [2, a]: one long chain
+        for a in range(3, 121):
+            nq = NQForm(2 * a - 1, a - 1)
+            for cd in (class_data(nq_to_cone(nq)), class_data(nq_to_cone(q_inverse(nq)))):
+                assert max(cd.hilbert.coeffs) == a
+                assert w_fast(cd) == w_dims_oracle(cd), cd.nq
+
+    def test_mixed_chain(self):
+        # nq:13/4 has coefficients (2, 2, 5): W is 1, 1, 0 along 2*r^4,
+        # 3*r^4, 4*r^4, so the threshold lies strictly inside the chain
+        cd = setup_class_data(13, 4)
+        assert cd.hilbert.coeffs == (2, 2, 5)
+        top = 4 * cd.hilbert.element(4)
+        offsets = zone_offsets(top, -1, cd)
+        assert w_chain_threshold(cd, 4, offsets) == 4
+        w = w_fast(cd)
+        assert [w[DegreeId(4, k)] for k in (2, 3, 4)] == [1, 1, 0]
+        assert w == w_dims_oracle(cd)
+
+    def test_threshold_reads_points_or_offsets(self):
+        # the zone points with base iota(-R) and zone_offsets(R, -1) with
+        # base (0, 0) are the two readings, and they agree
+        seen = set()
+        for cd in classes(40):
+            h = cd.hilbert
+            for i, a in enumerate(h.coeffs, 2):
+                if a <= 2:
+                    continue
+                top = (a - 1) * h.element(i)
+                base = -pairing(cd.alpha, top), -pairing(cd.beta, top)
+                threshold = w_chain_threshold(cd, i, zone_points(ZoneSpec(top, -1), cd), base)
+                assert w_chain_threshold(cd, i, zone_offsets(top, -1, cd)) == threshold
+                assert 2 <= threshold <= a
+                seen.add((threshold == 2, threshold == a))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_rejects_degenerate(self):
+        with pytest.raises(DegenerateSingularityError):
+            w_fast(setup_class_data(5, 4))
 
 
 class TestPhi:
@@ -531,7 +595,7 @@ class TestNonstandardCones:
                     continue
                 cd = class_data(transform(cone, g))
                 assert cd.nq == std.nq and (cd.alpha, cd.beta) != (std.alpha, std.beta)
-                assert w_dims_oracle(cd) == w_dims_oracle(std)
+                assert w_fast(cd) == w_dims_oracle(cd) == w_dims_oracle(std)
                 assert vw_dims_oracle(cd) == vw_dims_oracle(std)
                 for d in t1_degrees(std.hilbert):
                     R, R_std = degree_vector(cd.hilbert, d), degree_vector(std.hilbert, d)

@@ -120,6 +120,20 @@ class TestScanAndVerify:
         assert serial[0] == 1 and "MISMATCH" in serial[1]
         assert sweep(capsys, monkeypatch, 2, "verify", "10") == serial
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_moved_chain_threshold_is_a_mismatch(self, capsys, monkeypatch, shift, count):
+        # w_fast's threshold off by one must fail the per-degree comparison
+        # with the W rank, in the parent and in a forked worker alike
+        real = deformations.w_chain_threshold
+        monkeypatch.setattr(
+            deformations, "w_chain_threshold", lambda *args: real(*args) + shift
+        )
+        code, out, _ = sweep(capsys, monkeypatch, count, "verify", "12")
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("MISMATCH ")]
+        assert lines and all(line.endswith(" property=w_fast_vs_oracle") for line in lines)
+
     def test_closed_pipe_ends_every_worker(self):
         # `cqs scan 400 | head -1` with two workers, in a session of its own
         code = (

@@ -27,9 +27,11 @@ def test_traced_scan_keeps_stdout_and_counts_zones():
     assert len(lines) == 1, proc.stderr.decode()
     trace = json.loads(lines[0][len(MARKER):])
     assert trace["calls"]["cone_geometry.zone_points"] > 0
-    assert trace["calls"]["deformations.w_dims_oracle"] > 0
+    assert trace["calls"]["deformations.w_fast"] > 0
     assert trace["counts"]["zone_points.fibers"] > 0
-    assert trace["counts"]["w_dims_oracle.zone_points"] > 0
+    # totals reads W from w_fast, so the oracle's zone counter stays empty
+    assert "deformations.w_dims_oracle" not in trace["calls"]
+    assert trace["counts"].get("w_dims_oracle.zone_points", 0) == 0
 
 
 def test_traced_scan_with_two_workers_prints_one_trace():
