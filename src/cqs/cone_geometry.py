@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
 from .representations import (
@@ -69,6 +70,13 @@ def oracle_bound() -> int:
     return bound
 
 
+class DegreeId(NamedTuple):
+    """T1-carrying degree R = k * r^i (the T1 piece sits in degree -R)."""
+
+    i: int
+    k: int
+
+
 @dataclass(frozen=True)
 class HilbertData:
     """Ordered Hilbert basis of the dual cone plus its central data.
@@ -77,7 +85,8 @@ class HilbertData:
     are [a_2, ..., a_{e-1}], and ``grounded`` records whether the central
     degree Rbar (``ClassData.rbar``, the primitive generator of the ray
     through r^1 + r^e) is itself a basis element; then ``central_index``
-    is its 1-based position.
+    is its 1-based position.  ``degrees``, the degree table, is built on
+    first read and kept.
     """
 
     basis: tuple[MPoint, ...]
@@ -85,6 +94,11 @@ class HilbertData:
     e: int
     central_index: int | None
     grounded: bool
+
+    @cached_property
+    def degrees(self) -> tuple[DegreeId, ...]:
+        """The degrees (i, k), 2 <= i <= e-1 and 1 <= k <= a_i - 1, ordered by (i, k)."""
+        return tuple(DegreeId(i, k) for i, a in enumerate(self.coeffs, 2) for k in range(1, a))
 
     def coefficient(self, i: int) -> int:
         """a_i for 2 <= i <= e-1."""
@@ -128,10 +142,10 @@ class ClassData:
 
     The frame fields are all fields before ``ab``.  ``hilbert`` is built
     by :func:`hilbert_basis` from them on first read and kept on the
-    record, so a caller that never reads it never pays for it; ``ab``
-    holds the endpoint data of the interval when it is grounded and is
-    None otherwise.  The oracles read only the frame fields and basis
-    elements, never a closed-form result.
+    record, so a caller that never reads it never pays for it, and so
+    is ``iota_basis``; ``ab`` holds the endpoint data of the interval
+    when it is grounded and is None otherwise.  The oracles read only
+    the frame fields and basis elements, never a closed-form result.
     """
 
     nq: NQForm
@@ -156,6 +170,12 @@ class ClassData:
     def hilbert(self) -> HilbertData:
         return hilbert_basis(self)
 
+    @cached_property
+    def iota_basis(self) -> tuple[tuple[int, int], ...]:
+        """iota(r^i) = (u_i, v_i) of each basis element, r^i at index i-1."""
+        (ax, ay), (bx, by) = (self.alpha.x, self.alpha.y), (self.beta.x, self.beta.y)
+        return tuple((ax * r.u + ay * r.v, bx * r.u + by * r.v) for r in self.hilbert.basis)
+
 
 def class_data(c: ConeForm) -> ClassData:
     """The class of the cone c, with every derived field in c's coordinates.
@@ -168,7 +188,7 @@ def class_data(c: ConeForm) -> ClassData:
     abc = interval_to_abc(iv)
     r1, re = dual_generators(c)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
-    bw = pairing(c.beta, MPoint(s, t)) % c.order
+    bw = (c.beta.x * s + c.beta.y * t) % c.order  # <beta, [s, t]>, and <alpha, [s, t]> = 1
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
         r1, re, primitive(r1 + re), iv.m, det2(c.alpha, c.beta), bw,
@@ -209,10 +229,12 @@ def hilbert_basis(cd: ClassData) -> HilbertData:
     runs it on the first read of ``cd.hilbert``, so callers read that.
     """
     n, q = cd.nq.n, cd.nq.q
-    coeffs = continued_fraction(n, n - q).coefficients
+    coeffs = tuple(hj_coefficients(n, n - q))
     basis = [cd.r1, _preimage(cd, 1, n - q)]
+    (x0, y0), (x, y) = (cd.r1.u, cd.r1.v), (basis[1].u, basis[1].v)
     for a in coeffs:
-        basis.append(a * basis[-1] - basis[-2])
+        x0, y0, x, y = x, y, a * x - x0, a * y - y0
+        basis.append(MPoint(x, y))
     if basis[-1] != cd.re:
         raise AssertionError(f"recursion did not terminate at r^e for <{cd.alpha}, {cd.beta}>")
     return _finish(cd, tuple(basis), coeffs)
@@ -255,9 +277,9 @@ def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData
 
 
 def _finish(cd: ClassData, basis: tuple[MPoint, ...], coeffs) -> HilbertData:
-    grounded = cd.rbar in basis
-    index = basis.index(cd.rbar) + 1 if grounded else None
-    return HilbertData(basis, tuple(coeffs), len(basis), index, grounded)
+    u, v = cd.rbar.u, cd.rbar.v
+    index = next((j for j, r in enumerate(basis, 1) if r.u == u and r.v == v), None)
+    return HilbertData(basis, tuple(coeffs), len(basis), index, index is not None)
 
 
 def eta(cd: ClassData, i: int) -> Fraction:
@@ -305,10 +327,11 @@ def ab_floor_data(i: IntervalUD) -> ABFloorData:
     """
     if not is_grounded(i):
         raise InvalidSingularityError(f"interval [{i.g}/{i.m}, {i.h}/{i.m}] is not grounded")
-    a = Fraction(-i.g, i.m)
-    b = Fraction(i.h, i.m)
-    fa, fb = a.numerator // a.denominator, b.numerator // b.denominator
-    return ABFloorData(a, b, fa, fb, a - fa, b - fb, 2 + fa + fb)
+    (fa, ra), (fb, rb) = divmod(-i.g, i.m), divmod(i.h, i.m)
+    return ABFloorData(
+        Fraction(-i.g, i.m), Fraction(i.h, i.m), fa, fb, Fraction(ra, i.m), Fraction(rb, i.m),
+        2 + fa + fb,
+    )
 
 
 def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:

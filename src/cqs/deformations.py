@@ -31,6 +31,13 @@ zone oracles by :mod:`cqs.verify`, and ``w_fast`` against
 the caller enumerated with ``zone_offsets(R, kappa, cd)``, so one
 enumeration serves every direction in the degree.  ``assemble_report``
 builds and checks a report from columns its caller already holds.
+
+Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
+``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
+class, ``t1_degrees(h)`` = ``h.degrees``: it starts as
+``dict.fromkeys(table, default)`` and only its few other entries are
+then set.  The per-degree record ``DegreeReport`` is a NamedTuple, like
+``DegreeId``.
 """
 
 from __future__ import annotations
@@ -38,10 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import eq, le
 from typing import NamedTuple
 
 from .cone_geometry import (
     ClassData,
+    DegreeId,
     HilbertData,
     LatticeTag,
     OracleBoundError,
@@ -56,15 +66,7 @@ class InternalConsistencyError(RuntimeError):
     """A structural theorem failed on computed data; indicates a bug."""
 
 
-class DegreeId(NamedTuple):
-    """T1-carrying degree R = k * r^i (the T1 piece sits in degree -R)."""
-
-    i: int
-    k: int
-
-
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: DegreeId
     dim_t1: int
     dim_v: int
@@ -125,22 +127,35 @@ class CayleyFamily:
 
 
 def t1_degrees(h: HilbertData) -> tuple[DegreeId, ...]:
-    """All T1-carrying degrees, ordered by (i, k)."""
+    """All T1-carrying degrees, ordered by (i, k): the table ``h.degrees``."""
     if h.e <= 3:
         raise DegenerateSingularityError(
             f"embedding dimension {h.e} <= 3: smooth points and A_(n-1) "
             "singularities (q = n-1) carry no graded deformation theory here"
         )
-    return tuple(DegreeId(i, k) for i, a in enumerate(h.coeffs, 2) for k in range(1, a))
+    return h.degrees
 
 
 def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
     return d.k * h.element(d.i)
 
 
+def t1_dims(h: HilbertData) -> dict[DegreeId, int]:
+    """Per-degree dimensions of T1: 2 at r^i, 3 <= i <= e-2, and 1 elsewhere.
+
+    Like every column, a dict filled from the degree table and then set
+    at its nonzero (here: non-default) entries.  Those are set by plain
+    pairs (i, k), which equal and hash as DegreeId(i, k), so the keys
+    stay the table's DegreeIds.
+    """
+    out = dict.fromkeys(t1_degrees(h), 1)
+    out.update(((i, 1), 2) for i in range(3, h.e - 1))
+    return out
+
+
 def t1_graded(h: HilbertData) -> list[tuple[DegreeId, int]]:
-    """Per-degree dimensions of T1."""
-    return [(d, 2 if d.k == 1 and 3 <= d.i <= h.e - 2 else 1) for d in t1_degrees(h)]
+    """Per-degree dimensions of T1, as (degree, dim) pairs in table order."""
+    return list(t1_dims(h).items())
 
 
 def _basis_completion(v: NPoint) -> NPoint:
@@ -179,18 +194,18 @@ def v_dims(cd: ClassData) -> dict[DegreeId, int]:
     line (the kernel of <., Rbar - m*r^i>); a multiple k*r^i with k >= 2
     contributes iff the cone is grounded and r^i is the central degree.
     """
-    h = cd.hilbert
-    out = {}
-    for d in t1_degrees(h):
-        if d.k == 1:
-            # the counting needs Rbar - m*R != 0, which holds at every
-            # lattice degree (only the rational Rbar/m is annihilated)
-            r = h.element(d.i)
-            if cd.rbar.u == cd.m * r.u and cd.rbar.v == cd.m * r.v:
-                raise InternalConsistencyError(f"vanishing functional at r^{d.i}")
-            out[d] = 0 if d.i in (2, h.e - 1) else 1
-        else:
-            out[d] = 1 if h.grounded and d.i == h.central_index else 0
+    h, rbar, m = cd.hilbert, cd.rbar, cd.m
+    out = dict.fromkeys(t1_degrees(h), 0)
+    for i in range(2, h.e):
+        # the counting needs Rbar - m*R != 0, which holds at every
+        # lattice degree (only the rational Rbar/m is annihilated)
+        r = h.basis[i - 1]
+        if rbar.u == m * r.u and rbar.v == m * r.v:
+            raise InternalConsistencyError(f"vanishing functional at r^{i}")
+    out.update(((i, 1), 1) for i in range(3, h.e - 1))
+    if h.grounded:
+        ell = h.central_index
+        out.update(((ell, k), 1) for k in range(2, h.coefficient(ell)))
     return out
 
 
@@ -202,13 +217,15 @@ def qg_dims(cd: ClassData) -> dict[DegreeId, int]:
     |I|), where l is the central index.
     """
     h = cd.hilbert
-    out = {d: 0 for d in t1_degrees(h)}
+    out = dict.fromkeys(t1_degrees(h), 0)
     if not h.grounded:
         return out
     ab, ell = cd.ab, h.central_index
     if ab is None or ab.a_central != h.coefficient(ell):
         raise InternalConsistencyError("a_l from the interval disagrees with the recursion")
-    out.update((DegreeId(ell, k), 1) for k in range(1, ab.a_central) if k <= cd.interval.length)
+    iv = cd.interval
+    top = min(ab.a_central - 1, (iv.h - iv.g) // iv.m)  # k <= |I| iff k <= floor(|I|)
+    out.update(((ell, k), 1) for k in range(1, top + 1))
     return out
 
 
@@ -220,12 +237,13 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     c = -1/g and c' = 1/h in (Z/mZ)*.
     """
     h = cd.hilbert
-    out = {d: 0 for d in t1_degrees(h)}
+    out = dict.fromkeys(t1_degrees(h), 0)
     if not h.grounded:
         return out
-    ell = h.central_index
-    bound = min(cd.abc.c, cd.c_prime) * cd.interval.length
-    out.update((DegreeId(ell, k), 1) for k in range(1, cd.ab.a_central) if k <= bound)
+    ell, iv = h.central_index, cd.interval
+    # k <= min(c, c') * |I| iff k <= its floor
+    bound = min(cd.abc.c, cd.c_prime) * (iv.h - iv.g) // iv.m
+    out.update(((ell, k), 1) for k in range(1, min(cd.ab.a_central - 1, bound) + 1))
     return out
 
 
@@ -334,6 +352,15 @@ def _constrained_dim(
         side = 0 if d.i == 2 else 1
         if any(p[side] != base[side] for p in offsets):
             raise InternalConsistencyError("zone constraint does not descend to the quotient")
+        if with_phi:
+            A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
+            if A * x0 + B * y0 != 0:
+                return 0
+        # a completes alpha resp. beta to a basis, so det(alpha, a) = 1
+        # resp. det(beta, a) = 1: with du = 0 resp. dv = 0 left, A*du + B*dv
+        # is dv resp. -du, and the other coordinate decides
+        other = 1 - side
+        return 0 if any(p[other] != base[other] for p in offsets) else 1
     A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
     # det * <a, Rbar - m*R> = A*x0 + B*y0, and det != 0
     if A * x0 + B * y0 != 0:
@@ -378,21 +405,24 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
         <a, k*r^i> = 0, so iso[-1], <a, -k*r^i - r> = 0, is <a, r> = 0;
       - Z_{k*r^i,-1} is -1 <= u < -1 + k*u_i, -1 <= v < -1 + k*v_i, and
         these boxes grow with k, so each lies in the top one.
-    No closed form is read.
+    No closed form is read; the zone bases iota(-R) come from
+    ``cd.iota_basis``.
     """
-    h, alpha, beta = cd.hilbert, cd.alpha, cd.beta
-    out = {}
-    for d in t1_degrees(h):
-        if d.k == 1:
-            r = h.element(d.i)
-            base = -pairing(alpha, r), -pairing(beta, r)
-            out[d] = _constrained_dim(cd, d, zone_points(ZoneSpec(r, -1), cd), False, base)
-            continue
-        if d.k == 2:
-            top = (h.coefficient(d.i) - 1) * h.element(d.i)
-            base = -pairing(alpha, top), -pairing(beta, top)
-            threshold = w_chain_threshold(cd, d.i, zone_points(ZoneSpec(top, -1), cd), base)
-        out[d] = int(d.k < threshold)
+    h = cd.hilbert
+    table = t1_degrees(h)
+    out = dict.fromkeys(table, 0)
+    j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
+    for i, a in enumerate(h.coeffs, 2):
+        r, (u, v) = h.basis[i - 1], cd.iota_basis[i - 1]
+        out[table[j]] = _constrained_dim(
+            cd, table[j], zone_points(ZoneSpec(r, -1), cd), False, (-u, -v)
+        )
+        if a > 2:
+            top = MPoint((a - 1) * r.u, (a - 1) * r.v)
+            base = (1 - a) * u, (1 - a) * v
+            threshold = w_chain_threshold(cd, i, zone_points(ZoneSpec(top, -1), cd), base)
+            out.update(dict.fromkeys(table[j + 1 : j + min(threshold, a) - 1], 1))
+        j += a - 1
     return out
 
 
@@ -413,15 +443,14 @@ def w_chain_threshold(
     chain degree lies below k = 2, so the read stops at the first k <= 2
     and returns 2.
     """
-    h = cd.hilbert
-    a_i, r = h.coefficient(i), h.element(i)
-    u_i, v_i = pairing(cd.alpha, r), pairing(cd.beta, r)
-    A, B = _iota_coeffs(t1_space(cd, DegreeId(i, 2))[0], cd)
+    a_i = cd.hilbert.coefficient(i)
+    u_i, v_i = cd.iota_basis[i - 1]
+    # a = (r^i)^perp = (-r.v, r.u) (t1_space), so (A, B) = (-v_i, u_i)
     bu, bv = base
     least = a_i
     for u, v in zone:
         s, t = abs(u - bu), abs(v - bv)
-        if A * s + B * t:
+        if u_i * t - v_i * s:
             k = max((s + 1) // u_i, (t + 1) // v_i) + 2 - a_i
             if k <= 2:
                 return 2
@@ -451,10 +480,11 @@ def classify(cd: ClassData) -> ClassificationFlags:
     => grounded hold by construction and are re-checked here.
     """
     grounded = cd.ab is not None
-    length = cd.interval.length
-    t0 = length == 1
-    t_sing = length >= 1 and length.denominator == 1
-    qg_exists = grounded and length >= 1
+    iv = cd.interval
+    width = iv.h - iv.g  # |I| = width / m
+    t0 = width == iv.m
+    t_sing = width >= iv.m and width % iv.m == 0
+    qg_exists = grounded and width >= iv.m
     if (t0 and not t_sing) or (t_sing and not qg_exists) or (qg_exists and not grounded):
         raise InternalConsistencyError(f"classification chain broken for {cd.nq}")
     return ClassificationFlags(grounded, t_sing, t0, qg_exists)
@@ -474,31 +504,49 @@ def assemble_report(
 ) -> T1Report:
     """The report of a class from its V, qG, VW and W columns.
 
-    Before returning, the report is checked against the independent
-    total formulas (V = e-4 [+ floor(A)+floor(B)], qG = floor(A+B), VW
-    by the fractional-part cases), the V-VW gap dichotomy, and the
-    qG/VW comparison statements; a failure raises
+    Every column must be keyed by exactly the degree table of the class,
+    ``t1_degrees(cd.hilbert)``; the totals are the sums of the columns.
+    Before returning, the columns are checked against the inclusion chain
+    qG <= VW <= V <= T1, VW <= W in every degree, and the totals against
+    the independent total formulas (V = e-4 [+ floor(A)+floor(B)], qG =
+    floor(A+B), VW by the fractional-part cases), the V-VW gap
+    dichotomy, and the qG/VW comparison statements; a failure raises
     InternalConsistencyError and indicates a bug, not bad input.
     """
     h = cd.hilbert
-    t1 = dict(t1_graded(h))
+    t1 = t1_dims(h)
+    columns = {"T1": t1, "V": v, "W": w, "VW": vw, "qG": qg}
+    for name, col in columns.items():
+        if col.keys() != t1.keys():
+            raise InternalConsistencyError(
+                f"the {name} column of {cd.nq} is not keyed by its T1 degrees"
+            )
+    table = h.degrees
+    # each column as a list in table order, whatever order the caller's dict has
+    aligned = [list(map(col.__getitem__, table)) for col in columns.values()]
     last = DegreeId(h.central_index, h.coefficient(h.central_index) - 1) if h.grounded else None
-    per_degree = tuple(DegreeReport(d, t1[d], v[d], w[d], vw[d], qg[d], d == last) for d in t1)
-    tot = Totals(*(sum(col[d] for d in t1) for col in (t1, v, w, vw, qg)))
-    report = T1Report(cd.nq, per_degree, tot, classify(cd), h.e)
-    _check_theorems(report, cd)
+    per_degree = tuple(map(DegreeReport._make, zip(table, *aligned, map(eq, table, repeat(last)))))
+    report = T1Report(cd.nq, per_degree, Totals(*map(sum, aligned)), classify(cd), h.e)
+    _check_theorems(report, cd, aligned)
     return report
 
 
-def _check_theorems(report: T1Report, cd: ClassData) -> None:
+def _check_theorems(report: T1Report, cd: ClassData, aligned: list[list[int]]) -> None:
+    """The theorem checks of ``assemble_report``; ``aligned`` holds the T1,
+    V, W, VW and qG columns as lists in table order."""
     t, e = report.totals, report.embdim
-    for r in report.per_degree:
-        if not (r.dim_qg <= r.dim_vw <= r.dim_v <= r.dim_t1 and r.dim_vw <= r.dim_w):
-            raise InternalConsistencyError(f"inclusion chain broken at {r.degree} for {report.nq}")
+    t1, v, w, vw, qg = aligned
+    if not (all(map(le, qg, vw)) and all(map(le, vw, v)) and all(map(le, v, t1))
+            and all(map(le, vw, w))):
+        at = next(
+            r.degree for r in report.per_degree
+            if not (r.dim_qg <= r.dim_vw <= r.dim_v <= r.dim_t1 and r.dim_vw <= r.dim_w)
+        )
+        raise InternalConsistencyError(f"inclusion chain broken at {at} for {report.nq}")
     ab = cd.ab
     if ab is not None:
         expect_v = e - 4 + ab.floor_a + ab.floor_b
-        expect_qg = math.floor(ab.A + ab.B)
+        expect_qg = (cd.interval.h - cd.interval.g) // cd.m  # floor(A + B) = floor(|I|)
         one_over_m = Fraction(1, cd.m)
         if ab.frac_a == one_over_m or ab.frac_b == one_over_m:
             expect_vw = expect_qg

@@ -6,9 +6,14 @@ import pytest
 from cqs import deformations
 from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
 from cqs.deformations import (
+    ClassificationFlags,
     DegreeId,
+    DegreeReport,
+    InternalConsistencyError,
+    Totals,
     _constrained_dim,
     _iota_coeffs,
+    assemble_report,
     cayley_family,
     classify,
     degree_vector,
@@ -200,6 +205,144 @@ class TestTotals:
         rep = totals(setup_class_data(30, 17))
         assert rep.totals.dim_t1 == sum(r.dim_t1 for r in rep.per_degree)
         assert rep.totals.dim_qg == sum(r.dim_qg for r in rep.per_degree)
+
+
+def reference_report(cd):
+    """per_degree, totals, flags and embdim of ``totals(cd)``, built one
+    degree at a time: each column by its own loop over the degrees, one
+    record per degree, every total a sum over the T1 degrees, and the
+    flags from the interval length as a Fraction."""
+    h = cd.hilbert
+    degrees = [DegreeId(i, k) for i, a in enumerate(h.coeffs, 2) for k in range(1, a)]
+    ell = h.central_index
+    t1 = {d: 2 if d.k == 1 and 3 <= d.i <= h.e - 2 else 1 for d in degrees}
+    v = {d: int(d.i not in (2, h.e - 1)) if d.k == 1 else int(h.grounded and d.i == ell)
+         for d in degrees}
+    length = cd.interval.length
+    qg, vw = dict.fromkeys(degrees, 0), dict.fromkeys(degrees, 0)
+    if h.grounded:
+        vw_bound = min(cd.abc.c, cd.c_prime) * length
+        for k in range(1, h.coefficient(ell)):
+            qg[DegreeId(ell, k)] = int(k <= length)
+            vw[DegreeId(ell, k)] = int(k <= vw_bound)
+    w = w_dims_oracle(cd)
+    last = DegreeId(ell, h.coefficient(ell) - 1) if h.grounded else None
+    per_degree = tuple(
+        DegreeReport(d, t1[d], v[d], w[d], vw[d], qg[d], d == last) for d in t1
+    )
+    tot = Totals(*(sum(col[d] for d in t1) for col in (t1, v, w, vw, qg)))
+    grounded = cd.ab is not None
+    flags = ClassificationFlags(
+        grounded, length >= 1 and length.denominator == 1, length == 1,
+        grounded and length >= 1,
+    )
+    return per_degree, tot, flags, h.e
+
+
+def assembly_classes():
+    for cd in classes(40):
+        if cd.hilbert.e >= 4:
+            yield cd
+    for a in range(2, 61):
+        nq = NQForm(2 * a - 1, a - 1)
+        yield class_data(nq_to_cone(nq))
+        yield class_data(nq_to_cone(q_inverse(nq)))
+    for g in UNIMODULAR:
+        for n in range(4, 26):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    yield class_data(transform(nq_to_cone(NQForm(n, q)), g))
+
+
+class TestAssembly:
+    def test_equals_the_degree_by_degree_reference(self):
+        checked = 0
+        for cd in assembly_classes():
+            rep = totals(cd)
+            assert (rep.per_degree, rep.totals, rep.flags, rep.embdim) == reference_report(cd), cd.nq
+            checked += 1
+        assert checked > 1000
+
+    def test_one_degree_table_per_class(self):
+        cd = setup_class_data(20, 11)
+        h = cd.hilbert
+        assert t1_degrees(h) is t1_degrees(h) is h.degrees
+        assert list(t1_degrees(h)) == [d for d, _ in t1_graded(h)]
+        assert cd.iota_basis == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in h.basis)
+
+    def test_records_keep_their_fields(self):
+        rep = totals(setup_class_data(20, 11))
+        r = rep.per_degree[0]
+        assert r == DegreeReport(DegreeId(2, 1), 1, 0, r.dim_w, 0, 0, False)
+        assert repr(r).startswith("DegreeReport(degree=DegreeId(i=2, k=1), dim_t1=1, dim_v=0,")
+        assert DegreeReport._fields == (
+            "degree", "dim_t1", "dim_v", "dim_w", "dim_vw", "dim_qg", "last_deformation",
+        )
+
+
+def true_columns(n, q):
+    cd = setup_class_data(n, q)
+    return cd, {"v": v_dims(cd), "qg": qg_dims(cd), "vw": vw_dims(cd), "w": w_fast(cd)}
+
+
+def assemble(cd, cols):
+    return assemble_report(cd, cols["v"], cols["qg"], cols["vw"], cols["w"])
+
+
+class TestAssemblyRefusesBrokenColumns:
+    # nq:20/11 (grounded, qG = 0, VW = 1 at the last deformation (4,1)) and
+    # nq:4/1 (grounded T0, qG = VW = 1 at (3,1)); ``match`` names the check
+    # that refuses each corrupted column first
+    @pytest.mark.parametrize("n, q", [(20, 11), (4, 1)])
+    def test_true_columns_pass(self, n, q):
+        cd, cols = true_columns(n, q)
+        assert assemble(cd, cols) == totals(cd)
+
+    @pytest.mark.parametrize("n, q, column, degree, value, match", [
+        # W below VW at the last deformation degree
+        (20, 11, "w", DegreeId(4, 1), 0, "inclusion chain broken at"),
+        (4, 1, "w", DegreeId(3, 1), 0, "inclusion chain broken at"),
+        # V total: one more V line, the inclusion chain still holds
+        (20, 11, "v", DegreeId(2, 1), 1, "interval formulas"),
+        # qG total: the qG line of a T0 singularity dropped
+        (4, 1, "qg", DegreeId(3, 1), 0, "interval formulas"),
+        # VW total, in the general case (20/11) and in the case of a
+        # fractional part 1/m (15/8, m = 5), where VW must equal qG
+        (20, 11, "vw", DegreeId(4, 1), 0, "interval formulas"),
+        (15, 8, "vw", DegreeId(3, 1), 1, "interval formulas"),
+    ])
+    def test_corrupted_entry(self, n, q, column, degree, value, match):
+        cd, cols = true_columns(n, q)
+        assert cols[column][degree] != value
+        cols[column][degree] = value
+        with pytest.raises(InternalConsistencyError, match=match):
+            assemble(cd, cols)
+
+    def test_gap(self):
+        # two more V lines move V - VW from e-5 to e-3; the V total check,
+        # which runs first, already refuses it
+        cd, cols = true_columns(20, 11)
+        assert assemble(cd, cols).gap == cd.hilbert.e - 5
+        cols["v"][DegreeId(2, 1)] = cols["v"][DegreeId(6, 1)] = 1
+        with pytest.raises(InternalConsistencyError):
+            assemble(cd, cols)
+
+    @pytest.mark.parametrize("n, q", [(20, 11), (4, 1)])
+    @pytest.mark.parametrize("column", ["v", "qg", "vw", "w"])
+    def test_missing_degree(self, n, q, column):
+        cd, cols = true_columns(n, q)
+        del cols[column][DegreeId(2, 1)]
+        with pytest.raises(InternalConsistencyError, match="not keyed by its T1 degrees"):
+            assemble(cd, cols)
+
+    @pytest.mark.parametrize("n, q", [(20, 11), (4, 1)])
+    @pytest.mark.parametrize("column", ["v", "qg", "vw", "w"])
+    def test_extra_degree(self, n, q, column):
+        # a zero entry leaves every sum as it is, so only the key check sees it
+        cd, cols = true_columns(n, q)
+        cols[column][DegreeId(2, 9)] = 0
+        with pytest.raises(InternalConsistencyError, match="not keyed by its T1 degrees"):
+            assemble(cd, cols)
 
 
 class TestIsoOracles:

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 MARKER = "PERFBENCH_TRACE "
 
@@ -55,3 +57,31 @@ def test_traced_scan_with_two_workers_prints_one_trace():
     trace = json.loads(lines[0][len(MARKER):])
     classes = len(proc.stdout.splitlines()) - 1
     assert 0 < trace["calls"]["deformations.totals"] < classes
+
+
+@pytest.mark.parametrize("args, calls, fibers, points", [
+    (["scan", "25"], 766, 5_339, 1_493),
+    (["analyze", "nq:301/2", "--json"], 151, 11_625, 298),
+    (["analyze", "nq:301/151", "--json"], 151, 22_502, 298),
+])
+def test_zone_walk_is_pinned(args, calls, fibers, points):
+    # the zones totals requests, and the fibers and points zone_points walks
+    # for them, at one worker; analyze_long's time and memory follow these
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+        "import cqs.verify, tracer\n"
+        "cqs.verify.cpu_count = lambda: 1\n"
+        f"sys.exit(tracer.main({args!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = [line for line in proc.stderr.decode().splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr.decode()
+    trace = json.loads(lines[0][len(MARKER):])
+    assert trace["calls"]["cone_geometry.zone_points"] == calls
+    assert trace["counts"]["zone_points.fibers"] == fibers
+    assert trace["counts"]["zone_points.points"] == points
