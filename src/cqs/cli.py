@@ -14,12 +14,13 @@ MAX_CF_TERMS terms, or a Cayley family with d > MAX_CAYLEY_D
 A reader that closes the pipe early (``cqs scan 400 | head``) ends the
 run quietly with exit 0.  ``scan`` and ``verify`` run on every CPU the
 process may use (``verify.fan_out``) and print the same bytes at any count.
+Every call is a fresh interpreter that pays for each import, so only these
+two import ``verify``, and only a command that prints JSON imports ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -51,8 +52,6 @@ from .representations import (
     nq_to_cone,
     to_nq,
 )
-from .verify import fan_out, nq_range, run_checks
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
@@ -273,6 +272,8 @@ def _bool(b: bool) -> str:
 
 
 def _print_json(doc: dict) -> None:
+    import json  # only the commands that print JSON load it
+
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -408,6 +409,8 @@ def _print_human(doc: dict) -> None:
 def cmd_scan(args) -> int:
     if args.n_max < 2:
         raise ParseError(f"scan bound must be >= 2, got {args.n_max}")
+    from .verify import fan_out, nq_range  # only scan and verify load verify
+
     print(SCAN_HEADER)
     classes = nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q)
     for row in fan_out(_scan_row, classes):
@@ -435,6 +438,8 @@ def cmd_verify(args) -> int:
             f"verify bound {args.n_max} exceeds the oracle guard {oracle_bound()} "
             f"(raise CQS_ORACLE_BOUND to override)"
         )
+    from .verify import run_checks
+
     results = run_checks(args.n_max)
     total = 0
     failed = 0

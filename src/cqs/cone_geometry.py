@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -77,8 +76,41 @@ class DegreeId(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class _Record:
+    """Base of the hand-written records HilbertData and ClassData.
+
+    ``__init__`` stores the fields named in ``_FIELDS`` once, straight
+    into the instance dict; after that every assignment raises.  Two
+    records of one class are equal when their fields are, and hash and
+    print by them too.  A ``cached_property`` still works, because it
+    writes to the instance dict, not through ``__setattr__``.
+    """
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
+        return f"{type(self).__name__}({pairs})"
+
+
+class HilbertData(_Record):
     """Ordered Hilbert basis of the dual cone plus its central data.
 
     ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e), coeffs
@@ -89,11 +121,15 @@ class HilbertData:
     first read and kept.
     """
 
-    basis: tuple[MPoint, ...]
-    coeffs: tuple[int, ...]
-    e: int
-    central_index: int | None
-    grounded: bool
+    _FIELDS = ("basis", "coeffs", "e", "central_index", "grounded")
+
+    def __init__(
+        self, basis: tuple[MPoint, ...], coeffs: tuple[int, ...], e: int,
+        central_index: int | None, grounded: bool,
+    ) -> None:
+        self.__dict__.update(
+            basis=basis, coeffs=coeffs, e=e, central_index=central_index, grounded=grounded
+        )
 
     @cached_property
     def degrees(self) -> tuple[DegreeId, ...]:
@@ -121,15 +157,13 @@ class LatticeTag(enum.Enum):
     M_SHIFTED = "M_shifted"  # M + (1/m) Rbar
 
 
-@dataclass(frozen=True)
-class ZoneSpec:
+class ZoneSpec(NamedTuple):
     R: MPoint
     kappa: int
     lattice: LatticeTag = LatticeTag.M
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(_Record):
     """One class S(n,q) in the coordinates of one cone, derived once.
 
     The descriptions nq, abc and interval sit next to the pairing
@@ -140,31 +174,28 @@ class ClassData:
     <alpha, r> = 1.  ``c_prime`` is the abc invariant c' of the mirror
     class.
 
-    The frame fields are all fields before ``ab``.  ``hilbert`` is built
-    by :func:`hilbert_basis` from them on first read and kept on the
-    record, so a caller that never reads it never pays for it, and so
+    The frame fields are the constructor's arguments.  ``hilbert`` is
+    built by :func:`hilbert_basis` from them on first read and kept on
+    the record, so a caller that never reads it never pays for it, and so
     is ``iota_basis``; ``ab`` holds the endpoint data of the interval
     when it is grounded and is None otherwise.  The oracles read only
     the frame fields and basis elements, never a closed-form result.
     """
 
-    nq: NQForm
-    alpha: NPoint
-    beta: NPoint
-    interval: IntervalUD
-    abc: ABCForm
-    c_prime: int
-    r1: MPoint
-    re: MPoint
-    rbar: MPoint
-    m: int
-    det: int
-    bw: int
-    ab: ABFloorData | None = field(init=False)
+    _FIELDS = (
+        "nq", "alpha", "beta", "interval", "abc", "c_prime", "r1", "re", "rbar", "m", "det",
+        "bw", "ab",
+    )
 
-    def __post_init__(self) -> None:
-        grounded = is_grounded(self.interval)
-        object.__setattr__(self, "ab", ab_floor_data(self.interval) if grounded else None)
+    def __init__(
+        self, nq: NQForm, alpha: NPoint, beta: NPoint, interval: IntervalUD, abc: ABCForm,
+        c_prime: int, r1: MPoint, re: MPoint, rbar: MPoint, m: int, det: int, bw: int,
+    ) -> None:
+        ab = ab_floor_data(interval) if is_grounded(interval) else None
+        self.__dict__.update(
+            nq=nq, alpha=alpha, beta=beta, interval=interval, abc=abc, c_prime=c_prime,
+            r1=r1, re=re, rbar=rbar, m=m, det=det, bw=bw, ab=ab,
+        )
 
     @cached_property
     def hilbert(self) -> HilbertData:
@@ -304,8 +335,7 @@ def is_grounded(i: IntervalUD) -> bool:
     return i.g < z * i.m < i.h
 
 
-@dataclass(frozen=True)
-class ABFloorData:
+class ABFloorData(NamedTuple):
     """Endpoint data A = -g/m, B = h/m of a grounded interval [-A, B]."""
 
     A: Fraction
@@ -346,22 +376,23 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     so the cost is proportional to the number of fibers, not the zone
     area.
     """
-    u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
+    R, kappa, lattice = z.R, z.kappa, z.lattice  # read once, not per fiber
+    u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
     if u_r <= 0 or v_r <= 0:
-        raise InvalidSingularityError(f"degree {z.R} is not interior to the dual cone")
+        raise InvalidSingularityError(f"degree {R} is not interior to the dual cone")
     n, bw = cd.nq.n, cd.bw
-    if z.lattice is LatticeTag.M:
+    if lattice is LatticeTag.M:
         shifts = (0,)
-    elif z.lattice is LatticeTag.M_SHIFTED:
+    elif lattice is LatticeTag.M_SHIFTED:
         shifts = (1,)
     else:
         shifts = tuple(range(cd.m))
-    found = []
-    for u in range(z.kappa, z.kappa + u_r):
+    found, v_end = [], kappa + v_r
+    for u in range(kappa, kappa + u_r):
         residues = {(t + (u - t) * bw) % n for t in shifts}
         for r0 in residues:
-            v = z.kappa + (r0 - z.kappa) % n
-            while v < z.kappa + v_r:
+            v = kappa + (r0 - kappa) % n
+            while v < v_end:
                 found.append((u, v))
                 v += n
     return found

@@ -36,14 +36,13 @@ Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
 class, ``t1_degrees(h)`` = ``h.degrees``: it starts as
 ``dict.fromkeys(table, default)`` and only its few other entries are
-then set.  The per-degree record ``DegreeReport`` is a NamedTuple, like
+then set.  The records of this module are NamedTuples, like
 ``DegreeId``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, le
@@ -76,8 +75,7 @@ class DegreeReport(NamedTuple):
     last_deformation: bool
 
 
-@dataclass(frozen=True)
-class Totals:
+class Totals(NamedTuple):
     dim_t1: int
     dim_v: int
     dim_w: int
@@ -85,16 +83,14 @@ class Totals:
     dim_qg: int
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
+class ClassificationFlags(NamedTuple):
     grounded: bool
     t_singularity: bool
     t0_singularity: bool
     qg_exists: bool
 
 
-@dataclass(frozen=True)
-class T1Report:
+class T1Report(NamedTuple):
     nq: NQForm
     per_degree: tuple[DegreeReport, ...]
     totals: Totals
@@ -107,8 +103,7 @@ class T1Report:
         return self.totals.dim_v - self.totals.dim_vw
 
 
-@dataclass(frozen=True)
-class CayleyFamily:
+class CayleyFamily(NamedTuple):
     """Cone over the Cayley construction for the unobstructed qG-family.
 
     The interval decomposes as I = I' + d*[0,1] with d = floor(A+B) and

@@ -11,13 +11,17 @@ in N.  Zones are enumerated in integer coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MPoint:
-    """Lattice point [u,v] of M."""
+class MPoint(NamedTuple):
+    """Lattice point [u,v] of M.
+
+    A NamedTuple, so ``+``, ``-`` and ``*`` are redefined: vector sum and
+    difference, and ``k * p`` scales; ``p * k`` raises TypeError rather
+    than repeat the tuple.
+    """
 
     u: int
     v: int
@@ -31,6 +35,9 @@ class MPoint:
     def __neg__(self) -> "MPoint":
         return MPoint(-self.u, -self.v)
 
+    def __mul__(self, k):
+        raise TypeError("an MPoint is scaled as k * p, not p * k")
+
     def __rmul__(self, k: int) -> "MPoint":
         return MPoint(k * self.u, k * self.v)
 
@@ -41,9 +48,8 @@ class MPoint:
         return f"[{self.u},{self.v}]"
 
 
-@dataclass(frozen=True)
-class NPoint:
-    """Lattice point (x,y) of the dual lattice N."""
+class NPoint(NamedTuple):
+    """Lattice point (x,y) of the dual lattice N, with the operators of MPoint."""
 
     x: int
     y: int
@@ -56,6 +62,9 @@ class NPoint:
 
     def __neg__(self) -> "NPoint":
         return NPoint(-self.x, -self.y)
+
+    def __mul__(self, k):
+        raise TypeError("an NPoint is scaled as k * p, not p * k")
 
     def __rmul__(self, k: int) -> "NPoint":
         return NPoint(k * self.x, k * self.y)

@@ -19,7 +19,7 @@ representative with the smaller q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -43,56 +43,53 @@ class DegenerateSingularityError(ValueError):
     """Operation needs embedding dimension >= 4 (smooth and A_{n-1} excluded)."""
 
 
-@dataclass(frozen=True)
-class NQForm:
+class NQForm(namedtuple("NQForm", "n q")):
     """The normalized group action 1/n (1, q)."""
 
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidSingularityError(f"n must be >= 2, got n={self.n}")
-        if not 1 <= self.q <= self.n - 1:
+    def __new__(cls, n: int, q: int) -> NQForm:
+        if n < 2:
+            raise InvalidSingularityError(f"n must be >= 2, got n={n}")
+        if not 1 <= q <= n - 1:
             raise InvalidSingularityError(
-                f"q={self.q} outside [1, n-1] for n={self.n}"
-                + (" (q=0 would be a smooth point)" if self.q % self.n == 0 else "")
+                f"q={q} outside [1, n-1] for n={n}"
+                + (" (q=0 would be a smooth point)" if q % n == 0 else "")
             )
-        if gcd(self.n, self.q) != 1:
-            raise InvalidSingularityError(f"gcd(n, q) = gcd({self.n}, {self.q}) != 1")
+        if gcd(n, q) != 1:
+            raise InvalidSingularityError(f"gcd(n, q) = gcd({n}, {q}) != 1")
+        return super().__new__(cls, n, q)
 
 
-@dataclass(frozen=True)
-class ABCForm:
+class ABCForm(namedtuple("ABCForm", "a b c")):
     """The triple (a, b, c); n = a*b and q = b*c - 1."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise InvalidSingularityError(f"a, b must be >= 1, got ({self.a}, {self.b})")
-        if not 1 <= self.c <= self.a:
-            raise InvalidSingularityError(f"c={self.c} outside [1, a] for a={self.a}")
-        if gcd(self.a, self.c) != 1:
-            raise InvalidSingularityError(f"gcd(a, c) = gcd({self.a}, {self.c}) != 1")
+    def __new__(cls, a: int, b: int, c: int) -> ABCForm:
+        if a < 1 or b < 1:
+            raise InvalidSingularityError(f"a, b must be >= 1, got ({a}, {b})")
+        if not 1 <= c <= a:
+            raise InvalidSingularityError(f"c={c} outside [1, a] for a={a}")
+        if gcd(a, c) != 1:
+            raise InvalidSingularityError(f"gcd(a, c) = gcd({a}, {c}) != 1")
+        self = super().__new__(cls, a, b, c)
         # (n, q) must be recoverable; delegate the remaining checks.
         abc_to_nq(self)
+        return self
 
 
-@dataclass(frozen=True)
-class ConeForm:
+class ConeForm(namedtuple("ConeForm", "alpha beta")):
     """Pointed two-dimensional cone <alpha, beta> in N, generators primitive."""
 
-    alpha: NPoint
-    beta: NPoint
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (is_primitive(self.alpha) and is_primitive(self.beta)):
+    def __new__(cls, alpha: NPoint, beta: NPoint) -> ConeForm:
+        if not (is_primitive(alpha) and is_primitive(beta)):
             raise InvalidSingularityError("cone generators must be primitive and nonzero")
-        if det2(self.alpha, self.beta) == 0:
+        if det2(alpha, beta) == 0:
             raise InvalidSingularityError("cone is not two-dimensional (parallel generators)")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def order(self) -> int:
@@ -100,8 +97,7 @@ class ConeForm:
         return abs(det2(self.alpha, self.beta))
 
 
-@dataclass(frozen=True)
-class IntervalUD:
+class IntervalUD(namedtuple("IntervalUD", "g h m")):
     """Interval [g/m, h/m] with uniform denominators, gcd(g,m)=gcd(h,m)=1.
 
     Intervals are identified up to integral shift; the constructor stores
@@ -109,24 +105,19 @@ class IntervalUD:
     interval contains an interior integer (namely 0) exactly when g < 0.
     """
 
-    g: int
-    h: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InvalidSingularityError(f"denominator m must be >= 1, got {self.m}")
-        if self.g >= self.h:
-            raise InvalidSingularityError(f"need g < h, got g={self.g}, h={self.h}")
-        if gcd(self.g, self.m) != 1 or gcd(self.h, self.m) != 1:
+    def __new__(cls, g: int, h: int, m: int) -> IntervalUD:
+        if m < 1:
+            raise InvalidSingularityError(f"denominator m must be >= 1, got {m}")
+        if g >= h:
+            raise InvalidSingularityError(f"need g < h, got g={g}, h={h}")
+        if gcd(g, m) != 1 or gcd(h, m) != 1:
             raise InvalidSingularityError(
-                f"endpoints {self.g}/{self.m}, {self.h}/{self.m} must be reduced "
-                "with the same denominator"
+                f"endpoints {g}/{m}, {h}/{m} must be reduced with the same denominator"
             )
-        shift = (self.h - 1) // self.m  # canonical translate: 0 < h <= m
-        if shift:
-            object.__setattr__(self, "g", self.g - shift * self.m)
-            object.__setattr__(self, "h", self.h - shift * self.m)
+        shift = (h - 1) // m  # canonical translate: 0 < h <= m
+        return super().__new__(cls, g - shift * m, h - shift * m, m)
 
     @property
     def left(self) -> Fraction:
@@ -142,19 +133,18 @@ class IntervalUD:
         return Fraction(self.h - self.g, self.m)
 
 
-@dataclass(frozen=True)
-class CFForm:
+class CFForm(namedtuple("CFForm", "coefficients")):
     """Hirzebruch-Jung continued fraction [a2, ..., a_{e-1}], all entries >= 2."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __new__(cls, coefficients) -> CFForm:
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise InvalidSingularityError("continued fraction needs at least one coefficient")
         if any(a < 2 for a in coeffs):
             raise InvalidSingularityError(f"all coefficients must be >= 2, got {list(coeffs)}")
+        return super().__new__(cls, coeffs)
 
 
 SingularityForm = NQForm | ABCForm | ConeForm | IntervalUD | CFForm

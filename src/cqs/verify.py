@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
@@ -34,10 +33,12 @@ from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
 
-@dataclass
 class VerificationResult:
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The number of checks made and the message of each that failed."""
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -61,10 +62,9 @@ def nq_range(n_max: int, skip_degenerate: bool = False, canonical_only: bool = F
                 continue
             if skip_degenerate and q == n - 1:
                 continue
-            nq = NQForm(n, q)
-            if canonical_only and q_inverse(nq).q < q:
+            if canonical_only and pow(q, -1, n) < q:  # the mirror q' = 1/q mod n comes first
                 continue
-            yield nq
+            yield NQForm(n, q)
 
 
 def cpu_count() -> int:

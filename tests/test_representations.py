@@ -166,3 +166,26 @@ class TestRoundTrips:
         qs = [q for q in range(1, n) if gcd(n, q) == 1]
         nq = NQForm(n, data.draw(st.sampled_from(qs)))
         assert to_nq(cone_to_interval(nq_to_cone(nq))) == nq
+
+
+def nq_range_by_q_inverse(n_max, skip_degenerate, canonical_only):
+    # the enumeration as it was written before nq_range compared integers:
+    # one NQForm per pair, and its mirror built through q_inverse
+    for n in range(2, n_max + 1):
+        for q in range(1, n):
+            if gcd(n, q) != 1 or (skip_degenerate and q == n - 1):
+                continue
+            nq = NQForm(n, q)
+            if canonical_only and q_inverse(nq).q < q:
+                continue
+            yield nq
+
+
+@pytest.mark.parametrize("skip_degenerate", [False, True])
+@pytest.mark.parametrize("canonical_only", [False, True])
+def test_nq_range_equals_the_q_inverse_enumeration(skip_degenerate, canonical_only):
+    from cqs.verify import nq_range
+
+    got = list(nq_range(200, skip_degenerate, canonical_only))
+    assert got == list(nq_range_by_q_inverse(200, skip_degenerate, canonical_only))
+    assert all(type(nq) is NQForm for nq in got)

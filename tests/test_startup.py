@@ -1,0 +1,61 @@
+"""A cold `cqs` call imports only what its command runs.
+
+Every call is a fresh interpreter, so what the CLI imports is paid on each
+one.  ``python -X importtime`` names every module a process imports; the
+modules of a bare ``python -c pass`` are subtracted, so the tests see what
+`cqs` itself loads, whatever the interpreter's site setup imports.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cqs
+
+from test_cli import cqs_env
+
+SLOW_IMPORTS = {"dataclasses", "inspect", "cqs.verify"}
+
+
+def imported(*argv):
+    """The modules a fresh interpreter imports to run ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=cqs_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+@pytest.fixture(scope="module")
+def bare():
+    return imported("-c", "pass")
+
+
+@pytest.mark.parametrize("args", [["--version"], ["analyze", "nq:20/11", "--json"]])
+def test_version_and_analyze_skip_the_slow_imports(bare, args):
+    loaded = imported("-m", "cqs", *args) - bare
+    assert "cqs.cli" in loaded
+    assert not loaded & SLOW_IMPORTS, sorted(loaded & SLOW_IMPORTS)
+
+
+def test_json_is_loaded_only_to_print_json(bare):
+    assert "json" not in imported("-m", "cqs", "analyze", "nq:20/11") - bare
+    assert "json" in imported("-m", "cqs", "analyze", "nq:20/11", "--json") - bare
+
+
+def test_scan_loads_verify(bare):
+    assert "cqs.verify" in imported("-m", "cqs", "scan", "7") - bare
+
+
+def test_the_package_has_no_dataclass():
+    package = Path(cqs.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "dataclass" not in path.read_text(), path.name
