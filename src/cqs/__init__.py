@@ -69,5 +69,4 @@ from .deformations import (
     vw_oracle,
     w_dims_oracle,
     w_fast,
-    zone_offsets,
 )

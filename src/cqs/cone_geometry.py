@@ -370,11 +370,14 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     The points are returned in iota-coordinates, as the integer pairs
     (u, v) = iota(r), in no particular order.  A pair with
     kappa <= u < kappa + <alpha,R> and kappa <= v < kappa + <beta,R>
-    belongs to iota(M) iff v = u*bw (mod n); the other two lattices are
-    unions of translates of iota(M) by multiples of (1,1) = iota(Rbar/m).
-    For each u the admissible v form arithmetic progressions of step n,
-    so the cost is proportional to the number of fibers, not the zone
-    area.
+    belongs to iota(M) iff v = u*bw (mod n), and to the shifted coset
+    iota(M) + (1,1) = iota(M + Rbar/m) iff v - 1 = (u - 1)*bw (mod n).
+    iota(M_tilde) = iota(M) + Z*(1,1) is a lattice too, with one
+    progression per fiber: (u, v) lies in iota(M) + t*(1,1) iff
+    v - bw*u = t*(1 - bw) (mod n), and some t solves this iff
+    g = gcd(bw - 1, n) divides v - bw*u.  So over each u the admissible
+    v form one arithmetic progression, of step n or g, and the cost is
+    proportional to the number of fibers and points, not the zone area.
     """
     R, kappa, lattice = z.R, z.kappa, z.lattice  # read once, not per fiber
     u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
@@ -386,7 +389,7 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     elif lattice is LatticeTag.M_SHIFTED:
         shifts = (1,)
     else:
-        shifts = tuple(range(cd.m))
+        shifts, n = (0,), gcd(bw - 1, n)
     found, v_end = [], kappa + v_r
     for u in range(kappa, kappa + u_r):
         residues = {(t + (u - t) * bw) % n for t in shifts}

@@ -27,10 +27,11 @@ zone oracles by :mod:`cqs.verify`, and ``w_fast`` against
 ``w_dims_oracle``, which walks the zone of every degree, by
 :mod:`cqs.verify` and acceptance criterion 8.
 
-``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on a zone
-the caller enumerated with ``zone_offsets(R, kappa, cd)``, so one
-enumeration serves every direction in the degree.  ``assemble_report``
-builds and checks a report from columns its caller already holds.
+``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on the
+points of a zone Z_{R,kappa} the caller enumerated with ``zone_points``,
+read against the base iota(kappa*R), so one enumeration serves every
+direction in the degree.  ``assemble_report`` builds and checks a report
+from columns its caller already holds.
 
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
@@ -242,43 +243,39 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
-def zone_offsets(R: MPoint, kappa: int, cd: ClassData, tag=LatticeTag.M) -> list[tuple[int, int]]:
-    """iota(kappa*R - r) = (du, dv) for every lattice point r of Z_{R,kappa}.
-
-    det * <a, kappa*R - r> = A*du + B*dv with (A, B) = _iota_coeffs(a, cd);
-    det != 0, so every "= 0" test and every rank is decided on integers.
-    """
-    ku, kv = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
-    return [(ku - u, kv - v) for u, v in zone_points(ZoneSpec(R, kappa, tag), cd)]
-
-
 def _iota_coeffs(a: NPoint, cd: ClassData) -> tuple[int, int]:
     """(A, B) with det * <a, r> = A*<alpha, r> + B*<beta, r> for every r."""
     return det2(a, cd.beta), det2(cd.alpha, a)
 
 
-def iso_oracle(a: NPoint, offsets: list[tuple[int, int]], cd: ClassData) -> bool:
-    """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point.
+def iso_oracle(
+    a: NPoint, zone: list[tuple[int, int]], cd: ClassData, base: tuple[int, int] = (0, 0)
+) -> bool:
+    """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point r.
 
-    ``offsets`` is the zone as enumerated by ``zone_offsets(R, kappa, cd)``.
+    ``zone`` is Z_{R,kappa} as listed by ``zone_points`` and ``base`` is
+    iota(kappa*R).  With (A, B) = _iota_coeffs(a, cd), det * <a, kappa*R - r>
+    is A*bu + B*bv - (A*u + B*v) for (u, v) = iota(r); det != 0, so the
+    test is decided on integers.  A list of iota(kappa*R - r) with base
+    (0, 0) is read the same way.
     """
     A, B = _iota_coeffs(a, cd)
-    return all(A * du + B * dv == 0 for du, dv in offsets)
+    c = A * base[0] + B * base[1]
+    return all(A * u + B * v == c for u, v in zone)
 
 
 def stable_iso_oracle(
-    a: NPoint, R: MPoint, offsets: list[tuple[int, int]], cd: ClassData
+    a: NPoint, R: MPoint, zone: list[tuple[int, int]], cd: ClassData, iso: bool
 ) -> bool:
     """iso[kappa + l*m] for all integers l, decided finitely.
 
-    ``offsets`` is ``zone_offsets(R, kappa, cd)``.  An empty zone makes
-    every shift hold; otherwise the condition is iso[kappa] together with
+    ``iso`` is ``iso_oracle``'s answer on the zone Z_{R,kappa} listed in
+    ``zone``; the zone is not read again.  An empty zone makes every
+    shift hold; otherwise the condition is iso[kappa] together with
     <a, Rbar - m*R> = 0, because consecutive shifts differ exactly by
     that pairing.
     """
-    if not offsets:
-        return True
-    return iso_oracle(a, offsets, cd) and phi_functional(R, a, cd) == 0
+    return not zone or (iso and phi_functional(R, a, cd) == 0)
 
 
 def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
@@ -286,8 +283,9 @@ def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
     line = cd.rbar - cd.m * R
     if line.is_zero():
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
+    # at kappa = 0 the base iota(kappa*R) is the origin
     lu, lv = pairing(cd.alpha, line), pairing(cd.beta, line)
-    return all(du * lv - dv * lu == 0 for du, dv in zone_offsets(R, 0, cd, tag))
+    return all(u * lv == v * lu for u, v in zone_points(ZoneSpec(R, 0, tag), cd))
 
 
 def qg_oracle(R: MPoint, cd: ClassData) -> bool:
@@ -306,23 +304,23 @@ def vw_oracle(R: MPoint, cd: ClassData) -> bool:
 
 
 def _constrained_dim(
-    cd: ClassData, d: DegreeId, offsets: list[tuple[int, int]], with_phi: bool,
+    cd: ClassData, d: DegreeId, zone: list[tuple[int, int]], with_phi: bool,
     base: tuple[int, int] = (0, 0),
 ) -> int:
-    """Directions in degree -R that every constraint of the zone ``offsets``
+    """Directions in degree -R that every constraint of the zone ``zone``
     (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free.
 
-    An offset (du, dv) = iota(x) of x = kappa*R - r constrains a by
-    <a, x> = 0, and iota is injective.  So in an interior degree (k = 1,
-    3 <= i <= e-2, T1(-R) = N) the rank is the rank of the offsets, and
-    ``with_phi`` adds iota(Rbar - m*R) = (m - m*u_R, m - m*v_R).  In a
-    one-dimensional degree spanned by a it is 1 exactly when some
-    A*du + B*dv != 0, (A, B) = _iota_coeffs(a, cd), or, with phi, when
-    <a, Rbar - m*R> != 0.  The rank is read off p - base for p in
-    ``offsets``, so the zone points themselves serve with base
-    iota(kappa*R): that gives -iota(x), and negation keeps every rank.
-    The list is read once, in order, up to full rank; only the descent
-    check of a quotient degree reads it all.
+    A point r of Z_{R,kappa} constrains a by <a, x> = 0 for
+    x = kappa*R - r, and iota is injective; with ``base`` = iota(kappa*R)
+    each p - base for p in ``zone`` is -iota(x), and negation keeps every
+    rank (a list of the iota(x) themselves reads the same with base
+    (0, 0)).  So in an interior degree (k = 1, 3 <= i <= e-2, T1(-R) = N)
+    the rank is the rank of these vectors, and ``with_phi`` adds
+    iota(Rbar - m*R) = (m - m*u_R, m - m*v_R).  In a one-dimensional
+    degree spanned by a it is 1 exactly when some A*du + B*dv != 0 for
+    (du, dv) = p - base, (A, B) = _iota_coeffs(a, cd), or, with phi, when
+    <a, Rbar - m*R> != 0.  The list is read once, in order, up to full
+    rank; only the descent check of a quotient degree reads it all.
     """
     h, m = cd.hilbert, cd.m
     (bu, bv), x0, y0 = base, 0, 0
@@ -330,7 +328,7 @@ def _constrained_dim(
         R = degree_vector(h, d)
         x0, y0 = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
     if d.k == 1 and 3 <= d.i <= h.e - 2:
-        rest = iter(offsets)
+        rest = iter(zone)
         if not (x0 or y0):
             for u, v in rest:
                 if u != bu or v != bv:
@@ -345,7 +343,7 @@ def _constrained_dim(
         # quotient degree: every constraint must kill alpha resp. beta,
         # and <alpha, x> = du, <beta, x> = dv
         side = 0 if d.i == 2 else 1
-        if any(p[side] != base[side] for p in offsets):
+        if any(p[side] != base[side] for p in zone):
             raise InternalConsistencyError("zone constraint does not descend to the quotient")
         if with_phi:
             A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
@@ -355,13 +353,13 @@ def _constrained_dim(
         # resp. det(beta, a) = 1: with du = 0 resp. dv = 0 left, A*du + B*dv
         # is dv resp. -du, and the other coordinate decides
         other = 1 - side
-        return 0 if any(p[other] != base[other] for p in offsets) else 1
+        return 0 if any(p[other] != base[other] for p in zone) else 1
     A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
     # det * <a, Rbar - m*R> = A*x0 + B*y0, and det != 0
     if A * x0 + B * y0 != 0:
         return 0
     c = A * bu + B * bv
-    return 0 if any(A * u + B * v != c for u, v in offsets) else 1
+    return 0 if any(A * u + B * v != c for u, v in zone) else 1
 
 
 def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -428,7 +426,7 @@ def w_chain_threshold(
 
     ``zone`` is the kappa = -1 zone of R = (a_i - 1)*r^i, read as
     p - base the way ``_constrained_dim`` reads it: the zone points with
-    base iota(-R), or ``zone_offsets(R, -1, cd)`` with base (0, 0), give
+    base iota(-R), or the offsets iota(-R - r) with base (0, 0), give
     iota(R + r) resp. its negative for each zone point r.  Both
     coordinates of R + r are >= 1 (u >= -1 and u_R >= 2), so their
     absolute values are (s, t) = iota(R + r), and with (A, B) =

@@ -27,7 +27,7 @@ from math import gcd
 from typing import BinaryIO
 
 from . import cone_geometry, deformations, representations
-from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
+from .cone_geometry import ClassData, ZoneSpec, class_data, eta, hilbert_basis_oracle, is_grounded
 from .deformations import DegreeId, DegreeReport, T1Report
 from .lattice import det2_m, pairing
 from .representations import IntervalUD, NQForm, q_inverse
@@ -298,16 +298,20 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
     for d in deformations.t1_degrees(h):
         at = f"{where} degree=({d.i},{d.k})"
         vec = deformations.degree_vector(h, d)
-        # each M-zone of the degree is enumerated once, for every direction;
+        u_i, v_i = cd.iota_basis[d.i - 1]
+        # each M-zone of the degree is enumerated once, for every direction,
+        # as its points and the base iota(kappa*R) they are read against;
         # the zone at kappa = -1 also gives the W and VW ranks
         zones = {
-            kappa: deformations.zone_offsets(vec, kappa, cd)
+            kappa: (deformations.zone_points(ZoneSpec(vec, kappa), cd),
+                    (kappa * d.k * u_i, kappa * d.k * v_i))
             for kappa in (0, -1, m - 1, m, 2 * m)
         }
-        w[d] = deformations._constrained_dim(cd, d, zones[-1], False)
+        w_zone, w_base = zones[-1]
+        w[d] = deformations._constrained_dim(cd, d, w_zone, False, w_base)
         if d.k >= 2 and d.k == h.coefficient(d.i) - 1:
             # the top of the chain: its zone decides the whole chain in w_fast
-            threshold = deformations.w_chain_threshold(cd, d.i, zones[-1])
+            threshold = deformations.w_chain_threshold(cd, d.i, w_zone, w_base)
             for k in range(2, d.k + 1):
                 res.check(
                     int(k < threshold) == w[DegreeId(d.i, k)],
@@ -323,13 +327,17 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
             f"{at} property=vw_zone_oracle",
         )
         res.check(
-            vw[d] == deformations._constrained_dim(cd, d, zones[-1], True),
+            vw[d] == deformations._constrained_dim(cd, d, w_zone, True, w_base),
             f"{at} property=vw_rank_oracle",
         )
         for a in deformations.t1_space(cd, d):
-            iso = {kappa: deformations.iso_oracle(a, zone, cd) for kappa, zone in zones.items()}
+            iso = {
+                kappa: deformations.iso_oracle(a, zone, cd, base)
+                for kappa, (zone, base) in zones.items()
+            }
+            # the stable oracle takes the iso read of the same zone
             stable = {
-                kappa: deformations.stable_iso_oracle(a, vec, zones[kappa], cd)
+                kappa: deformations.stable_iso_oracle(a, vec, zones[kappa][0], cd, iso[kappa])
                 for kappa in (0, -1, m)
             }
             res.check(iso[0], f"{at} property=iso0_automatic")

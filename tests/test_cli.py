@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -332,6 +333,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "10")
         assert code == 1
         assert "MISMATCH" in out and "vw" in out
+
+    def test_m_tilde_walked_as_m_is_a_qg_mismatch(self, tmp_path):
+        # a copy of the package whose M_tilde walk steps by n instead of
+        # gcd(bw - 1, n), so that it lists iota(M) only; the qG zone oracle
+        # is the only reader of M_tilde and must be the only check to fail
+        mutant = tmp_path / "cqs"
+        shutil.copytree(
+            Path(cqs.__file__).parent, mutant, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        source = mutant / "cone_geometry.py"
+        text = source.read_text()
+        assert text.count("shifts, n = (0,), gcd(bw - 1, n)") == 1
+        source.write_text(text.replace("(0,), gcd(bw - 1, n)", "(0,), n"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", "verify", "12"], capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        )
+        assert proc.returncode == 1, proc.stderr.decode()
+        lines = [line for line in proc.stdout.decode().splitlines() if line.startswith("MISMATCH ")]
+        assert lines and all(line.endswith(" property=qg_zone_oracle") for line in lines)
 
 
 class TestCayley:

@@ -2,11 +2,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqs.cone_geometry import (
     LatticeTag,
     OracleBoundError,
     ZoneSpec,
+    _preimage,
     ab_floor_data,
     binomial_equations,
     class_data,
@@ -26,6 +29,8 @@ from cqs.representations import (
     interval_to_cone,
     nq_to_cone,
 )
+
+from test_deformations import UNIMODULAR, transform
 
 
 def cone_of(n, q):
@@ -62,6 +67,31 @@ def brute_zone(cone, R, kappa, shifts):
                 y += 1
             x0 += 1
     return out
+
+
+def m_tilde_by_cosets(z, cd):
+    """The M_tilde points of the zone z, coset by coset.
+
+    iota(M_tilde) is the union of the m cosets iota(M) + t*(1, 1),
+    0 <= t < m; over each u the coset t meets v = t + (u - t)*bw (mod n),
+    and each of these residues is walked in steps of n.
+    """
+    n, bw, kappa = cd.nq.n, cd.bw, z.kappa
+    u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
+    found = []
+    for u in range(kappa, kappa + u_r):
+        for r0 in {(t + (u - t) * bw) % n for t in range(cd.m)}:
+            for v in range(kappa + (r0 - kappa) % n, kappa + v_r, n):
+                found.append((u, v))
+    return found
+
+
+def assert_m_tilde_matches_cosets(cd, R, kappas):
+    assert gcd(cd.bw - 1, cd.nq.n) * cd.m == cd.nq.n
+    for kappa in kappas:
+        z = ZoneSpec(R, kappa, LatticeTag.M_TILDE)
+        got, want = zone_points(z, cd), m_tilde_by_cosets(z, cd)
+        assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
 
 
 def iota(cd, p):
@@ -338,3 +368,52 @@ class TestZones:
         cd = data_of(20, 11)
         with pytest.raises(InvalidSingularityError):
             zone_points(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cd)
+
+
+class TestMTildeProgression:
+    """zone_points walks M_tilde as one progression of step gcd(bw - 1, n)
+    per fiber; the reference walks the m cosets of M."""
+
+    @staticmethod
+    def degree_zones(cd):
+        h, m = cd.hilbert, cd.m
+        for d in h.degrees:
+            yield d.k * h.element(d.i), (-1, 0, m - 1, m, 2 * m)
+
+    def test_every_class_up_to_40(self):
+        zones = 0
+        for n in range(2, 41):
+            for q in range(1, n):
+                if gcd(n, q) == 1:
+                    cd = data_of(n, q)
+                    for R, kappas in self.degree_zones(cd):
+                        assert_m_tilde_matches_cosets(cd, R, kappas)
+                        zones += len(kappas)
+        assert zones > 10_000
+
+    @pytest.mark.parametrize("g", UNIMODULAR)
+    def test_nonstandard_cones(self, g):
+        for n in range(2, 26):
+            for q in range(1, n):
+                if gcd(n, q) == 1:
+                    cone = cone_of(n, q)
+                    cd = class_data(transform(cone, g))
+                    assert (cd.alpha, cd.beta) != (cone.alpha, cone.beta)
+                    for R, kappas in self.degree_zones(cd):
+                        assert_m_tilde_matches_cosets(cd, R, kappas)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 200).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n - 1).filter(lambda q: gcd(n, q) == 1))
+        ),
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.integers(-60, 60),
+    )
+    def test_random_boxes(self, nq, u_r, lift, kappa):
+        # a random interior degree R with iota(R) = (u_r, v_r) in iota(M)
+        n, q = nq
+        cd = data_of(n, q)
+        v_r = u_r * cd.bw % n + lift * n or n
+        assert_m_tilde_matches_cosets(cd, _preimage(cd, u_r, v_r), (kappa,))

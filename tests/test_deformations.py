@@ -34,7 +34,6 @@ from cqs.deformations import (
     w_chain_threshold,
     w_dims_oracle,
     w_fast,
-    zone_offsets,
 )
 from cqs.lattice import MPoint, NPoint, pairing
 from cqs.representations import (
@@ -46,6 +45,16 @@ from cqs.representations import (
     nq_to_cone,
     q_inverse,
 )
+
+
+def zone_offsets(R, kappa, cd):
+    """iota(kappa*R - r) = (du, dv) for every lattice point r of Z_{R,kappa}.
+
+    The oracles read the zone points against the base iota(kappa*R); this
+    list is the same zone read against (0, 0).
+    """
+    ku, kv = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
+    return [(ku - u, kv - v) for u, v in zone_points(ZoneSpec(R, kappa), cd)]
 
 
 def setup_class_data(n, q):
@@ -360,8 +369,9 @@ class TestIsoOracles:
         a = NPoint(7, -10)
         assert pairing(a, MPoint(-10, -7)) == 0
         R = degree_vector(cd.hilbert, DegreeId(3, 1))
-        assert stable_iso_oracle(a, R, zone_offsets(R, 5, cd), cd)
-        assert stable_iso_oracle(a, R, zone_offsets(R, 0, cd), cd)
+        for kappa in (5, 0):
+            zone = zone_offsets(R, kappa, cd)
+            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd))
         assert not iso_oracle(a, zone_offsets(R, -1, cd), cd)
 
     def test_empty_zone_accepts_everything(self):
@@ -373,25 +383,33 @@ class TestIsoOracles:
         zone = zone_offsets(R, -1, cd)
         for a in (NPoint(5, 17), NPoint(-3, 1), NPoint(0, 0)):
             assert iso_oracle(a, zone, cd)
-            assert stable_iso_oracle(a, R, zone, cd)
+            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd))
 
     def test_zero_direction_is_always_stable(self):
         cd = setup_class_data(20, 11)
         R = degree_vector(cd.hilbert, DegreeId(4, 1))
         for kappa in (-3, -1, 0, 2, 5):
-            assert stable_iso_oracle(NPoint(0, 0), R, zone_offsets(R, kappa, cd), cd)
+            zone = zone_offsets(R, kappa, cd)
+            assert stable_iso_oracle(NPoint(0, 0), R, zone, cd, iso_oracle(NPoint(0, 0), zone, cd))
 
     def test_stable_iso_equals_two_shifts(self):
         cd = setup_class_data(12, 5)
         h = cd.hilbert
         m = 2  # gcd(12, 6) = 6, a = 2
+        seen = set()
         for d in t1_degrees(h):
             R = degree_vector(h, d)
             for a in t1_space(cd, d):
                 for kappa in (-1, 0, 1):
                     zone, shifted = zone_offsets(R, kappa, cd), zone_offsets(R, kappa + m, cd)
-                    expected = iso_oracle(a, zone, cd) and iso_oracle(a, shifted, cd)
-                    assert stable_iso_oracle(a, R, zone, cd) == expected
+                    iso = iso_oracle(a, zone, cd)
+                    expected = iso and iso_oracle(a, shifted, cd)
+                    assert stable_iso_oracle(a, R, zone, cd, iso) == expected
+                    # the same zone as verify reads it: its points against iota(kappa*R)
+                    base = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
+                    assert iso_oracle(a, zone_points(ZoneSpec(R, kappa), cd), cd, base) == iso
+                    seen.add((iso, expected))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestContainmentOracles:
@@ -634,7 +652,8 @@ class TestPhi:
             vec = degree_vector(h, d)
             zone = zone_offsets(vec, 0, cd)
             for a in t1_space(cd, d):
-                assert (phi_functional(vec, a, cd) == 0) == stable_iso_oracle(a, vec, zone, cd)
+                stable = stable_iso_oracle(a, vec, zone, cd, iso_oracle(a, zone, cd))
+                assert (phi_functional(vec, a, cd) == 0) == stable
 
 
 class TestRepresentativeIndependence:

@@ -85,3 +85,29 @@ def test_zone_walk_is_pinned(args, calls, fibers, points):
     assert trace["calls"]["cone_geometry.zone_points"] == calls
     assert trace["counts"]["zone_points.fibers"] == fibers
     assert trace["counts"]["zone_points.points"] == points
+
+
+def test_oracle_walk_is_pinned():
+    # the zones verify's oracles request, at one worker: every oracle zone
+    # is listed by zone_points, none is skipped or derived from another
+    # by translation, and an M_tilde zone walks the same fibers and
+    # returns the same points as the union of its m cosets of M did
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+        "import cqs.verify, tracer\n"
+        "cqs.verify.cpu_count = lambda: 1\n"
+        "sys.exit(tracer.main(['verify', '12']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().endswith("all checks passed (3171 checks)\n")
+    lines = [line for line in proc.stderr.decode().splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr.decode()
+    trace = json.loads(lines[0][len(MARKER):])
+    assert trace["calls"]["cone_geometry.zone_points"] == 1_033
+    assert trace["counts"]["zone_points.fibers"] == 4_087
+    assert trace["counts"]["zone_points.points"] == 2_223
