@@ -5,9 +5,9 @@ grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 | cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
 2 parse error (an integer past the digit limit of int() included, and a
-class whose n is past it), a CQS_ORACLE_BOUND that is not an integer
->= 2, or an input past a size bound: an ``analyze`` class with more than
-MAX_T1_DEGREES T1-carrying degrees or whose W zones walk more than
+class whose n is past it) or an input past a size bound: a ``verify``
+bound past ORACLE_BOUND (cone_geometry), an ``analyze`` class with more
+than MAX_T1_DEGREES T1-carrying degrees or whose W zones walk more than
 MAX_ZONE_FIBERS fibers, a printed continued fraction of more than
 MAX_CF_TERMS terms, or a Cayley family with d > MAX_CAYLEY_D
 (deformations), 3 invalid singularity, 4 degenerate class (embdim <= 3).
@@ -29,13 +29,13 @@ from itertools import islice
 
 from . import __version__
 from .cone_geometry import (
+    ORACLE_BOUND,
     ClassData,
     OracleBoundError,
     binomial_equations,
     class_data,
     continued_fraction,
     hj_coefficients,
-    oracle_bound,
 )
 from .deformations import CayleyFamily, T1Report, cayley_d, cayley_family, classify, totals
 from .lattice import NPoint
@@ -433,11 +433,8 @@ def _scan_row(nq: NQForm) -> str:
 def cmd_verify(args) -> int:
     if args.n_max < 2:
         raise ParseError(f"verify bound must be >= 2, got {args.n_max}")
-    if args.n_max > oracle_bound():
-        raise ParseError(
-            f"verify bound {args.n_max} exceeds the oracle guard {oracle_bound()} "
-            f"(raise CQS_ORACLE_BOUND to override)"
-        )
+    if args.n_max > ORACLE_BOUND:
+        raise ParseError(f"verify bound {args.n_max} exceeds the oracle guard {ORACLE_BOUND}")
     from .verify import run_checks
 
     results = run_checks(args.n_max)

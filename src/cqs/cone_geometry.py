@@ -21,7 +21,6 @@ boundary points are decided without tolerance.
 from __future__ import annotations
 
 import enum
-import os
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
@@ -43,30 +42,12 @@ from .representations import (
     mirror_c,
 )
 
-DEFAULT_ORACLE_BOUND = 10_000
-ORACLE_BOUND_ENV = "CQS_ORACLE_BOUND"
+# the largest n that brute-force enumeration (and so ``cqs verify``) accepts
+ORACLE_BOUND = 10_000
 
 
 class OracleBoundError(ValueError):
     """Brute-force enumeration was asked to exceed its size guard."""
-
-
-def oracle_bound() -> int:
-    """Size guard for brute-force enumeration; override via CQS_ORACLE_BOUND.
-
-    An unset or empty variable means the default; any value that is not
-    an integer >= 2 raises OracleBoundError.
-    """
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if not raw:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 2:
-        raise OracleBoundError(f"{ORACLE_BOUND_ENV} must be an integer >= 2, got {raw!r}")
-    return bound
 
 
 class DegreeId(NamedTuple):
@@ -271,19 +252,19 @@ def hilbert_basis(cd: ClassData) -> HilbertData:
     return _finish(cd, tuple(basis), coeffs)
 
 
-def hilbert_basis_oracle(cd: ClassData, bound: int | None = None) -> HilbertData:
+def hilbert_basis_oracle(cd: ClassData) -> HilbertData:
     """Hilbert basis by brute force, for cross-checking the recursion.
 
     Enumerates all candidates in iota-coordinates (every basis element
     satisfies 0 <= <alpha,r>, <beta,r> <= n), discards the decomposable
     ones (those dominating another nonzero semigroup element in both
     coordinates), walking the candidates in order of <alpha, .>.  Cost
-    O(n).  Reads the frame fields of ``cd`` only, never ``cd.hilbert``.
+    O(n); an n past ORACLE_BOUND raises OracleBoundError.  Reads the
+    frame fields of ``cd`` only, never ``cd.hilbert``.
     """
     n = cd.nq.n
-    limit = oracle_bound() if bound is None else bound
-    if n > limit:
-        raise OracleBoundError(f"n={n} exceeds the oracle bound {limit}")
+    if n > ORACLE_BOUND:
+        raise OracleBoundError(f"n={n} exceeds the oracle bound {ORACLE_BOUND}")
     # the fiber over u is the progression v = u*bw (mod n), so the
     # candidates come out sorted
     pts = [

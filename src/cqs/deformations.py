@@ -249,7 +249,7 @@ def _iota_coeffs(a: NPoint, cd: ClassData) -> tuple[int, int]:
 
 
 def iso_oracle(
-    a: NPoint, zone: list[tuple[int, int]], cd: ClassData, base: tuple[int, int] = (0, 0)
+    a: NPoint, zone: list[tuple[int, int]], cd: ClassData, base: tuple[int, int]
 ) -> bool:
     """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point r.
 
@@ -305,7 +305,7 @@ def vw_oracle(R: MPoint, cd: ClassData) -> bool:
 
 def _constrained_dim(
     cd: ClassData, d: DegreeId, zone: list[tuple[int, int]], with_phi: bool,
-    base: tuple[int, int] = (0, 0),
+    base: tuple[int, int],
 ) -> int:
     """Directions in degree -R that every constraint of the zone ``zone``
     (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free.
@@ -420,7 +420,7 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def w_chain_threshold(
-    cd: ClassData, i: int, zone: list[tuple[int, int]], base: tuple[int, int] = (0, 0)
+    cd: ClassData, i: int, zone: list[tuple[int, int]], base: tuple[int, int]
 ) -> int:
     """The K with W(-k*r^i) = 1 exactly for 2 <= k < K (see ``w_fast``).
 

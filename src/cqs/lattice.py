@@ -86,11 +86,6 @@ def det2(p: NPoint, q: NPoint) -> int:
     return p.x * q.y - p.y * q.x
 
 
-def det2_m(p: MPoint, q: MPoint) -> int:
-    """M-side analogue of :func:`det2` (basis checks for Hilbert data)."""
-    return p.u * q.v - p.v * q.u
-
-
 def primitive(p):
     """p divided by the gcd of its coordinates; same type, same direction."""
     if isinstance(p, MPoint):

@@ -2,18 +2,18 @@
 
 Every formula in :mod:`cqs.deformations` has an independent brute-force
 counterpart built on zone enumeration, and every conversion in
-:mod:`cqs.representations` can be round-tripped.  This module sweeps all
-classes (n, q) up to a bound and records every mismatch; the CLI `verify`
-subcommand and the acceptance test suite both run on top of it.  The
-deformation sweep computes each closed form and enumerates each zone once
-per class, and assembles the report from those columns (W is the rank on
-the kappa = -1 zone of each degree, against which the chain threshold of
+:mod:`cqs.representations` can be round-tripped.  ``run_checks`` sweeps
+all classes (n, q) up to a bound and records every mismatch, in three
+sections: conversions, hilbert and deformations.  The CLI `verify`
+subcommand and the acceptance test suite both run it.  The deformation
+checks compute each closed form and enumerate each zone once per class,
+and assemble the report from those columns (W is the rank on the
+kappa = -1 zone of each degree, against which the chain threshold of
 ``w_fast`` is checked on the zone of each chain's top degree).
 
-Each sweep is a loop over per-class checks.  ``run_checks``, which the CLI
-runs, calls the same per-class checks through ``fan_out``, which spreads
-the classes of a sweep over the CPUs this process may use and hands the
-results back in enumeration order; the CLI's scan uses it as well.
+The per-class checks run through ``fan_out``, which spreads the classes
+of a sweep over the CPUs this process may use and hands the results back
+in enumeration order; the CLI's scan uses it as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import BinaryIO
 from . import cone_geometry, deformations, representations
 from .cone_geometry import ClassData, ZoneSpec, class_data, eta, hilbert_basis_oracle, is_grounded
 from .deformations import DegreeId, DegreeReport, T1Report
-from .lattice import det2_m, pairing
+from .lattice import pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
 
@@ -160,15 +160,8 @@ def _serve(work: Callable, share: Iterable, fd: int) -> None:
             out.flush()
 
 
-def verify_conversions(n_max: int) -> VerificationResult:
-    """Round-trips through all five descriptions, plus mirror identities."""
-    res = VerificationResult()
-    for nq in nq_range(n_max):
-        res.merge(_conversion_checks(nq))
-    return res
-
-
 def _conversion_checks(nq: NQForm) -> VerificationResult:
+    """Round-trips through all five descriptions, plus mirror identities."""
     res = VerificationResult()
     where = f"n={nq.n} q={nq.q}"
     abc = representations.nq_to_abc(nq)
@@ -201,19 +194,8 @@ def _conversion_checks(nq: NQForm) -> VerificationResult:
     return res
 
 
-def verify_hilbert(n_max: int) -> VerificationResult:
-    """Three-term recursion against the convex-hull oracle, and eta identities."""
-    res = VerificationResult()
-    for nq in nq_range(n_max):
-        res.merge(_hilbert_checks(_class(nq)))
-    return res
-
-
-def _class(nq: NQForm) -> ClassData:
-    return class_data(representations.nq_to_cone(nq))
-
-
 def _hilbert_checks(cd: ClassData) -> VerificationResult:
+    """Three-term recursion against the convex-hull oracle, and eta identities."""
     res = VerificationResult()
     nq = cd.nq
     where = f"n={nq.n} q={nq.q}"
@@ -226,8 +208,14 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
     for i in range(2, h.e):
         ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
         res.check(ok, f"{where} degree=({i},1) property=three_term_recursion")
+    # adjacent r^j, r^(j+1) form a Z-basis of M iff their iota pairs, which
+    # span a sublattice of index n in iota(M), have determinant +-n
+    iota = cd.iota_basis
     res.check(
-        all(abs(det2_m(h.basis[j], h.basis[j + 1])) == 1 for j in range(h.e - 1)),
+        all(
+            abs(u * v_next - v * u_next) == nq.n
+            for (u, v), (u_next, v_next) in zip(iota, iota[1:])
+        ),
         f"{where} property=adjacent_z_basis",
     )
     alphas = [pairing(cd.alpha, r) for r in h.basis]
@@ -258,19 +246,6 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
             f"{where} property=central_eta_from_interval",
         )
         res.check(iv.length == ab.A + ab.B, f"{where} property=interval_length_AB")
-    return res
-
-
-def verify_deformations(n_max: int) -> VerificationResult:
-    """Per-degree oracle equivalences plus total/mirror/theorem sweeps.
-
-    A class leaves its report in ``mirrors`` until the sweep reaches its
-    mirror, where the two reports are compared.
-    """
-    res = VerificationResult()
-    mirrors: dict[NQForm, tuple[str, T1Report]] = {}
-    for nq in nq_range(n_max, skip_degenerate=True):
-        _merge_deformations(res, mirrors, nq, *_deformation_checks(_class(nq)))
     return res
 
 
@@ -390,7 +365,8 @@ def _merge_deformations(
     nq: NQForm, class_res: VerificationResult, report: T1Report | None,
 ) -> None:
     """Add the checks of one class, then compare it with its mirror once
-    the sweep, in (n, q) order, has reached both."""
+    the sweep, in (n, q) order, has reached both: a class leaves its report
+    in ``mirrors`` until then."""
     res.merge(class_res)
     if report is None:
         return
@@ -419,10 +395,12 @@ def _columns(r: DegreeReport) -> tuple[int, ...]:
 def run_checks(n_max: int) -> dict[str, VerificationResult]:
     """The full suite at one bound, as run by the CLI verify subcommand.
 
-    The checks of ``verify_conversions``, ``verify_hilbert`` and
-    ``verify_deformations``, computed class by class with ``fan_out`` and
-    merged section by section in (n, q) order, so the counts and the order
-    of the failures are those of the three sweeps.
+    Every class with 2 <= n <= n_max gets its conversion and Hilbert
+    checks, and every class but the degenerate q = n - 1 its per-degree
+    oracle equivalences and theorem checks, and is compared with its
+    mirror.  The classes are checked with ``fan_out`` and merged section by
+    section in (n, q) order, so the counts and the order of the failures
+    are the same at any number of CPUs.
     """
     results = {name: VerificationResult() for name in ("conversions", "hilbert", "deformations")}
     mirrors: dict[NQForm, tuple[str, T1Report]] = {}
@@ -435,8 +413,8 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
 
 
 def _class_checks(nq: NQForm):
-    # one record serves both; verify_deformations skips the classes that
-    # nq_range(skip_degenerate=True) drops
-    cd = _class(nq)
+    # one record serves the Hilbert and the deformation checks; the
+    # degenerate class q = n - 1 (embdim 3) gets no deformation checks
+    cd = class_data(representations.nq_to_cone(nq))
     defo = None if nq.q == nq.n - 1 else _deformation_checks(cd)
     return nq, _conversion_checks(nq), _hilbert_checks(cd), defo

@@ -21,12 +21,7 @@ from cqs.representations import (
     nq_to_cone,
     q_inverse,
 )
-from cqs.verify import (
-    nq_range,
-    verify_conversions,
-    verify_deformations,
-    verify_hilbert,
-)
+from cqs.verify import nq_range, run_checks
 
 SWEEP_BOUND = 60
 CONVERSION_BOUND = 200
@@ -62,8 +57,9 @@ def canonical_reports():
 
 
 @lru_cache(maxsize=None)
-def deformation_sweep():
-    return verify_deformations(SWEEP_BOUND)
+def verify_sweep():
+    """The checks of `cqs verify 200`, by section; criteria 3, 6 and 7 read it."""
+    return run_checks(CONVERSION_BOUND)
 
 
 def test_criterion_1_worked_example(capsys):
@@ -117,10 +113,10 @@ def test_criterion_2_total_formulas():
 
 
 def test_criterion_3_oracle_equivalence():
-    with criterion(3, f"zone oracles vs closed forms, n <= {SWEEP_BOUND}", budget=120.0):
-        res = deformation_sweep()
+    with criterion(3, f"zone oracles vs closed forms, n <= {CONVERSION_BOUND}", budget=120.0):
+        res = verify_sweep()["deformations"]
         assert res.ok, "\n".join(res.failures[:20])
-        assert res.checks > 100_000
+        assert res.checks == 3_093_443
 
 
 def test_criterion_4_gap_dichotomy():
@@ -152,8 +148,9 @@ def test_criterion_5_qg_vw_comparison():
 
 def test_criterion_6_roundtrips_and_invariance():
     with criterion(6, f"round-trips n <= {CONVERSION_BOUND}, mirror totals n <= {SWEEP_BOUND}"):
-        res = verify_conversions(CONVERSION_BOUND)
+        res = verify_sweep()["conversions"]
         assert res.ok, "\n".join(res.failures[:20])
+        assert res.checks == 97_848
         for nq in nq_range(SWEEP_BOUND, skip_degenerate=True, canonical_only=True):
             mirror = q_inverse(nq)
             rep, rep_m = totals(class_data(nq_to_cone(nq))), totals(class_data(nq_to_cone(mirror)))
@@ -163,9 +160,9 @@ def test_criterion_6_roundtrips_and_invariance():
 
 def test_criterion_7_hilbert_oracle():
     with criterion(7, f"hilbert recursion vs enumeration, n <= {CONVERSION_BOUND}"):
-        res = verify_hilbert(CONVERSION_BOUND)
+        res = verify_sweep()["hilbert"]
         assert res.ok, "\n".join(res.failures[:20])
-        assert res.checks > 300_000
+        assert res.checks == 337_140
 
 
 def test_criterion_8_w_consistency():

@@ -255,24 +255,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "2")
         assert code == 0
 
-    def test_bound_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("CQS_ORACLE_BOUND", "50")
-        code, _, err = run(capsys, "verify", "60")
-        assert code == 2
+    def test_bound_guard(self, capsys):
+        # refused before any class is checked: past the oracle bound 10,000
+        code, out, err = run(capsys, "verify", "10001")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "oracle" in err
-        for bad in ("abc", "-5", "0"):
-            monkeypatch.setenv("CQS_ORACLE_BOUND", bad)
-            code, out, err = run(capsys, "verify", "8")
-            assert code == 2, bad
-            assert "CQS_ORACLE_BOUND" in err and not out, bad
 
     def test_each_class_derived_once(self, monkeypatch):
-        # one record, one closed form of each kind and one report per class;
-        # a mirror is compared with the report kept from its first class
+        # one record per class, and one closed form of each kind and one
+        # report per non-degenerate class; a mirror is compared with the
+        # report kept from its first class
         from collections import Counter
 
         from cqs import deformations, verify
 
+        monkeypatch.setattr(verify, "cpu_count", lambda: 1)  # count in this process
         calls = Counter()
 
         def counted(name, real):
@@ -289,9 +287,11 @@ class TestVerify:
         monkeypatch.setattr(
             verify, "class_data", lambda cone: built.append(real_data(cone)) or built[-1]
         )
-        assert verify.verify_deformations(20).ok
+        assert all(res.ok for res in verify.run_checks(20).values())
+        assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == list(
+            verify.nq_range(20)
+        )
         classes = list(verify.nq_range(20, skip_degenerate=True))
-        assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == classes
         for name in ("v_dims", "qg_dims", "vw_dims", "assemble_report"):
             assert [nq for (f, nq) in calls if f == name] == classes, name
         assert set(calls.values()) == {1}
@@ -304,6 +304,7 @@ class TestVerify:
 
         from cqs import deformations, verify
 
+        monkeypatch.setattr(verify, "cpu_count", lambda: 1)  # count in this process
         seen = Counter()
         real = deformations.zone_points
 
@@ -312,7 +313,7 @@ class TestVerify:
             return real(z, cd)
 
         monkeypatch.setattr(deformations, "zone_points", counted)
-        assert verify.verify_deformations(20).ok
+        assert all(res.ok for res in verify.run_checks(20).values())
         assert seen and set(seen.values()) == {1}
 
     def test_injected_fault_detected(self, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqs.cone_geometry import (
+    ORACLE_BOUND,
     LatticeTag,
     OracleBoundError,
     ZoneSpec,
@@ -20,7 +21,7 @@ from cqs.cone_geometry import (
     is_grounded,
     zone_points,
 )
-from cqs.lattice import MPoint, det2_m, pairing
+from cqs.lattice import MPoint, pairing
 from cqs.representations import (
     IntervalUD,
     InvalidSingularityError,
@@ -180,15 +181,12 @@ class TestHilbertBasis:
             assert h == hilbert_basis_oracle(cd)
             for i in range(2, h.e):
                 assert h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
-            for j in range(h.e - 1):
-                assert abs(det2_m(h.basis[j], h.basis[j + 1])) == 1
+            for r, s in zip(h.basis, h.basis[1:]):
+                assert abs(r.u * s.v - r.v * s.u) == 1
 
-    def test_oracle_bound(self, monkeypatch):
+    def test_oracle_bound(self):
         with pytest.raises(OracleBoundError):
-            hilbert_basis_oracle(data_of(101, 1), bound=100)
-        monkeypatch.setenv("CQS_ORACLE_BOUND", "50")
-        with pytest.raises(OracleBoundError):
-            hilbert_basis_oracle(data_of(101, 1))
+            hilbert_basis_oracle(data_of(ORACLE_BOUND + 1, 1))
 
     def test_nonstandard_coordinates(self):
         # same singularity presented as C(I); basis lives in those coordinates

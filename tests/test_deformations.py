@@ -97,7 +97,8 @@ def assert_rank_rule(cd):
         offsets = zone_offsets(degree_vector(h, d), -1, cd)
         for with_phi, column in columns.items():
             expected = reference_constrained_dim(cd, d, offsets, with_phi)
-            assert _constrained_dim(cd, d, offsets, with_phi) == expected, (cd.nq, d, with_phi)
+            got = _constrained_dim(cd, d, offsets, with_phi, (0, 0))
+            assert got == expected, (cd.nq, d, with_phi)
             assert column[d] == expected, (cd.nq, d, with_phi)
 
 
@@ -361,7 +362,7 @@ class TestIsoOracles:
         for d in t1_degrees(h):
             zone = zone_offsets(degree_vector(h, d), 0, cd)
             for a in t1_space(cd, d):
-                assert iso_oracle(a, zone, cd)
+                assert iso_oracle(a, zone, cd, (0, 0))
 
     def test_v_but_not_w_at_r3(self):
         # direction orthogonal to Rbar - 5*r^3 = [-10,-7]
@@ -371,8 +372,8 @@ class TestIsoOracles:
         R = degree_vector(cd.hilbert, DegreeId(3, 1))
         for kappa in (5, 0):
             zone = zone_offsets(R, kappa, cd)
-            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd))
-        assert not iso_oracle(a, zone_offsets(R, -1, cd), cd)
+            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
+        assert not iso_oracle(a, zone_offsets(R, -1, cd), cd, (0, 0))
 
     def test_empty_zone_accepts_everything(self):
         # Z_{r^3,-1} of (7,3) has no lattice points
@@ -382,15 +383,16 @@ class TestIsoOracles:
         assert pts == []
         zone = zone_offsets(R, -1, cd)
         for a in (NPoint(5, 17), NPoint(-3, 1), NPoint(0, 0)):
-            assert iso_oracle(a, zone, cd)
-            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd))
+            assert iso_oracle(a, zone, cd, (0, 0))
+            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
 
     def test_zero_direction_is_always_stable(self):
         cd = setup_class_data(20, 11)
         R = degree_vector(cd.hilbert, DegreeId(4, 1))
         for kappa in (-3, -1, 0, 2, 5):
             zone = zone_offsets(R, kappa, cd)
-            assert stable_iso_oracle(NPoint(0, 0), R, zone, cd, iso_oracle(NPoint(0, 0), zone, cd))
+            iso = iso_oracle(NPoint(0, 0), zone, cd, (0, 0))
+            assert stable_iso_oracle(NPoint(0, 0), R, zone, cd, iso)
 
     def test_stable_iso_equals_two_shifts(self):
         cd = setup_class_data(12, 5)
@@ -402,8 +404,8 @@ class TestIsoOracles:
             for a in t1_space(cd, d):
                 for kappa in (-1, 0, 1):
                     zone, shifted = zone_offsets(R, kappa, cd), zone_offsets(R, kappa + m, cd)
-                    iso = iso_oracle(a, zone, cd)
-                    expected = iso and iso_oracle(a, shifted, cd)
+                    iso = iso_oracle(a, zone, cd, (0, 0))
+                    expected = iso and iso_oracle(a, shifted, cd, (0, 0))
                     assert stable_iso_oracle(a, R, zone, cd, iso) == expected
                     # the same zone as verify reads it: its points against iota(kappa*R)
                     base = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
@@ -517,8 +519,8 @@ class TestRankRule:
         # vector off the base, which no class here has, so it is built
         cd = setup_class_data(20, 11)
         for offsets in ([], [(0, 0)]):
-            assert _constrained_dim(cd, DegreeId(3, 1), offsets, False) == 2
-            assert _constrained_dim(cd, DegreeId(3, 1), offsets, True) == 1
+            assert _constrained_dim(cd, DegreeId(3, 1), offsets, False, (0, 0)) == 2
+            assert _constrained_dim(cd, DegreeId(3, 1), offsets, True, (0, 0)) == 1
         seen = set()
         for n in range(5, 41):
             for q in range(1, n - 1):
@@ -535,9 +537,9 @@ class TestRankRule:
     def test_quotient_degree_must_descend(self):
         cd = setup_class_data(20, 11)
         with pytest.raises(deformations.InternalConsistencyError):
-            _constrained_dim(cd, DegreeId(2, 1), [(0, 3), (1, 0)], False)
-        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0), (0, 3)], False) == 0
-        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0)], False) == 1
+            _constrained_dim(cd, DegreeId(2, 1), [(0, 3), (1, 0)], False, (0, 0))
+        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0), (0, 3)], False, (0, 0)) == 0
+        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0)], False, (0, 0)) == 1
 
     def test_totals_reads_one_full_zone_per_degree(self, monkeypatch):
         # totals lists, once each, the kappa = -1 zone of every r^i and of
@@ -606,7 +608,7 @@ class TestWFast:
         assert cd.hilbert.coeffs == (2, 2, 5)
         top = 4 * cd.hilbert.element(4)
         offsets = zone_offsets(top, -1, cd)
-        assert w_chain_threshold(cd, 4, offsets) == 4
+        assert w_chain_threshold(cd, 4, offsets, (0, 0)) == 4
         w = w_fast(cd)
         assert [w[DegreeId(4, k)] for k in (2, 3, 4)] == [1, 1, 0]
         assert w == w_dims_oracle(cd)
@@ -623,7 +625,7 @@ class TestWFast:
                 top = (a - 1) * h.element(i)
                 base = -pairing(cd.alpha, top), -pairing(cd.beta, top)
                 threshold = w_chain_threshold(cd, i, zone_points(ZoneSpec(top, -1), cd), base)
-                assert w_chain_threshold(cd, i, zone_offsets(top, -1, cd)) == threshold
+                assert w_chain_threshold(cd, i, zone_offsets(top, -1, cd), (0, 0)) == threshold
                 assert 2 <= threshold <= a
                 seen.add((threshold == 2, threshold == a))
         assert seen == {(True, False), (False, True), (False, False)}
@@ -652,7 +654,7 @@ class TestPhi:
             vec = degree_vector(h, d)
             zone = zone_offsets(vec, 0, cd)
             for a in t1_space(cd, d):
-                stable = stable_iso_oracle(a, vec, zone, cd, iso_oracle(a, zone, cd))
+                stable = stable_iso_oracle(a, vec, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
                 assert (phi_functional(vec, a, cd) == 0) == stable
 
 

@@ -6,7 +6,6 @@ from cqs.lattice import (
     MPoint,
     NPoint,
     det2,
-    det2_m,
     ext_gcd,
     mod_inverse,
     pairing,
@@ -70,7 +69,6 @@ def test_det2_antisymmetric(a, b, c, d):
     p, q = NPoint(a, b), NPoint(c, d)
     assert det2(p, q) == -det2(q, p)
     assert det2(p, p) == 0
-    assert det2_m(MPoint(a, b), MPoint(c, d)) == det2(p, q)
 
 
 @given(ints, ints, st.integers(min_value=1, max_value=50))

@@ -59,3 +59,13 @@ def test_the_package_has_no_dataclass():
     assert sources
     for path in sources:
         assert "dataclass" not in path.read_text(), path.name
+
+
+def test_no_module_reads_the_environment():
+    # every bound and switch of the program is a constant or an option
+    package = Path(cqs.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name
