@@ -7,8 +7,9 @@ strings, never floats).  Exit codes: 0 success, 1 verification failure,
 2 parse error (an integer past the digit limit of int() included, and a
 class whose n is past it) or an input past a size bound: a ``verify``
 bound past ORACLE_BOUND (cone_geometry), an ``analyze`` class with more
-than MAX_T1_DEGREES T1-carrying degrees or whose W zones walk more than
-MAX_ZONE_FIBERS fibers, a printed continued fraction of more than
+than MAX_T1_DEGREES T1-carrying degrees or whose W zones (one per r^i,
+as ``w_fast`` decides each chain k*r^i, k >= 2, in closed form) walk
+more than MAX_ZONE_FIBERS fibers, a printed continued fraction of more than
 MAX_CF_TERMS terms, or a Cayley family with d > MAX_CAYLEY_D
 (deformations), 3 invalid singularity, 4 degenerate class (embdim <= 3).
 A reader that closes the pipe early (``cqs scan 400 | head``) ends the
@@ -34,7 +35,6 @@ from .cone_geometry import (
     OracleBoundError,
     binomial_equations,
     class_data,
-    continued_fraction,
     hj_coefficients,
 )
 from .deformations import CayleyFamily, T1Report, cayley_d, cayley_family, classify, totals
@@ -67,9 +67,9 @@ FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
 # (500,002 degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
 MAX_T1_DEGREES = 20_000
 # ... and a class whose W zones walk more fibers than this, the sum of
-# <alpha, R> over the zones w_fast requests: its time grows with it.
-# nq:2995/1498 walks 2.24 M fibers (about 2 s) and nq:10007/5003 10,009;
-# cf:3,...,3 with 30 threes would walk 7.5e12.
+# <alpha, r^i> over the zones of the r^i, the only ones w_fast walks: its
+# time grows with it.  nq:2995/1498 walks 2.24 M fibers (about 2 s) and
+# nq:10007/5003 3; cf:3,...,3 with 30 threes would walk 2.5e12.
 MAX_ZONE_FIBERS = 10**8
 # convert and analyze refuse to print a continued fraction longer than
 # this: nq:2000001/2 (1,000,000 terms) still prints as JSON in 128 MiB,
@@ -187,15 +187,16 @@ def _forms_block(cd: ClassData) -> dict:
 def _printed_cf(cd: ClassData) -> CFForm:
     """The continued fraction of the class, refused past MAX_CF_TERMS terms.
 
-    The cf of nq:n/2 has about n/2 terms, so it is counted before it is built.
+    The cf of nq:n/2 has about n/2 terms, so at most MAX_CF_TERMS + 1 of
+    them are generated, once, and the cf is refused if they all come.
     """
-    n, s = cd.nq.n, cd.nq.n - cd.nq.q
-    if sum(1 for _ in islice(hj_coefficients(n, s), MAX_CF_TERMS + 1)) > MAX_CF_TERMS:
+    terms = tuple(islice(hj_coefficients(cd.nq.n, cd.nq.n - cd.nq.q), MAX_CF_TERMS + 1))
+    if len(terms) > MAX_CF_TERMS:
         raise OracleBoundError(
             f"the continued fraction of {format_form(cd.nq)} has more than "
             f"{MAX_CF_TERMS} terms, the bound of a printed cf"
         )
-    return continued_fraction(n, s)
+    return CFForm(terms)
 
 
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
@@ -337,14 +338,13 @@ def cmd_analyze(args) -> int:
 def _w_zone_fibers(cf: list[int]) -> int:
     """The fibers that the W zones of ``w_fast`` walk, from the cf alone.
 
-    The zone of R = k*r^i walks <alpha, R> = k*u_i fibers, and u_i =
-    <alpha, r^i> follows the recursion of the basis, u_(i+1) = a_i*u_i -
-    u_(i-1) from u_1 = 0, u_2 = 1.  ``w_fast`` walks the zone of r^i and,
-    when a_i > 2, that of (a_i - 1)*r^i: u_i*a_i fibers, else u_i.
+    ``w_fast`` walks only the zone of each r^i, 2 <= i <= e-1, which has
+    <alpha, r^i> = u_i fibers; u_i follows the recursion of the basis,
+    u_(i+1) = a_i*u_i - u_(i-1) from u_1 = 0, u_2 = 1.
     """
     fibers, u_prev, u = 0, 0, 1
     for a in cf:
-        fibers += u * a if a > 2 else u
+        fibers += u
         u_prev, u = u, a * u - u_prev
     return fibers
 

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
+from .lattice import MPoint, NPoint, det2, ext_gcd, pairing
 from .representations import (
     ABCForm,
     CFForm,
@@ -36,6 +36,7 @@ from .representations import (
     InvalidSingularityError,
     NQForm,
     abc_to_nq,
+    central_degree,
     cone_to_interval,
     dual_generators,
     interval_to_abc,
@@ -203,7 +204,7 @@ def class_data(c: ConeForm) -> ClassData:
     bw = (c.beta.x * s + c.beta.y * t) % c.order  # <beta, [s, t]>, and <alpha, [s, t]> = 1
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
-        r1, re, primitive(r1 + re), iv.m, det2(c.alpha, c.beta), bw,
+        r1, re, central_degree(c), iv.m, det2(c.alpha, c.beta), bw,
     )
 
 

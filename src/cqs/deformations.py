@@ -19,13 +19,14 @@ iso[kappa] says that every M-point r of the zone Z_{R,kappa} satisfies
   VW  V intersect W,
   qG  iso[kappa] for every kappa.
 
-V, VW and qG have exact closed-form dimensions per degree; W does not
-have a known closed form and is reported by ``w_fast``, which walks the
-kappa = -1 zone of each degree -r^i and one such zone per chain k*r^i,
-k >= 2.  Every closed form in this module is cross-checked against the
-zone oracles by :mod:`cqs.verify`, and ``w_fast`` against
-``w_dims_oracle``, which walks the zone of every degree, by
-:mod:`cqs.verify` and acceptance criterion 8.
+V, VW and qG have exact closed-form dimensions per degree.  W is
+reported by ``w_fast``: each chain k*r^i, 2 <= k <= a_i - 1, is decided
+in closed form from four lattice points (``w_chain_threshold``), and
+each degree -r^i (k = 1) still walks its kappa = -1 zone.  Every closed
+form in this module is cross-checked against the zone oracles by
+:mod:`cqs.verify`, and ``w_fast`` against ``w_dims_oracle``, which walks
+the zone of every degree, by :mod:`cqs.verify` and acceptance
+criterion 8.
 
 ``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on the
 points of a zone Z_{R,kappa} the caller enumerated with ``zone_points``,
@@ -325,8 +326,8 @@ def _constrained_dim(
     h, m = cd.hilbert, cd.m
     (bu, bv), x0, y0 = base, 0, 0
     if with_phi:
-        R = degree_vector(h, d)
-        x0, y0 = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
+        u_i, v_i = cd.iota_basis[d.i - 1]
+        x0, y0 = m - m * d.k * u_i, m - m * d.k * v_i
     if d.k == 1 and 3 <= d.i <= h.e - 2:
         rest = iter(zone)
         if not (x0 or y0):
@@ -376,8 +377,8 @@ def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, by exact rank of the iso[-1] zone constraints.
 
-    No closed form is known for W alone; this enumeration is the
-    definition, against which ``w_fast`` is checked.  A zone point r
+    This enumeration is the definition, against which ``w_fast`` and its
+    chain closed form are checked, and it reads neither.  A zone point r
     gives the M-vector x = -R - r, with iota(x) = (du, dv).  In an interior
     degree (k = 1, 3 <= i <= e-2) the rank is the rank of these vectors;
     in a one-dimensional degree spanned by a it is 1 exactly when some
@@ -388,67 +389,76 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def w_fast(cd: ClassData) -> dict[DegreeId, int]:
-    """dim T1_W per degree, as ``w_dims_oracle``, from one zone per chain.
+    """dim T1_W per degree, as ``w_dims_oracle``, walking one zone per r^i.
 
-    A degree -r^i keeps its own kappa = -1 zone and rank.  The chain
-    k*r^i, 2 <= k <= a_i - 1, is read off the one zone of its top,
-    (a_i - 1)*r^i, by ``w_chain_threshold``: W = 1 for k below the
-    threshold and 0 from it on.  Two facts make that exact:
-      - T1(-k*r^i) is the line of a = (r^i)^perp for every k >= 2 and
-        <a, k*r^i> = 0, so iso[-1], <a, -k*r^i - r> = 0, is <a, r> = 0;
-      - Z_{k*r^i,-1} is -1 <= u < -1 + k*u_i, -1 <= v < -1 + k*v_i, and
-        these boxes grow with k, so each lies in the top one.
-    No closed form is read; the zone bases iota(-R) come from
-    ``cd.iota_basis``.
+    A degree -r^i keeps its own kappa = -1 zone and rank, read against
+    the base iota(-r^i) from ``cd.iota_basis``.  The chain k*r^i,
+    2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
+    ``w_chain_threshold(cd, i)`` and 0 from it on, and no chain zone is
+    walked.
     """
     h = cd.hilbert
     table = t1_degrees(h)
     out = dict.fromkeys(table, 0)
     j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
     for i, a in enumerate(h.coeffs, 2):
-        r, (u, v) = h.basis[i - 1], cd.iota_basis[i - 1]
+        u, v = cd.iota_basis[i - 1]
         out[table[j]] = _constrained_dim(
-            cd, table[j], zone_points(ZoneSpec(r, -1), cd), False, (-u, -v)
+            cd, table[j], zone_points(ZoneSpec(h.basis[i - 1], -1), cd), False, (-u, -v)
         )
-        if a > 2:
-            top = MPoint((a - 1) * r.u, (a - 1) * r.v)
-            base = (1 - a) * u, (1 - a) * v
-            threshold = w_chain_threshold(cd, i, zone_points(ZoneSpec(top, -1), cd), base)
-            out.update(dict.fromkeys(table[j + 1 : j + min(threshold, a) - 1], 1))
+        out.update(dict.fromkeys(table[j + 1 : j + w_chain_threshold(cd, i) - 1], 1))
         j += a - 1
     return out
 
 
-def w_chain_threshold(
-    cd: ClassData, i: int, zone: list[tuple[int, int]], base: tuple[int, int]
-) -> int:
-    """The K with W(-k*r^i) = 1 exactly for 2 <= k < K (see ``w_fast``).
+def axis_points(cd: ClassData) -> tuple[int, int]:
+    """(V0, U0): (-1, V0) and (U0, -1) are the least points of iota(M) on
+    the lines u = -1 and v = -1 with the other coordinate >= -1.
 
-    ``zone`` is the kappa = -1 zone of R = (a_i - 1)*r^i, read as
-    p - base the way ``_constrained_dim`` reads it: the zone points with
-    base iota(-R), or the offsets iota(-R - r) with base (0, 0), give
-    iota(R + r) resp. its negative for each zone point r.  Both
-    coordinates of R + r are >= 1 (u >= -1 and u_R >= 2), so their
-    absolute values are (s, t) = iota(R + r), and with (A, B) =
-    _iota_coeffs(a, cd), A*s + B*t = det * <a, r>.  A point with
-    <a, r> != 0 first lies in Z_{k*r^i,-1} at k = max((s + 1)//u_i,
-    (t + 1)//v_i) + 2 - a_i; K is the least such k, or a_i if none.  No
-    chain degree lies below k = 2, so the read stops at the first k <= 2
-    and returns 2.
+    iota(M) is v = bw*u (mod n), so u = -1 gives v = -bw and v = -1 gives
+    u = -1/bw (mod n); bw is a unit, as some r in M has <beta, r> = 1.
     """
-    a_i = cd.hilbert.coefficient(i)
-    u_i, v_i = cd.iota_basis[i - 1]
-    # a = (r^i)^perp = (-r.v, r.u) (t1_space), so (A, B) = (-v_i, u_i)
-    bu, bv = base
-    least = a_i
-    for u, v in zone:
-        s, t = abs(u - bu), abs(v - bv)
-        if u_i * t - v_i * s:
-            k = max((s + 1) // u_i, (t + 1) // v_i) + 2 - a_i
-            if k <= 2:
-                return 2
-            least = min(least, k)
-    return least
+    n, bw = cd.nq.n, cd.bw
+    return (1 - bw) % n - 1, (1 - pow(bw, -1, n)) % n - 1
+
+
+def w_chain_threshold(cd: ClassData, i: int) -> int:
+    """The K with W(-k*r^i) = 1 exactly for 2 <= k < K, in closed form.
+
+    With (u_j, v_j) = iota(r^j) and (V0, U0) = ``axis_points(cd)``,
+    K = min(a_i, max(2, min ceil((x + 2)/y))), the inner min over the
+    pairs (x, y) = (v_(i-1), v_i), (u_(i+1), u_i), (V0, v_i), (U0, u_i).
+
+    Proof.  For k >= 2, T1(-k*r^i) is the line of a = (r^i)^perp and
+    <a, k*r^i> = 0, so iso[-1], <a, -k*r^i - r> = 0, says that iota(r)
+    lies on the line L through iota(r^i) for every r in Z_{k*r^i,-1}.
+    In iota-coordinates that zone is the box B_k = [-1, k*u_i - 2] x
+    [-1, k*v_i - 2], and B_k grows with k.  So W = 1 exactly for k below
+    the least k at which B_k holds a point p of iota(M) off L.  Both
+    coordinates of p are >= -1, and p lies in one of three places:
+      - p >= 0: p is a nonzero semigroup point, a sum of basis elements
+        among which some r^j with j != i, as p is off L; so p >= iota(r^j)
+        in both coordinates.  For j < i, v_j >= v_(i-1), and for j > i,
+        u_j >= u_(i+1): p enters B_k no earlier than r^(i-1) or r^(i+1).
+        These two are off L, as adjacent basis elements are a basis of M,
+        and u_(i-1) <= u_i - 1 <= k*u_i - 2, v_(i+1) <= v_i - 1 <=
+        k*v_i - 2 (u_i, v_i >= 1 for 2 <= i <= e-1); so r^(i-1) is in B_k
+        iff v_(i-1) <= k*v_i - 2, and r^(i+1) iff u_(i+1) <= k*u_i - 2.
+      - p on u = -1: p = (-1, v) with v >= V0, and (-1, V0) is in B_k
+        iff V0 <= k*v_i - 2, as -1 <= k*u_i - 2.  V0 >= 0 by the next
+        point, and L has v < 0 where u < 0, so these points are off L.
+      - p on v = -1: likewise from (U0, -1).
+    No p lies on both lines: iota(Rbar/m) = (1, 1) and Rbar is
+    primitive, so (-1, -1) is in iota(M) only when m = 1, that is
+    q = n - 1 and e = 3.  Each of the four points is in B_k iff
+    k >= ceil((x + 2)/y) for its pair, so the least k is the inner min;
+    the chain has 2 <= k <= a_i - 1, so K is clamped to [2, a_i].
+    """
+    v0, u0 = axis_points(cd)
+    (u_prev, v_prev), (u_i, v_i), (u_next, _) = cd.iota_basis[i - 2 : i + 1]
+    pairs = ((v_prev, v_i), (u_next, u_i), (v0, v_i), (u0, u_i))
+    least = min(-(-(x + 2) // y) for x, y in pairs)
+    return min(cd.hilbert.coefficient(i), max(2, least))
 
 
 def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -457,12 +467,12 @@ def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
-    h, alpha, beta = cd.hilbert, cd.alpha, cd.beta
+    h = cd.hilbert
     out = {}
     for d in t1_degrees(h):
-        R = degree_vector(h, d)
-        base = -pairing(alpha, R), -pairing(beta, R)
-        out[d] = _constrained_dim(cd, d, zone_points(ZoneSpec(R, -1), cd), with_phi, base)
+        u_i, v_i = cd.iota_basis[d.i - 1]
+        zone = zone_points(ZoneSpec(degree_vector(h, d), -1), cd)
+        out[d] = _constrained_dim(cd, d, zone, with_phi, (-d.k * u_i, -d.k * v_i))
     return out
 
 

@@ -86,25 +86,12 @@ def det2(p: NPoint, q: NPoint) -> int:
     return p.x * q.y - p.y * q.x
 
 
-def primitive(p):
-    """p divided by the gcd of its coordinates; same type, same direction."""
-    if isinstance(p, MPoint):
-        if p.is_zero():
-            raise ValueError("primitive() of the zero vector is undefined")
-        d = gcd(p.u, p.v)
-        return MPoint(p.u // d, p.v // d)
-    if isinstance(p, NPoint):
-        if p.is_zero():
-            raise ValueError("primitive() of the zero vector is undefined")
-        d = gcd(p.x, p.y)
-        return NPoint(p.x // d, p.y // d)
-    raise TypeError(f"primitive() expects MPoint or NPoint, got {type(p)!r}")
-
-
-def is_primitive(p) -> bool:
-    if isinstance(p, MPoint):
-        return not p.is_zero() and gcd(p.u, p.v) == 1
-    return not p.is_zero() and gcd(p.x, p.y) == 1
+def primitive(p: MPoint) -> MPoint:
+    """p divided by the gcd of its coordinates, in the same direction."""
+    if p.is_zero():
+        raise ValueError("primitive() of the zero vector is undefined")
+    d = gcd(p.u, p.v)
+    return MPoint(p.u // d, p.v // d)
 
 
 def ext_gcd(u: int, v: int) -> tuple[int, int, int]:

@@ -28,7 +28,6 @@ from .lattice import (
     NPoint,
     det2,
     ext_gcd,
-    is_primitive,
     mod_inverse,
     pairing,
     primitive,
@@ -85,7 +84,7 @@ class ConeForm(namedtuple("ConeForm", "alpha beta")):
     __slots__ = ()
 
     def __new__(cls, alpha: NPoint, beta: NPoint) -> ConeForm:
-        if not (is_primitive(alpha) and is_primitive(beta)):
+        if gcd(alpha.x, alpha.y) != 1 or gcd(beta.x, beta.y) != 1:
             raise InvalidSingularityError("cone generators must be primitive and nonzero")
         if det2(alpha, beta) == 0:
             raise InvalidSingularityError("cone is not two-dimensional (parallel generators)")

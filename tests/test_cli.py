@@ -119,18 +119,26 @@ class TestConvert:
 
     def test_cf_built_only_when_printed(self, capsys, monkeypatch):
         # the cf of nq:100000001/2 has 50,000,000 terms
-        def refuse(p, s):
-            raise MemoryError(f"continued_fraction({p}, {s})")
+        real, pulled = cli.hj_coefficients, []
 
-        monkeypatch.setattr(cli, "continued_fraction", refuse)
+        def counted(p, s):
+            for a in real(p, s):
+                pulled.append(a)
+                yield a
+
+        monkeypatch.setattr(cli, "hj_coefficients", counted)
         for tag, line in (("nq", "nq:100000001/2"), ("abc", "abc:100000001,1,3")):
             code, out, _ = run(capsys, "convert", "nq:100000001/2", "--to", tag)
             assert code == 0
             assert out.splitlines() == [line, "canonical:nq:100000001/2"]
-        # a cf of more than MAX_CF_TERMS terms is refused before it is built
+        assert pulled == []
+        # a cf of more than MAX_CF_TERMS terms is refused after one pass
+        # over its first MAX_CF_TERMS + 1 terms
         code, out, err = run(capsys, "convert", "nq:100000001/2", "--to", "cf")
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and str(cli.MAX_CF_TERMS) in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cli.MAX_CF_TERMS) in err
+        assert len(pulled) == cli.MAX_CF_TERMS + 1
 
     def test_roundtrip_through_grammar(self, capsys):
         for text in (
@@ -459,10 +467,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "totals", stop)
         code, _, _ = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
         assert code == 4 and reached == [NQForm(2 * t - 1, 2)]
+        # cf:10001,10001 has t degrees too; its two chains of 9,999 degrees
+        # walk no zone, so its W zones walk 1 + 10,001 fibers and it is reported
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "analyze", "cf:10001,10001", "--csv")
+        assert code == 0 and len(out.splitlines()) == t + 1
 
     def test_analyze_refuses_past_the_fiber_bound(self):
         # cf:3,...,3 (30 threes) has 60 degrees, whose W zones walk about
-        # 7.5e12 fibers; it used to run for minutes
+        # 2.5e12 fibers; it used to run for minutes
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "cqs", "analyze", "cf:" + ",".join(["3"] * 30)],

@@ -14,6 +14,7 @@ from cqs.deformations import (
     _constrained_dim,
     _iota_coeffs,
     assemble_report,
+    axis_points,
     cayley_family,
     classify,
     degree_vector,
@@ -55,6 +56,32 @@ def zone_offsets(R, kappa, cd):
     """
     ku, kv = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
     return [(ku - u, kv - v) for u, v in zone_points(ZoneSpec(R, kappa), cd)]
+
+
+def zone_threshold(cd, i):
+    """``w_chain_threshold`` as read off a zone walk: the kappa = -1 zone of
+    the chain's top R = (a_i - 1)*r^i.
+
+    Each zone point r gives (s, t) = iota(R + r), both >= 1; a point off
+    the line of r^i first lies in Z_{k*r^i,-1} at k = max((s + 1)//u_i,
+    (t + 1)//v_i) + 2 - a_i, and the least such k, clamped to [2, a_i],
+    is the threshold.
+    """
+    a_i = cd.hilbert.coefficient(i)
+    u_i, v_i = cd.iota_basis[i - 1]
+    entries = [
+        max((1 - du) // u_i, (1 - dv) // v_i) + 2 - a_i
+        for du, dv in zone_offsets((a_i - 1) * cd.hilbert.element(i), -1, cd)
+        if u_i * dv != v_i * du
+    ]
+    return min(a_i, max(2, min(entries, default=a_i)))
+
+
+def in_iota_m(cd, u, v):
+    """(u, v) = iota(r) for some r in M: the inverse of the matrix with rows
+    alpha, beta maps it to an integer point."""
+    a, b = cd.alpha, cd.beta
+    return (b.y * u - a.y * v) % cd.det == 0 and (a.x * v - b.x * u) % cd.det == 0
 
 
 def setup_class_data(n, q):
@@ -543,8 +570,8 @@ class TestRankRule:
 
     def test_totals_reads_one_full_zone_per_degree(self, monkeypatch):
         # totals lists, once each, the kappa = -1 zone of every r^i and of
-        # (a_i - 1)*r^i when a_i > 2, and the rank and the chain threshold
-        # do not shorten or alter the list zone_points returned
+        # no chain degree k*r^i, k >= 2, and the rank does not shorten or
+        # alter the list zone_points returned
         calls = []
         real = deformations.zone_points
 
@@ -562,11 +589,7 @@ class TestRankRule:
                 calls.clear()
                 totals(cd)
                 h, bw = cd.hilbert, cd.bw
-                expected = []
-                for i, a in enumerate(h.coeffs, 2):
-                    expected.append(ZoneSpec(h.element(i), -1))
-                    if a > 2:
-                        expected.append(ZoneSpec((a - 1) * h.element(i), -1))
+                expected = [ZoneSpec(h.element(i), -1) for i in range(2, h.e)]
                 assert [z for z, _, _ in calls] == expected
                 for z, points, copy in calls:
                     u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
@@ -577,11 +600,16 @@ class TestRankRule:
                     assert points == copy and len(points) == len(box) and set(points) == box
 
 
+def standard_cones(n_max):
+    """nq_to_cone of every class with e >= 4 and n <= n_max."""
+    return [
+        nq_to_cone(NQForm(n, q)) for n in range(4, n_max + 1) for q in range(1, n - 1)
+        if gcd(n, q) == 1
+    ]
+
+
 def classes(n_max):
-    for n in range(4, n_max + 1):
-        for q in range(1, n - 1):
-            if gcd(n, q) == 1:
-                yield setup_class_data(n, q)
+    return map(class_data, standard_cones(n_max))
 
 
 class TestWFast:
@@ -606,29 +634,42 @@ class TestWFast:
         # 3*r^4, 4*r^4, so the threshold lies strictly inside the chain
         cd = setup_class_data(13, 4)
         assert cd.hilbert.coeffs == (2, 2, 5)
-        top = 4 * cd.hilbert.element(4)
-        offsets = zone_offsets(top, -1, cd)
-        assert w_chain_threshold(cd, 4, offsets, (0, 0)) == 4
+        assert w_chain_threshold(cd, 4) == zone_threshold(cd, 4) == 4
         w = w_fast(cd)
         assert [w[DegreeId(4, k)] for k in (2, 3, 4)] == [1, 1, 0]
         assert w == w_dims_oracle(cd)
 
-    def test_threshold_reads_points_or_offsets(self):
-        # the zone points with base iota(-R) and zone_offsets(R, -1) with
-        # base (0, 0) are the two readings, and they agree
+    def test_closed_form_equals_the_zone_walk(self):
+        # every chain with n <= 40, and with n <= 25 in the four coordinate
+        # changes of TestNonstandardCones; all three outcomes occur
+        cones = standard_cones(40)
+        cones += [transform(c, g) for c in cones if c.order <= 25 for g in UNIMODULAR]
         seen = set()
-        for cd in classes(40):
-            h = cd.hilbert
-            for i, a in enumerate(h.coeffs, 2):
-                if a <= 2:
-                    continue
-                top = (a - 1) * h.element(i)
-                base = -pairing(cd.alpha, top), -pairing(cd.beta, top)
-                threshold = w_chain_threshold(cd, i, zone_points(ZoneSpec(top, -1), cd), base)
-                assert w_chain_threshold(cd, i, zone_offsets(top, -1, cd), (0, 0)) == threshold
-                assert 2 <= threshold <= a
-                seen.add((threshold == 2, threshold == a))
+        for cone in cones:
+            cd = class_data(cone)
+            for i, a in enumerate(cd.hilbert.coeffs, 2):
+                if a > 2:
+                    threshold = w_chain_threshold(cd, i)
+                    assert threshold == zone_threshold(cd, i), (cone, i)
+                    seen.add((threshold == 2, threshold == a))
         assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_axis_points_are_least_on_their_lines(self):
+        # (-1, V0) and (U0, -1) by brute force; V0, U0 >= 0 as m >= 2
+        cones = standard_cones(40)
+        for cone in cones + [transform(c, g) for c in cones for g in UNIMODULAR]:
+            cd = class_data(cone)
+            n = cd.nq.n
+            v0 = next(v for v in range(-1, n) if in_iota_m(cd, -1, v))
+            u0 = next(u for u in range(-1, n) if in_iota_m(cd, u, -1))
+            assert axis_points(cd) == (v0, u0) and min(v0, u0) >= 0, cone
+
+    def test_axis_points_in_standard_coordinates(self):
+        # in nq_to_cone coordinates V0 = q and U0 = 1/q mod n
+        for n in range(3, 201):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    assert axis_points(setup_class_data(n, q)) == (q, pow(q, -1, n)), (n, q)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSingularityError):

@@ -32,7 +32,6 @@ def test_primitive_examples():
     assert primitive(MPoint(20, 12)) == MPoint(5, 3)
     assert primitive(MPoint(0, 7)) == MPoint(0, 1)
     assert primitive(MPoint(-6, 9)) == MPoint(-2, 3)
-    assert primitive(NPoint(-11, 20)) == NPoint(-11, 20)
     with pytest.raises(ValueError):
         primitive(MPoint(0, 0))
 

@@ -56,6 +56,8 @@ class TestValidation:
         with pytest.raises(InvalidSingularityError):
             ConeForm(NPoint(2, 0), NPoint(0, 1))  # not primitive
         with pytest.raises(InvalidSingularityError):
+            ConeForm(NPoint(0, 0), NPoint(0, 1))  # zero
+        with pytest.raises(InvalidSingularityError):
             ConeForm(NPoint(1, 2), NPoint(-1, -2))  # parallel
 
     def test_interval_invariants(self):

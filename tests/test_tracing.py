@@ -60,9 +60,9 @@ def test_traced_scan_with_two_workers_prints_one_trace():
 
 
 @pytest.mark.parametrize("args, calls, fibers, points", [
-    (["scan", "25"], 766, 5_339, 1_493),
-    (["analyze", "nq:301/2", "--json"], 151, 11_625, 298),
-    (["analyze", "nq:301/151", "--json"], 151, 22_502, 298),
+    (["scan", "25"], 650, 3_986, 1_120),
+    (["analyze", "nq:301/2", "--json"], 150, 11_325, 296),
+    (["analyze", "nq:301/151", "--json"], 150, 22_500, 296),
 ])
 def test_zone_walk_is_pinned(args, calls, fibers, points):
     # the zones totals requests, and the fibers and points zone_points walks
