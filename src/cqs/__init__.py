@@ -56,7 +56,7 @@ from .deformations import (
     cayley_family,
     classify,
     iso_oracle,
-    phi_functional,
+    phi_vector,
     qg_dims,
     qg_oracle,
     stable_iso_oracle,
@@ -69,4 +69,5 @@ from .deformations import (
     vw_oracle,
     w_dims_oracle,
     w_fast,
+    zone_span,
 )

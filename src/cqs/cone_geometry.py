@@ -37,8 +37,8 @@ from .representations import (
     NQForm,
     abc_to_nq,
     central_degree,
-    cone_to_interval,
     dual_generators,
+    interval_around,
     interval_to_abc,
     mirror_c,
 )
@@ -194,17 +194,19 @@ def class_data(c: ConeForm) -> ClassData:
     """The class of the cone c, with every derived field in c's coordinates.
 
     The round trip cone -> interval -> abc -> nq is the single place
-    where q is found; a smooth cone (n = 1) has no nq and raises
-    InvalidSingularityError.
+    where q is found; the dual generators and Rbar are derived once, and
+    the interval is read around that Rbar.  A smooth cone (n = 1) has no
+    nq and raises InvalidSingularityError.
     """
-    iv = cone_to_interval(c)
+    rbar = central_degree(c)
+    iv = interval_around(c, rbar)
     abc = interval_to_abc(iv)
     r1, re = dual_generators(c)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
     bw = (c.beta.x * s + c.beta.y * t) % c.order  # <beta, [s, t]>, and <alpha, [s, t]> = 1
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
-        r1, re, central_degree(c), iv.m, det2(c.alpha, c.beta), bw,
+        r1, re, rbar, iv.m, det2(c.alpha, c.beta), bw,
     )
 
 

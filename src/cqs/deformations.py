@@ -28,11 +28,15 @@ form in this module is cross-checked against the zone oracles by
 the zone of every degree, by :mod:`cqs.verify` and acceptance
 criterion 8.
 
-``iso_oracle`` and ``stable_iso_oracle`` judge a direction a on the
-points of a zone Z_{R,kappa} the caller enumerated with ``zone_points``,
-read against the base iota(kappa*R), so one enumeration serves every
-direction in the degree.  ``assemble_report`` builds and checks a report
-from columns its caller already holds.
+The oracles work in iota coordinates only.  ``zone_span`` reads a zone
+Z_{R,kappa} that ``zone_points`` listed once, against the base
+iota(kappa*R), into a basis of at most two vectors; ``t1_space`` gives
+each direction a as its integer functional (A, B) on iota, and
+``phi_vector`` is iota(Rbar - m*R).  ``iso_oracle``,
+``stable_iso_oracle``, the W and VW ranks and ``v_dims_oracle`` then
+decide on at most three integer pairs, and one enumeration and one read
+serve every direction in the degree.  ``assemble_report`` builds and
+checks a report from columns its caller already holds.
 
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
@@ -59,7 +63,7 @@ from .cone_geometry import (
     ZoneSpec,
     zone_points,
 )
-from .lattice import MPoint, NPoint, det2, ext_gcd, pairing
+from .lattice import MPoint, pairing
 from .representations import DegenerateSingularityError, NQForm
 
 
@@ -155,33 +159,36 @@ def t1_graded(h: HilbertData) -> list[tuple[DegreeId, int]]:
     return list(t1_dims(h).items())
 
 
-def _basis_completion(v: NPoint) -> NPoint:
-    """Some w with {v, w} a Z-basis of N (det(v, w) = 1)."""
-    _, s, t = ext_gcd(v.x, v.y)
-    return NPoint(-t, s)
+def t1_space(cd: ClassData, d: DegreeId) -> tuple[tuple[int, int], ...]:
+    """The directions spanning T1(-R), R = k*r^i, as integer functionals on iota.
 
-
-def t1_space(cd: ClassData, d: DegreeId) -> tuple[NPoint, ...]:
-    """Representatives in N spanning T1(-R) for the degree R = k*r^i.
-
-    Case (ii) is all of N; case (iii) is the line (r^i)^perp.  The
-    quotient degrees r^2 and r^(e-1) are represented by a completion of
-    alpha resp. beta to a basis; all constraint functionals evaluated on
-    zone points kill alpha resp. beta there, so the choice is immaterial.
+    A direction a in N is read as the pair (A, B) with
+    det(alpha, beta) * <a, x> = A*<alpha, x> + B*<beta, x>, so it pairs
+    with an M-vector x through iota(x) alone; only the line of (A, B)
+    matters to every test here.  Case (ii) is all of N, spanned by (1, 0)
+    and (0, 1).  Case (iii) is the line (r^i)^perp, the functional
+    (v_i, -u_i) that kills (u_i, v_i) = iota(r^i).  The quotient degree
+    r^2 is N mod alpha: every vector it is tested on has <alpha, x> = 0
+    (``_constrained_dim`` checks this), so the direction is read by its
+    <beta, .>, (0, 1); likewise (1, 0) at r^(e-1), which is N mod beta.
     """
     if d.k >= 2:
-        r = cd.hilbert.element(d.i)
-        return (NPoint(-r.v, r.u),)  # spans (r^i)^perp, primitive as r^i is
+        u_i, v_i = cd.iota_basis[d.i - 1]
+        return ((v_i, -u_i),)
     if d.i == 2:
-        return (_basis_completion(cd.alpha),)
+        return ((0, 1),)
     if d.i == cd.hilbert.e - 1:
-        return (_basis_completion(cd.beta),)
-    return (NPoint(1, 0), NPoint(0, 1))
+        return ((1, 0),)
+    return ((1, 0), (0, 1))
 
 
-def phi_functional(R: MPoint, a: NPoint, cd: ClassData) -> int:
-    """<a, Rbar - m*R>; zero exactly on the V-directions in degree -R."""
-    return pairing(a, cd.rbar) - cd.m * pairing(a, R)
+def phi_vector(cd: ClassData, d: DegreeId) -> tuple[int, int]:
+    """iota(Rbar - m*R) for R = k*r^i: a direction is a V-direction in
+    degree -R exactly when its functional vanishes here.  From the frame
+    pairings, iota(Rbar) = (m, m)."""
+    u_i, v_i = cd.iota_basis[d.i - 1]
+    m = cd.m
+    return m - m * d.k * u_i, m - m * d.k * v_i
 
 
 def v_dims(cd: ClassData) -> dict[DegreeId, int]:
@@ -244,48 +251,66 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
-def _iota_coeffs(a: NPoint, cd: ClassData) -> tuple[int, int]:
-    """(A, B) with det * <a, r> = A*<alpha, r> + B*<beta, r> for every r."""
-    return det2(a, cd.beta), det2(cd.alpha, a)
+def zone_span(zone: list[tuple[int, int]], base: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """A basis of the vectors p - base, p in ``zone``: no vector, one, or two.
+
+    ``zone`` is Z_{R,kappa} as ``zone_points`` lists it and ``base`` is
+    iota(kappa*R), so each p - base is -iota(kappa*R - r) for a zone point
+    r.  The list is read once, in order, and the read stops at the second
+    independent vector.  A list of vectors with base (0, 0) gives a basis
+    of their span, and its length is their rank.
+    """
+    bu, bv = base
+    rest = iter(zone)
+    for u, v in rest:
+        if u != bu or v != bv:
+            x0, y0 = u - bu, v - bv
+            break
+    else:
+        return ()
+    # (u - bu, v - bv) is parallel to (x0, y0) iff x0*v - y0*u = c
+    c = x0 * bv - y0 * bu
+    for u, v in rest:
+        if x0 * v - y0 * u != c:
+            return (x0, y0), (u - bu, v - bv)
+    return ((x0, y0),)
 
 
-def iso_oracle(
-    a: NPoint, zone: list[tuple[int, int]], cd: ClassData, base: tuple[int, int]
-) -> bool:
+def iso_oracle(f: tuple[int, int], span: tuple[tuple[int, int], ...]) -> bool:
     """Brute-force iso[kappa]: <a, kappa*R - r> = 0 on every zone M-point r.
 
-    ``zone`` is Z_{R,kappa} as listed by ``zone_points`` and ``base`` is
-    iota(kappa*R).  With (A, B) = _iota_coeffs(a, cd), det * <a, kappa*R - r>
-    is A*bu + B*bv - (A*u + B*v) for (u, v) = iota(r); det != 0, so the
-    test is decided on integers.  A list of iota(kappa*R - r) with base
-    (0, 0) is read the same way.
+    ``f`` = (A, B) is the direction a as ``t1_space`` gives it and
+    ``span`` is ``zone_span`` of the zone Z_{R,kappa} against
+    iota(kappa*R).  The condition is linear in iota(kappa*R - r), so it
+    holds on the zone exactly when A*x + B*y = 0 on each basis vector.
     """
-    A, B = _iota_coeffs(a, cd)
-    c = A * base[0] + B * base[1]
-    return all(A * u + B * v == c for u, v in zone)
+    A, B = f
+    return not any(A * x + B * y for x, y in span)
 
 
 def stable_iso_oracle(
-    a: NPoint, R: MPoint, zone: list[tuple[int, int]], cd: ClassData, iso: bool
+    f: tuple[int, int], phi: tuple[int, int], zone: list[tuple[int, int]], iso: bool
 ) -> bool:
     """iso[kappa + l*m] for all integers l, decided finitely.
 
-    ``iso`` is ``iso_oracle``'s answer on the zone Z_{R,kappa} listed in
-    ``zone``; the zone is not read again.  An empty zone makes every
-    shift hold; otherwise the condition is iso[kappa] together with
+    ``iso`` is ``iso_oracle``'s answer for the direction ``f`` on the zone
+    Z_{R,kappa} listed in ``zone``, and ``phi`` is ``phi_vector`` of the
+    degree.  The zone is only tested for emptiness: an empty zone makes
+    every shift hold; otherwise the condition is iso[kappa] together with
     <a, Rbar - m*R> = 0, because consecutive shifts differ exactly by
     that pairing.
     """
-    return not zone or (iso and phi_functional(R, a, cd) == 0)
+    return not zone or (iso and f[0] * phi[0] + f[1] * phi[1] == 0)
 
 
 def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
-    # containment of the zone's lattice points in the line Q*(Rbar - m*R)
-    line = cd.rbar - cd.m * R
-    if line.is_zero():
+    # containment of the zone's lattice points in the line Q*(Rbar - m*R),
+    # whose iota is (m - m*<alpha,R>, m - m*<beta,R>)
+    m = cd.m
+    lu, lv = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
+    if not (lu or lv):
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
     # at kappa = 0 the base iota(kappa*R) is the origin
-    lu, lv = pairing(cd.alpha, line), pairing(cd.beta, line)
     return all(u * lv == v * lu for u, v in zone_points(ZoneSpec(R, 0, tag), cd))
 
 
@@ -305,72 +330,40 @@ def vw_oracle(R: MPoint, cd: ClassData) -> bool:
 
 
 def _constrained_dim(
-    cd: ClassData, d: DegreeId, zone: list[tuple[int, int]], with_phi: bool,
-    base: tuple[int, int],
+    cd: ClassData, d: DegreeId, span: tuple[tuple[int, int], ...], with_phi: bool
 ) -> int:
-    """Directions in degree -R that every constraint of the zone ``zone``
-    (and <a, Rbar - m*R> = 0 when ``with_phi``) leaves free.
+    """Directions in degree -R that every constraint of a zone (and
+    <a, Rbar - m*R> = 0 when ``with_phi``) leaves free.
 
-    A point r of Z_{R,kappa} constrains a by <a, x> = 0 for
-    x = kappa*R - r, and iota is injective; with ``base`` = iota(kappa*R)
-    each p - base for p in ``zone`` is -iota(x), and negation keeps every
-    rank (a list of the iota(x) themselves reads the same with base
-    (0, 0)).  So in an interior degree (k = 1, 3 <= i <= e-2, T1(-R) = N)
-    the rank is the rank of these vectors, and ``with_phi`` adds
-    iota(Rbar - m*R) = (m - m*u_R, m - m*v_R).  In a one-dimensional
-    degree spanned by a it is 1 exactly when some A*du + B*dv != 0 for
-    (du, dv) = p - base, (A, B) = _iota_coeffs(a, cd), or, with phi, when
-    <a, Rbar - m*R> != 0.  The list is read once, in order, up to full
-    rank; only the descent check of a quotient degree reads it all.
+    ``span`` is ``zone_span`` of the zone against iota(kappa*R): a point
+    r of Z_{R,kappa} constrains a by <a, x> = 0 for x = kappa*R - r, and
+    these iota(x) span the same space as ``span``.  ``with_phi`` adds
+    ``phi_vector(cd, d)``.  With T1(-R) = N (k = 1, 3 <= i <= e-2) the
+    free directions number 2 minus the rank of these vectors; in a
+    one-dimensional degree the direction (A, B) is free unless some
+    vector (x, y) has A*x + B*y != 0.  A quotient degree must see
+    <alpha, x> = 0 resp. <beta, x> = 0 on every vector.
     """
-    h, m = cd.hilbert, cd.m
-    (bu, bv), x0, y0 = base, 0, 0
-    if with_phi:
-        u_i, v_i = cd.iota_basis[d.i - 1]
-        x0, y0 = m - m * d.k * u_i, m - m * d.k * v_i
-    if d.k == 1 and 3 <= d.i <= h.e - 2:
-        rest = iter(zone)
-        if not (x0 or y0):
-            for u, v in rest:
-                if u != bu or v != bv:
-                    x0, y0 = u - bu, v - bv
-                    break
-            else:
-                return 2
-        # (u - bu, v - bv) is parallel to (x0, y0) iff x0*v - y0*u = c
-        c = x0 * bv - y0 * bu
-        return 0 if any(x0 * v - y0 * u != c for u, v in rest) else 1
-    if d.k == 1:
-        # quotient degree: every constraint must kill alpha resp. beta,
-        # and <alpha, x> = du, <beta, x> = dv
+    functionals = t1_space(cd, d)
+    if d.k == 1 and d.i in (2, cd.hilbert.e - 1):
         side = 0 if d.i == 2 else 1
-        if any(p[side] != base[side] for p in zone):
+        if any(x[side] for x in span):
             raise InternalConsistencyError("zone constraint does not descend to the quotient")
-        if with_phi:
-            A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
-            if A * x0 + B * y0 != 0:
-                return 0
-        # a completes alpha resp. beta to a basis, so det(alpha, a) = 1
-        # resp. det(beta, a) = 1: with du = 0 resp. dv = 0 left, A*du + B*dv
-        # is dv resp. -du, and the other coordinate decides
-        other = 1 - side
-        return 0 if any(p[other] != base[other] for p in zone) else 1
-    A, B = _iota_coeffs(t1_space(cd, d)[0], cd)
-    # det * <a, Rbar - m*R> = A*x0 + B*y0, and det != 0
-    if A * x0 + B * y0 != 0:
-        return 0
-    c = A * bu + B * bv
-    return 0 if any(A * u + B * v != c for u, v in zone) else 1
+    rows = (*span, phi_vector(cd, d)) if with_phi else span
+    if len(functionals) == 2:
+        return 2 - len(zone_span(rows, (0, 0)))
+    ((A, B),) = functionals
+    return 0 if any(A * x + B * y for x, y in rows) else 1
 
 
 def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim ker Phi per degree, i.e. directions with <a, Rbar - m*R> = 0."""
     out = {}
     for d in t1_degrees(cd.hilbert):
-        R = degree_vector(cd.hilbert, d)
+        x, y = phi_vector(cd, d)
         basis = t1_space(cd, d)
         # Phi is one row: rank 1 unless it vanishes on the whole basis
-        out[d] = len(basis) - any(phi_functional(R, a, cd) != 0 for a in basis)
+        out[d] = len(basis) - any(A * x + B * y for A, B in basis)
     return out
 
 
@@ -403,9 +396,8 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
     for i, a in enumerate(h.coeffs, 2):
         u, v = cd.iota_basis[i - 1]
-        out[table[j]] = _constrained_dim(
-            cd, table[j], zone_points(ZoneSpec(h.basis[i - 1], -1), cd), False, (-u, -v)
-        )
+        zone = zone_points(ZoneSpec(h.basis[i - 1], -1), cd)
+        out[table[j]] = _constrained_dim(cd, table[j], zone_span(zone, (-u, -v)), False)
         out.update(dict.fromkeys(table[j + 1 : j + w_chain_threshold(cd, i) - 1], 1))
         j += a - 1
     return out
@@ -472,7 +464,7 @@ def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
     for d in t1_degrees(h):
         u_i, v_i = cd.iota_basis[d.i - 1]
         zone = zone_points(ZoneSpec(degree_vector(h, d), -1), cd)
-        out[d] = _constrained_dim(cd, d, zone, with_phi, (-d.k * u_i, -d.k * v_i))
+        out[d] = _constrained_dim(cd, d, zone_span(zone, (-d.k * u_i, -d.k * v_i)), with_phi)
     return out
 
 

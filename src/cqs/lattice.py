@@ -18,8 +18,8 @@ from typing import NamedTuple
 class MPoint(NamedTuple):
     """Lattice point [u,v] of M.
 
-    A NamedTuple, so ``+``, ``-`` and ``*`` are redefined: vector sum and
-    difference, and ``k * p`` scales; ``p * k`` raises TypeError rather
+    A NamedTuple, so ``+`` and ``*`` are redefined: ``p + q`` is the
+    vector sum and ``k * p`` scales; ``p * k`` raises TypeError rather
     than repeat the tuple.
     """
 
@@ -28,12 +28,6 @@ class MPoint(NamedTuple):
 
     def __add__(self, other: "MPoint") -> "MPoint":
         return MPoint(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "MPoint") -> "MPoint":
-        return MPoint(self.u - other.u, self.v - other.v)
-
-    def __neg__(self) -> "MPoint":
-        return MPoint(-self.u, -self.v)
 
     def __mul__(self, k):
         raise TypeError("an MPoint is scaled as k * p, not p * k")
@@ -49,28 +43,15 @@ class MPoint(NamedTuple):
 
 
 class NPoint(NamedTuple):
-    """Lattice point (x,y) of the dual lattice N, with the operators of MPoint."""
+    """Lattice point (x,y) of the dual lattice N.
+
+    Cone generators are the only N-points built; they are paired with
+    M-points and never added or scaled, so NPoint keeps the tuple
+    operators (``+`` concatenates).
+    """
 
     x: int
     y: int
-
-    def __add__(self, other: "NPoint") -> "NPoint":
-        return NPoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "NPoint") -> "NPoint":
-        return NPoint(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "NPoint":
-        return NPoint(-self.x, -self.y)
-
-    def __mul__(self, k):
-        raise TypeError("an NPoint is scaled as k * p, not p * k")
-
-    def __rmul__(self, k: int) -> "NPoint":
-        return NPoint(k * self.x, k * self.y)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"

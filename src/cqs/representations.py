@@ -182,13 +182,24 @@ def dual_generators(c: ConeForm) -> tuple[MPoint, MPoint]:
 
 
 def central_degree(c: ConeForm) -> MPoint:
-    """Primitive generator of the ray through r1 + re."""
-    r1, re = dual_generators(c)
-    return primitive(r1 + re)
+    """Primitive generator of the ray through r1 + re.
+
+    With the signs of ``dual_generators``, r1 + re is
+    [beta.y - alpha.y, alpha.x - beta.x] when det(alpha, beta) > 0 and
+    its negative otherwise, so it is formed here without them.
+    """
+    a, b = c.alpha, c.beta
+    s = 1 if det2(a, b) > 0 else -1
+    return primitive(MPoint(s * (b.y - a.y), s * (a.x - b.x)))
 
 
 def cone_to_interval(c: ConeForm) -> IntervalUD:
-    """Rewrite the cone in coordinates where the central degree is [0,1].
+    """Rewrite the cone in coordinates where the central degree is [0,1]."""
+    return interval_around(c, central_degree(c))
+
+
+def interval_around(c: ConeForm, rbar: MPoint) -> IntervalUD:
+    """``cone_to_interval(c)``, given rbar = ``central_degree(c)``.
 
     The central degree Rbar is extended to a basis {F, Rbar} of M via the
     extended Euclidean algorithm; the sign of F is chosen so that alpha
@@ -196,7 +207,6 @@ def cone_to_interval(c: ConeForm) -> IntervalUD:
     beta = (h, m) with m = <alpha, Rbar> = <beta, Rbar>, and the interval
     is [g/m, h/m], stored in its canonical integral translate.
     """
-    rbar = central_degree(c)
     m = pairing(c.alpha, rbar)
     if m != pairing(c.beta, rbar) or m <= 0:
         raise InvalidSingularityError("cone is not pointed")

@@ -8,7 +8,13 @@ sections: conversions, hilbert and deformations.  The CLI `verify`
 subcommand and the acceptance test suite both run it.  The deformation
 checks compute each closed form and enumerate each zone once per class,
 and assemble the report from those columns (W is the rank on the
-kappa = -1 zone of each degree).  ``w_fast`` decides each chain degree
+kappa = -1 zone of each degree).  Each zone is read once, into its span
+(``zone_span``), and each direction of a degree is one integer
+functional on iota (``t1_space``); every iso, stable-iso and rank test
+of the degree reuses the five spans and the functionals.  The
+Hilbert coefficients are compared with the mirror's continued fraction,
+reversed, so the comparison does not read the expansion that built
+them.  ``w_fast`` decides each chain degree
 k*r^i, k >= 2, in closed form and walks the zone of each k = 1 degree;
 the closed form is checked against that rank in every chain degree, on
 the zones already listed.
@@ -203,10 +209,10 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
     where = f"n={nq.n} q={nq.q}"
     h = cd.hilbert
     res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
-    res.check(
-        h.coeffs == cone_geometry.continued_fraction(nq.n, nq.n - nq.q).coefficients,
-        f"{where} property=hilbert_coeffs_vs_cf",
-    )
+    # h.coeffs is the expansion of n/(n-q); the mirror's expansion of
+    # n/(n-q'), q' = 1/q mod n, is the same sequence reversed
+    mirror_cf = cone_geometry.continued_fraction(nq.n, nq.n - q_inverse(nq).q)
+    res.check(h.coeffs == mirror_cf.coefficients[::-1], f"{where} property=hilbert_coeffs_vs_cf")
     for i in range(2, h.e):
         ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
         res.check(ok, f"{where} degree=({i},1) property=three_term_recursion")
@@ -276,16 +282,19 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
         at = f"{where} degree=({d.i},{d.k})"
         vec = deformations.degree_vector(h, d)
         u_i, v_i = cd.iota_basis[d.i - 1]
-        # each M-zone of the degree is enumerated once, for every direction,
-        # as its points and the base iota(kappa*R) they are read against;
-        # the zone at kappa = -1 also gives the W and VW ranks
+        # each M-zone of the degree is enumerated once and read once, into
+        # the span of its points against the base iota(kappa*R); every
+        # direction is judged on the spans, and the span at kappa = -1 also
+        # gives the W and VW ranks
         zones = {
-            kappa: (deformations.zone_points(ZoneSpec(vec, kappa), cd),
-                    (kappa * d.k * u_i, kappa * d.k * v_i))
+            kappa: deformations.zone_points(ZoneSpec(vec, kappa), cd)
             for kappa in (0, -1, m - 1, m, 2 * m)
         }
-        w_zone, w_base = zones[-1]
-        w[d] = deformations._constrained_dim(cd, d, w_zone, False, w_base)
+        spans = {
+            kappa: deformations.zone_span(zone, (kappa * d.k * u_i, kappa * d.k * v_i))
+            for kappa, zone in zones.items()
+        }
+        w[d] = deformations._constrained_dim(cd, d, spans[-1], False)
         if d.k >= 2:
             # w_fast decides the chain in closed form; the rank is the oracle
             res.check(
@@ -302,21 +311,19 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
             f"{at} property=vw_zone_oracle",
         )
         res.check(
-            vw[d] == deformations._constrained_dim(cd, d, w_zone, True, w_base),
+            vw[d] == deformations._constrained_dim(cd, d, spans[-1], True),
             f"{at} property=vw_rank_oracle",
         )
-        for a in deformations.t1_space(cd, d):
-            iso = {
-                kappa: deformations.iso_oracle(a, zone, cd, base)
-                for kappa, (zone, base) in zones.items()
-            }
+        phi = deformations.phi_vector(cd, d)
+        for f in deformations.t1_space(cd, d):
+            iso = {kappa: deformations.iso_oracle(f, span) for kappa, span in spans.items()}
             # the stable oracle takes the iso read of the same zone
             stable = {
-                kappa: deformations.stable_iso_oracle(a, vec, zones[kappa][0], cd, iso[kappa])
+                kappa: deformations.stable_iso_oracle(f, phi, zones[kappa], iso[kappa])
                 for kappa in (0, -1, m)
             }
             res.check(iso[0], f"{at} property=iso0_automatic")
-            phi_zero = deformations.phi_functional(vec, a, cd) == 0
+            phi_zero = f[0] * phi[0] + f[1] * phi[1] == 0
             res.check(stable[0] == phi_zero, f"{at} property=stable_iso0_is_phi_kernel")
             for kappa in (0, -1, m):
                 res.check(

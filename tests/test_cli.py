@@ -343,6 +343,32 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out and "vw" in out
 
+    def test_faulty_expansion_is_a_coeffs_mismatch(self, monkeypatch):
+        # a fault in hj_coefficients that reaches h.coeffs as well: the
+        # property compares them with the mirror's expansion, reversed, so
+        # it fails where a comparison with the same expansion would pass
+        from cqs import cone_geometry, verify
+        from cqs.cone_geometry import HilbertData, hilbert_basis_oracle
+
+        real = cone_geometry.hj_coefficients
+
+        def faulty(p, s):
+            *head, last = real(p, s)
+            yield from (*head, last + 1)
+
+        cd = class_data(nq_to_cone(NQForm(7, 3)))  # coefficients (2, 4), mirror (4, 2)
+        assert verify._hilbert_checks(cd).ok
+        monkeypatch.setattr(cone_geometry, "hj_coefficients", faulty)
+        h = hilbert_basis_oracle(cd)
+        # the record a faulty expansion would give: a cached_property reads
+        # the instance dict
+        vars(cd)["hilbert"] = HilbertData(
+            h.basis, tuple(faulty(7, 4)), h.e, h.central_index, h.grounded
+        )
+        assert cd.hilbert.coeffs == continued_fraction(7, 4).coefficients == (2, 5)
+        failures = verify._hilbert_checks(cd).failures
+        assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
+
     def test_m_tilde_walked_as_m_is_a_qg_mismatch(self, tmp_path):
         # a copy of the package whose M_tilde walk steps by n instead of
         # gcd(bw - 1, n), so that it lists iota(M) only; the qG zone oracle

@@ -125,6 +125,37 @@ class TestClassData:
         with pytest.raises(InvalidSingularityError):
             class_data(ConeForm(NPoint(1, 0), NPoint(0, 1)))
 
+    def test_frame_derived_once(self, monkeypatch):
+        # one class_data derives the dual generators once and Rbar once,
+        # wherever the calls come from
+        from collections import Counter
+
+        from cqs import cone_geometry, representations
+
+        calls = Counter()
+        for name in ("dual_generators", "central_degree"):
+            real = getattr(representations, name)
+
+            def counted(c, name=name, real=real):
+                calls[name] += 1
+                return real(c)
+
+            monkeypatch.setattr(representations, name, counted)
+            monkeypatch.setattr(cone_geometry, name, counted)
+        class_data(cone_of(20, 11))
+        assert calls == {"dual_generators": 1, "central_degree": 1}
+
+    def test_central_degree_is_the_primitive_sum_of_the_dual_generators(self):
+        from cqs.lattice import primitive
+        from cqs.representations import cone_to_interval, dual_generators, interval_around
+
+        cones = [cone_of(n, q) for n in range(2, 30) for q in range(1, n) if gcd(n, q) == 1]
+        for cone in cones + [transform(c, g) for c in cones for g in UNIMODULAR]:
+            r1, re = dual_generators(cone)
+            rbar = central_degree(cone)
+            assert rbar == primitive(r1 + re), cone
+            assert interval_around(cone, rbar) == cone_to_interval(cone)
+
 
 class TestContinuedFraction:
     def test_examples(self):

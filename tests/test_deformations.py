@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cqs import deformations
 from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
@@ -12,14 +14,13 @@ from cqs.deformations import (
     InternalConsistencyError,
     Totals,
     _constrained_dim,
-    _iota_coeffs,
     assemble_report,
     axis_points,
     cayley_family,
     classify,
     degree_vector,
     iso_oracle,
-    phi_functional,
+    phi_vector,
     qg_dims,
     qg_oracle,
     stable_iso_oracle,
@@ -35,8 +36,9 @@ from cqs.deformations import (
     w_chain_threshold,
     w_dims_oracle,
     w_fast,
+    zone_span,
 )
-from cqs.lattice import MPoint, NPoint, pairing
+from cqs.lattice import MPoint, NPoint, det2, ext_gcd, pairing
 from cqs.representations import (
     ConeForm,
     DegenerateSingularityError,
@@ -105,11 +107,35 @@ def reference_rank(rows):
     return 2 if any(first[0] * r[1] - first[1] * r[0] != 0 for r in rows[1:]) else 1
 
 
+def n_side_t1_space(cd, d):
+    """Representatives in N spanning T1(-R), as the oracles once took them:
+    all of N in case (ii), (r^i)^perp in case (iii), and at r^2 and
+    r^(e-1) a completion of alpha resp. beta to a basis of N."""
+    if d.k >= 2:
+        r = cd.hilbert.element(d.i)
+        return (NPoint(-r.v, r.u),)
+    if d.i in (2, cd.hilbert.e - 1):
+        edge = cd.alpha if d.i == 2 else cd.beta
+        _, s, t = ext_gcd(edge.x, edge.y)
+        return (NPoint(-t, s),)  # det(edge, a) = 1
+    return (NPoint(1, 0), NPoint(0, 1))
+
+
+def iota_coeffs(a, cd):
+    """(A, B) with det * <a, r> = A*<alpha, r> + B*<beta, r> for every r."""
+    return det2(a, cd.beta), det2(cd.alpha, a)
+
+
+def phi_functional(R, a, cd):
+    """<a, Rbar - m*R>, paired in M; zero exactly on the V-directions."""
+    return pairing(a, cd.rbar) - cd.m * pairing(a, R)
+
+
 def reference_constrained_dim(cd, d, offsets, with_phi):
-    """One row <a, x> per offset and basis direction a, ranked as a matrix."""
+    """One row <a, x> per offset and N-side direction a, ranked as a matrix."""
     R = degree_vector(cd.hilbert, d)
-    basis = t1_space(cd, d)
-    coeffs = [_iota_coeffs(a, cd) for a in basis]
+    basis = n_side_t1_space(cd, d)
+    coeffs = [iota_coeffs(a, cd) for a in basis]
     rows = [tuple(A * du + B * dv for A, B in coeffs) for du, dv in offsets]
     if with_phi:
         rows.append(tuple(phi_functional(R, a, cd) for a in basis))
@@ -124,7 +150,7 @@ def assert_rank_rule(cd):
         offsets = zone_offsets(degree_vector(h, d), -1, cd)
         for with_phi, column in columns.items():
             expected = reference_constrained_dim(cd, d, offsets, with_phi)
-            got = _constrained_dim(cd, d, offsets, with_phi, (0, 0))
+            got = _constrained_dim(cd, d, zone_span(offsets, (0, 0)), with_phi)
             assert got == expected, (cd.nq, d, with_phi)
             assert column[d] == expected, (cd.nq, d, with_phi)
 
@@ -387,20 +413,21 @@ class TestIsoOracles:
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         for d in t1_degrees(h):
-            zone = zone_offsets(degree_vector(h, d), 0, cd)
-            for a in t1_space(cd, d):
-                assert iso_oracle(a, zone, cd, (0, 0))
+            span = zone_span(zone_offsets(degree_vector(h, d), 0, cd), (0, 0))
+            for f in t1_space(cd, d):
+                assert iso_oracle(f, span)
 
     def test_v_but_not_w_at_r3(self):
         # direction orthogonal to Rbar - 5*r^3 = [-10,-7]
         cd = setup_class_data(20, 11)
         a = NPoint(7, -10)
         assert pairing(a, MPoint(-10, -7)) == 0
-        R = degree_vector(cd.hilbert, DegreeId(3, 1))
+        f, d = iota_coeffs(a, cd), DegreeId(3, 1)
+        R, phi = degree_vector(cd.hilbert, d), phi_vector(cd, d)
         for kappa in (5, 0):
             zone = zone_offsets(R, kappa, cd)
-            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
-        assert not iso_oracle(a, zone_offsets(R, -1, cd), cd, (0, 0))
+            assert stable_iso_oracle(f, phi, zone, iso_oracle(f, zone_span(zone, (0, 0))))
+        assert not iso_oracle(f, zone_span(zone_offsets(R, -1, cd), (0, 0)))
 
     def test_empty_zone_accepts_everything(self):
         # Z_{r^3,-1} of (7,3) has no lattice points
@@ -409,17 +436,20 @@ class TestIsoOracles:
         pts = zone_points(ZoneSpec(R, -1, LatticeTag.M), cd)
         assert pts == []
         zone = zone_offsets(R, -1, cd)
-        for a in (NPoint(5, 17), NPoint(-3, 1), NPoint(0, 0)):
-            assert iso_oracle(a, zone, cd, (0, 0))
-            assert stable_iso_oracle(a, R, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
+        span = zone_span(zone, (0, 0))
+        assert span == ()
+        for f in ((5, 17), (-3, 1), (0, 0)):
+            iso = iso_oracle(f, span)
+            assert iso and stable_iso_oracle(f, phi_vector(cd, DegreeId(3, 1)), zone, iso)
 
     def test_zero_direction_is_always_stable(self):
         cd = setup_class_data(20, 11)
-        R = degree_vector(cd.hilbert, DegreeId(4, 1))
+        d = DegreeId(4, 1)
+        R = degree_vector(cd.hilbert, d)
         for kappa in (-3, -1, 0, 2, 5):
             zone = zone_offsets(R, kappa, cd)
-            iso = iso_oracle(NPoint(0, 0), zone, cd, (0, 0))
-            assert stable_iso_oracle(NPoint(0, 0), R, zone, cd, iso)
+            iso = iso_oracle((0, 0), zone_span(zone, (0, 0)))
+            assert stable_iso_oracle((0, 0), phi_vector(cd, d), zone, iso)
 
     def test_stable_iso_equals_two_shifts(self):
         cd = setup_class_data(12, 5)
@@ -427,18 +457,88 @@ class TestIsoOracles:
         m = 2  # gcd(12, 6) = 6, a = 2
         seen = set()
         for d in t1_degrees(h):
-            R = degree_vector(h, d)
-            for a in t1_space(cd, d):
+            R, phi = degree_vector(h, d), phi_vector(cd, d)
+            for f in t1_space(cd, d):
                 for kappa in (-1, 0, 1):
                     zone, shifted = zone_offsets(R, kappa, cd), zone_offsets(R, kappa + m, cd)
-                    iso = iso_oracle(a, zone, cd, (0, 0))
-                    expected = iso and iso_oracle(a, shifted, cd, (0, 0))
-                    assert stable_iso_oracle(a, R, zone, cd, iso) == expected
+                    iso = iso_oracle(f, zone_span(zone, (0, 0)))
+                    expected = iso and iso_oracle(f, zone_span(shifted, (0, 0)))
+                    assert stable_iso_oracle(f, phi, zone, iso) == expected
                     # the same zone as verify reads it: its points against iota(kappa*R)
                     base = kappa * pairing(cd.alpha, R), kappa * pairing(cd.beta, R)
-                    assert iso_oracle(a, zone_points(ZoneSpec(R, kappa), cd), cd, base) == iso
+                    points = zone_points(ZoneSpec(R, kappa), cd)
+                    assert iso_oracle(f, zone_span(points, base)) == iso
                     seen.add((iso, expected))
         assert seen == {(True, True), (True, False), (False, False)}
+
+
+def all_degrees(n_max):
+    """(cd, d) for every degree of every class with e >= 4 and n <= n_max,
+    in the standard cones and under the four coordinate changes."""
+    cones = standard_cones(n_max)
+    for cone in cones + [transform(c, g) for c in cones for g in UNIMODULAR]:
+        cd = class_data(cone)
+        for d in t1_degrees(cd.hilbert):
+            yield cd, d
+
+
+class TestFunctionals:
+    def test_t1_space_is_the_n_side_space(self):
+        # each functional is a nonzero multiple of iota_coeffs(a) for the
+        # N-side direction a on the vectors the degree is tested on: those
+        # with <alpha, x> = 0 at r^2 and <beta, x> = 0 at r^(e-1); in an
+        # interior degree both pairs span the plane
+        for cd, d in all_degrees(40):
+            e = cd.hilbert.e
+            if d.k == 1 and d.i in (2, e - 1):
+                tested = ((0, 1),) if d.i == 2 else ((1, 0),)
+            else:
+                tested = ((1, 0), (0, 1))
+            new = [tuple(A * x + B * y for x, y in tested) for A, B in t1_space(cd, d)]
+            old = [
+                tuple(A * x + B * y for x, y in tested)
+                for A, B in (iota_coeffs(a, cd) for a in n_side_t1_space(cd, d))
+            ]
+            assert len(new) == len(old) == reference_rank(new) == reference_rank(old), (cd, d)
+            assert reference_rank(new + old) == len(new), (cd, d)
+
+    def test_phi_vector_is_iota_of_the_phi_direction(self):
+        # det * <a, Rbar - m*R> = A*x + B*y with (x, y) = phi_vector and
+        # (A, B) = iota_coeffs(a), for every N-side direction a
+        for cd, d in all_degrees(25):
+            R = degree_vector(cd.hilbert, d)
+            x, y = phi_vector(cd, d)
+            for a in n_side_t1_space(cd, d):
+                A, B = iota_coeffs(a, cd)
+                assert cd.det * phi_functional(R, a, cd) == A * x + B * y, (cd, d)
+
+
+pairs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestZoneSpan:
+    @given(st.lists(pairs, max_size=8), pairs)
+    @example([], (0, 0))
+    @example([(2, -3)] * 3, (2, -3))
+    @example([(1, 1), (3, 3), (0, 5)], (1, 1))
+    def test_a_basis_of_the_differences(self, points, base):
+        span = zone_span(points, base)
+        diffs = [(u - base[0], v - base[1]) for u, v in points]
+        assert len(span) == reference_rank(diffs)
+        assert all(vec in diffs for vec in span)
+        # every difference lies in the span of the basis
+        assert all(reference_rank([*span, vec]) == len(span) for vec in diffs)
+
+    def test_stops_at_the_second_independent_vector(self):
+        read = []
+
+        def points():
+            for p in ((0, 0), (2, 2), (4, 4), (0, 1), (9, 9)):
+                read.append(p)
+                yield p
+
+        assert zone_span(points(), (0, 0)) == ((2, 2), (0, 1))
+        assert read == [(0, 0), (2, 2), (4, 4), (0, 1)]
 
 
 class TestContainmentOracles:
@@ -546,8 +646,9 @@ class TestRankRule:
         # vector off the base, which no class here has, so it is built
         cd = setup_class_data(20, 11)
         for offsets in ([], [(0, 0)]):
-            assert _constrained_dim(cd, DegreeId(3, 1), offsets, False, (0, 0)) == 2
-            assert _constrained_dim(cd, DegreeId(3, 1), offsets, True, (0, 0)) == 1
+            span = zone_span(offsets, (0, 0))
+            assert _constrained_dim(cd, DegreeId(3, 1), span, False) == 2
+            assert _constrained_dim(cd, DegreeId(3, 1), span, True) == 1
         seen = set()
         for n in range(5, 41):
             for q in range(1, n - 1):
@@ -563,10 +664,11 @@ class TestRankRule:
 
     def test_quotient_degree_must_descend(self):
         cd = setup_class_data(20, 11)
+        d = DegreeId(2, 1)
         with pytest.raises(deformations.InternalConsistencyError):
-            _constrained_dim(cd, DegreeId(2, 1), [(0, 3), (1, 0)], False, (0, 0))
-        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0), (0, 3)], False, (0, 0)) == 0
-        assert _constrained_dim(cd, DegreeId(2, 1), [(0, 0)], False, (0, 0)) == 1
+            _constrained_dim(cd, d, zone_span([(0, 3), (1, 0)], (0, 0)), False)
+        assert _constrained_dim(cd, d, zone_span([(0, 0), (0, 3)], (0, 0)), False) == 0
+        assert _constrained_dim(cd, d, zone_span([(0, 0)], (0, 0)), False) == 1
 
     def test_totals_reads_one_full_zone_per_degree(self, monkeypatch):
         # totals lists, once each, the kappa = -1 zone of every r^i and of
@@ -678,25 +780,28 @@ class TestWFast:
 
 class TestPhi:
     def test_kernel_direction(self):
+        # a = (7,-10) kills Rbar - 5*r^3 = [-10,-7], so its functional kills phi
         cd = setup_class_data(20, 11)
-        h = cd.hilbert
-        assert phi_functional(h.element(3), NPoint(7, -10), cd) == 0
+        A, B = iota_coeffs(NPoint(7, -10), cd)
+        x, y = phi_vector(cd, DegreeId(3, 1))
+        assert (x, y) == (pairing(cd.alpha, MPoint(-10, -7)), pairing(cd.beta, MPoint(-10, -7)))
+        assert A * x + B * y == 0
 
     def test_direct_arithmetic(self):
-        # R = r^4 = Rbar: Rbar - 5R = -4*Rbar = [-20,-12]
+        # R = r^4 = Rbar: Rbar - 5R = -4*Rbar = [-20,-12], and iota(Rbar) = (5, 5)
         cd = setup_class_data(20, 11)
-        h = cd.hilbert
-        assert phi_functional(h.element(4), NPoint(1, 1), cd) == -32
+        assert phi_vector(cd, DegreeId(4, 1)) == (-20, -20)
+        assert phi_functional(cd.hilbert.element(4), NPoint(1, 1), cd) == -32
 
     def test_phi_zero_iff_stable(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         for d in t1_degrees(h):
-            vec = degree_vector(h, d)
-            zone = zone_offsets(vec, 0, cd)
-            for a in t1_space(cd, d):
-                stable = stable_iso_oracle(a, vec, zone, cd, iso_oracle(a, zone, cd, (0, 0)))
-                assert (phi_functional(vec, a, cd) == 0) == stable
+            zone = zone_offsets(degree_vector(h, d), 0, cd)
+            x, y = phi_vector(cd, d)
+            for f in t1_space(cd, d):
+                stable = stable_iso_oracle(f, (x, y), zone, iso_oracle(f, zone_span(zone, (0, 0))))
+                assert (f[0] * x + f[1] * y == 0) == stable
 
 
 class TestRepresentativeIndependence:

@@ -89,13 +89,12 @@ def test_hand_written_records_compare_their_fields_only():
 
 
 def test_points_scale_from_the_left_only():
-    assert 3 * MPoint(1, 2) == MPoint(3, 6) and 3 * NPoint(1, 2) == NPoint(3, 6)
-    assert MPoint(1, 2) + MPoint(3, 4) == MPoint(4, 6) and -MPoint(1, 2) == MPoint(-1, -2)
-    assert NPoint(1, 2) - NPoint(3, 4) == NPoint(-2, -2)
+    # M-points are summed and scaled; N-points are only paired
+    assert 3 * MPoint(1, 2) == MPoint(3, 6) and MPoint(1, 2) + MPoint(3, 4) == MPoint(4, 6)
     with pytest.raises(TypeError):
         MPoint(1, 2) * 3
     with pytest.raises(TypeError):
-        NPoint(1, 2) * 3
+        MPoint(1, 2) - MPoint(3, 4)
     assert (str(MPoint(1, 2)), str(NPoint(-1, 2))) == ("[1,2]", "(-1,2)")
 
 
