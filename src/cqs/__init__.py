@@ -6,68 +6,27 @@ The package converts among five equivalent descriptions of a singularity
 interval), computes the graded dimensions of T1 and of its V-, W-, VW-
 and qG-subspaces in closed form, and re-derives every closed-form answer
 with brute-force lattice-point oracles.  All arithmetic is exact.
+
+``cqs.<name>`` is the public class or function ``name`` of the first of
+``lattice``, ``representations``, ``cone_geometry`` and ``deformations``
+that defines it, imported on first use; ``import cqs`` itself loads none
+of them.
 """
 
 __version__ = "0.1.0"
 
-from .lattice import MPoint, NPoint, det2, ext_gcd, mod_inverse, pairing, primitive
-from .representations import (
-    ABCForm,
-    CFForm,
-    ConeForm,
-    DegenerateSingularityError,
-    IntervalUD,
-    InvalidSingularityError,
-    NQForm,
-    SingularityForm,
-    abc_to_nq,
-    canonical_class,
-    cf_to_nq,
-    cone_to_interval,
-    interval_to_abc,
-    interval_to_cone,
-    nq_to_abc,
-    nq_to_cone,
-    q_inverse,
-    to_nq,
-)
-from .cone_geometry import (
-    ClassData,
-    HilbertData,
-    LatticeTag,
-    ZoneSpec,
-    ab_floor_data,
-    class_data,
-    continued_fraction,
-    eta,
-    hilbert_basis,
-    hilbert_basis_oracle,
-    is_grounded,
-    zone_points,
-)
-from .deformations import (
-    CayleyFamily,
-    ClassificationFlags,
-    DegreeId,
-    DegreeReport,
-    T1Report,
-    Totals,
-    assemble_report,
-    cayley_family,
-    classify,
-    iso_oracle,
-    phi_vector,
-    qg_dims,
-    qg_oracle,
-    stable_iso_oracle,
-    t1_graded,
-    totals,
-    v_dims,
-    v_dims_oracle,
-    vw_dims,
-    vw_dims_oracle,
-    vw_oracle,
-    w_dims_oracle,
-    w_fast,
-    zone_span,
-)
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the package itself does not hold
+    if not name.startswith("_"):
+        from importlib import import_module
+        from types import UnionType
+
+        for stem in ("lattice", "representations", "cone_geometry", "deformations"):
+            module = import_module(f"{__name__}.{stem}")
+            obj = getattr(module, name, None)
+            # a union alias such as SingularityForm is judged by its members
+            members = obj.__args__ if isinstance(obj, UnionType) else (obj,)
+            if all(getattr(m, "__module__", None) == module.__name__ for m in members):
+                return obj
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

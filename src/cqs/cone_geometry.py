@@ -303,14 +303,11 @@ def eta(cd: ClassData, i: int) -> Fraction:
     For e >= 4 its floor is a_i - 1; with e = 3 both ratios are exactly
     a_2 and the floor identity does not apply.
     """
-    h = cd.hilbert
-    if not 2 <= i <= h.e - 1:
+    iota = cd.iota_basis
+    if not 2 <= i <= len(iota) - 1:
         raise IndexError(f"eta_i defined for 2 <= i <= e-1, got i={i}")
-    ri, prev, nxt = h.element(i), h.element(i - 1), h.element(i + 1)
-    return min(
-        Fraction(pairing(cd.alpha, nxt), pairing(cd.alpha, ri)),
-        Fraction(pairing(cd.beta, prev), pairing(cd.beta, ri)),
-    )
+    (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2 : i + 1]
+    return min(Fraction(u_next, u_i), Fraction(v_prev, v_i))
 
 
 def is_grounded(i: IntervalUD) -> bool:

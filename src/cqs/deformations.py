@@ -154,11 +154,6 @@ def t1_dims(h: HilbertData) -> dict[DegreeId, int]:
     return out
 
 
-def t1_graded(h: HilbertData) -> list[tuple[DegreeId, int]]:
-    """Per-degree dimensions of T1, as (degree, dim) pairs in table order."""
-    return list(t1_dims(h).items())
-
-
 def t1_space(cd: ClassData, d: DegreeId) -> tuple[tuple[int, int], ...]:
     """The directions spanning T1(-R), R = k*r^i, as integer functionals on iota.
 

@@ -35,9 +35,6 @@ class MPoint(NamedTuple):
     def __rmul__(self, k: int) -> "MPoint":
         return MPoint(k * self.u, k * self.v)
 
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
     def __str__(self) -> str:
         return f"[{self.u},{self.v}]"
 
@@ -69,7 +66,7 @@ def det2(p: NPoint, q: NPoint) -> int:
 
 def primitive(p: MPoint) -> MPoint:
     """p divided by the gcd of its coordinates, in the same direction."""
-    if p.is_zero():
+    if p.u == 0 and p.v == 0:
         raise ValueError("primitive() of the zero vector is undefined")
     d = gcd(p.u, p.v)
     return MPoint(p.u // d, p.v // d)
@@ -91,13 +88,3 @@ def ext_gcd(u: int, v: int) -> tuple[int, int, int]:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
-
-def mod_inverse(c: int, m: int) -> int:
-    """The unique c' in [1, m-1] with c*c' = 1 (mod m); m >= 2 required."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    c %= m
-    g, s, _ = ext_gcd(c, m)
-    if g != 1:
-        raise ValueError(f"{c} is not invertible modulo {m}")
-    return s % m

@@ -23,15 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .lattice import (
-    MPoint,
-    NPoint,
-    det2,
-    ext_gcd,
-    mod_inverse,
-    pairing,
-    primitive,
-)
+from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
 
 
 class InvalidSingularityError(ValueError):
@@ -225,13 +217,13 @@ def interval_to_cone(i: IntervalUD) -> ConeForm:
 
 def interval_to_abc(i: IntervalUD) -> ABCForm:
     """a = m, b = h - g, c = -1/g in (Z/mZ)*."""
-    c = 1 if i.m == 1 else mod_inverse(-i.g, i.m)
+    c = 1 if i.m == 1 else pow(-i.g, -1, i.m)
     return ABCForm(i.m, i.h - i.g, c)
 
 
 def mirror_c(i: IntervalUD) -> int:
     """The invariant c' = 1/h in (Z/mZ)* belonging to the mirror (n, q')."""
-    return 1 if i.m == 1 else mod_inverse(i.h, i.m)
+    return 1 if i.m == 1 else pow(i.h, -1, i.m)
 
 
 def cf_to_nq(cf: CFForm) -> NQForm:
@@ -246,7 +238,7 @@ def cf_to_nq(cf: CFForm) -> NQForm:
 
 def q_inverse(s: NQForm) -> NQForm:
     """The isomorphic singularity (n, q') with q*q' = 1 mod n."""
-    return NQForm(s.n, mod_inverse(s.q, s.n))
+    return NQForm(s.n, pow(s.q, -1, s.n))
 
 
 def to_nq(form: SingularityForm) -> NQForm:

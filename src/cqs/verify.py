@@ -37,7 +37,6 @@ from typing import BinaryIO
 from . import cone_geometry, deformations, representations
 from .cone_geometry import ClassData, ZoneSpec, class_data, eta, hilbert_basis_oracle, is_grounded
 from .deformations import DegreeId, DegreeReport, T1Report
-from .lattice import pairing
 from .representations import IntervalUD, NQForm, q_inverse
 
 
@@ -226,8 +225,8 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
         ),
         f"{where} property=adjacent_z_basis",
     )
-    alphas = [pairing(cd.alpha, r) for r in h.basis]
-    betas = [pairing(cd.beta, r) for r in h.basis]
+    alphas = [u for u, _ in iota]
+    betas = [v for _, v in iota]
     res.check(
         alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
         f"{where} property=pairing_monotonicity",

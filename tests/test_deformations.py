@@ -25,7 +25,7 @@ from cqs.deformations import (
     qg_oracle,
     stable_iso_oracle,
     t1_degrees,
-    t1_graded,
+    t1_dims,
     t1_space,
     totals,
     v_dims,
@@ -158,7 +158,7 @@ def assert_rank_rule(cd):
 class TestT1Graded:
     def test_worked_example(self):
         h = setup_class_data(20, 11).hilbert
-        assert dict(t1_graded(h)) == {
+        assert dict(t1_dims(h).items()) == {
             DegreeId(2, 1): 1,
             DegreeId(2, 2): 1,
             DegreeId(3, 1): 2,
@@ -167,16 +167,16 @@ class TestT1Graded:
             DegreeId(6, 1): 1,
             DegreeId(6, 2): 1,
         }
-        assert sum(d for _, d in t1_graded(h)) == 10
+        assert sum(d for _, d in t1_dims(h).items()) == 10
 
     def test_4_1(self):
         h = setup_class_data(4, 1).hilbert
-        assert [dim for _, dim in t1_graded(h)] == [1, 2, 1]
-        assert sum(dim for _, dim in t1_graded(h)) == 4
+        assert [dim for _, dim in t1_dims(h).items()] == [1, 2, 1]
+        assert sum(dim for _, dim in t1_dims(h).items()) == 4
 
     def test_7_3(self):
         h = setup_class_data(7, 3).hilbert
-        assert dict(t1_graded(h)) == {
+        assert dict(t1_dims(h).items()) == {
             DegreeId(2, 1): 1,
             DegreeId(3, 1): 1,
             DegreeId(3, 2): 1,
@@ -187,7 +187,7 @@ class TestT1Graded:
         for n, q in [(2, 1), (5, 4), (3, 2)]:
             h = setup_class_data(n, q).hilbert
             with pytest.raises(DegenerateSingularityError):
-                t1_graded(h)
+                t1_dims(h).items()
 
 
 class TestClosedForms:
@@ -330,7 +330,7 @@ class TestAssembly:
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         assert t1_degrees(h) is t1_degrees(h) is h.degrees
-        assert list(t1_degrees(h)) == [d for d, _ in t1_graded(h)]
+        assert list(t1_degrees(h)) == [d for d, _ in t1_dims(h).items()]
         assert cd.iota_basis == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in h.basis)
 
     def test_records_keep_their_fields(self):

@@ -7,7 +7,6 @@ from cqs.lattice import (
     NPoint,
     det2,
     ext_gcd,
-    mod_inverse,
     pairing,
     primitive,
 )
@@ -46,16 +45,6 @@ def test_ext_gcd_examples():
         ext_gcd(0, 0)
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(2, 5) == 3
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(11, 20) == 11  # 11^2 = 121 = 1 mod 20
-    with pytest.raises(ValueError):
-        mod_inverse(4, 6)
-    with pytest.raises(ValueError):
-        mod_inverse(1, 1)
-
-
 @given(ints, ints, ints, ints, ints, ints)
 def test_pairing_bilinear(x, y, u1, v1, u2, v2):
     n = NPoint(x, y)
@@ -85,16 +74,3 @@ def test_ext_gcd_postcondition(u, v):
     assert g > 0
     assert s * u + t * v == g
     assert u % g == 0 and v % g == 0
-
-
-@given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=10**4))
-def test_mod_inverse_involution(m, c):
-    from math import gcd
-
-    c %= m
-    if c == 0 or gcd(c, m) != 1:
-        return
-    inv = mod_inverse(c, m)
-    assert 1 <= inv <= m - 1
-    assert (c * inv) % m == 1
-    assert mod_inverse(inv, m) == c

@@ -4,8 +4,11 @@ Every call is a fresh interpreter, so what the CLI imports is paid on each
 one.  ``python -X importtime`` names every module a process imports; the
 modules of a bare ``python -c pass`` are subtracted, so the tests see what
 `cqs` itself loads, whatever the interpreter's site setup imports.
+`import cqs` loads no computing module; ``cqs.<name>`` loads the modules
+up to the one that defines ``name``.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,37 @@ def test_version_and_analyze_skip_the_slow_imports(bare, args):
     loaded = imported("-m", "cqs", *args) - bare
     assert "cqs.cli" in loaded
     assert not loaded & SLOW_IMPORTS, sorted(loaded & SLOW_IMPORTS)
+
+
+def cqs_modules(code):
+    """The `cqs` modules in ``sys.modules`` after a fresh interpreter runs ``code``.
+
+    ``cqs.<name>`` loads through ``importlib.import_module``, which
+    ``-X importtime`` does not report.
+    """
+    probe = f"{code}; import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'cqs'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=cqs_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_cqs_loads_no_submodule():
+    assert cqs_modules("import cqs") == {"cqs"}
+
+
+def test_a_package_name_loads_its_module_only():
+    loaded = cqs_modules("from cqs import totals")
+    assert "cqs.deformations" in loaded
+    assert not loaded & {"cqs.cli", "cqs.verify"}, sorted(loaded)
+
+
+def test_the_package_version_is_the_project_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(cqs.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "(.+)"$', project, re.M).group(1) == cqs.__version__
 
 
 def test_json_is_loaded_only_to_print_json(bare):
