@@ -5,18 +5,19 @@ grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
 | cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
 strings, never floats).  Exit codes: 0 success, 1 verification failure,
 2 parse error (an integer past the digit limit of int() included, and a
-class whose n is past it) or an input past a size bound: a ``verify``
-bound past ORACLE_BOUND (cone_geometry), an ``analyze`` class with more
-than MAX_T1_DEGREES T1-carrying degrees or whose W zones (one per r^i,
-as ``w_fast`` decides each chain k*r^i, k >= 2, in closed form) walk
-more than MAX_ZONE_FIBERS fibers, a printed continued fraction of more than
-MAX_CF_TERMS terms, or a Cayley family with d > MAX_CAYLEY_D
-(deformations), 3 invalid singularity, 4 degenerate class (embdim <= 3).
-A reader that closes the pipe early (``cqs scan 400 | head``) ends the
-run quietly with exit 0.  ``scan`` and ``verify`` run on every CPU the
-process may use (``verify.fan_out``) and print the same bytes at any count.
-Every call is a fresh interpreter that pays for each import, so only these
-two import ``verify``, and only a command that prints JSON imports ``json``.
+class whose n is past it) or an input past a size bound, which the
+function whose work it bounds raises as OracleBoundError: a ``verify``
+bound past ORACLE_BOUND or a continued fraction of more than
+MAX_CF_TERMS terms (cone_geometry), a class with more than
+MAX_T1_DEGREES T1-carrying degrees (``totals``), whose W zones walk more
+than MAX_ZONE_FIBERS fibers (``w_fast``) or whose Cayley family has
+d > MAX_CAYLEY_D (deformations); 3 invalid singularity, 4 degenerate
+class (embdim <= 3).  A reader that closes the pipe early (``cqs scan
+400 | head``) ends the run quietly with exit 0.  ``scan`` and ``verify``
+run on every CPU the process may use (``verify.fan_out``) and print the
+same bytes at any count.  Every call is a fresh interpreter that pays
+for each import, so only these two import ``verify``, and only a command
+that prints JSON imports ``json``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cone_geometry import (
     OracleBoundError,
     binomial_equations,
     class_data,
-    hj_coefficients,
+    continued_fraction,
 )
 from .deformations import CayleyFamily, T1Report, cayley_d, cayley_family, classify, totals
 from .lattice import NPoint
@@ -61,20 +62,6 @@ EXIT_DEGENERATE = 4
 SCAN_HEADER = "n,q,a,b,c,e,grounded,t_sing,dim_t1,dim_v,dim_w,dim_vw,dim_qg,gap"
 DEGREE_HEADER = "i,k,deg_u,deg_v,dim_t1,dim_v,dim_w,dim_vw,dim_qg,last_deformation"
 FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
-
-# analyze refuses a class with more T1-carrying degrees than this before
-# any work: its table and W zones grow with the count, and nq:1000003/500001
-# (500,002 degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
-MAX_T1_DEGREES = 20_000
-# ... and a class whose W zones walk more fibers than this, the sum of
-# <alpha, r^i> over the zones of the r^i, the only ones w_fast walks: its
-# time grows with it.  nq:2995/1498 walks 2.24 M fibers (about 2 s) and
-# nq:10007/5003 3; cf:3,...,3 with 30 threes would walk 2.5e12.
-MAX_ZONE_FIBERS = 10**8
-# convert and analyze refuse to print a continued fraction longer than
-# this: nq:2000001/2 (1,000,000 terms) still prints as JSON in 128 MiB,
-# nq:3000001/2 does not.
-MAX_CF_TERMS = 500_000
 
 
 class ParseError(ValueError):
@@ -179,24 +166,9 @@ def _forms_block(cd: ClassData) -> dict:
             "right": str(iv.right),
             "length": str(iv.length),
         },
-        "cf": list(_printed_cf(cd).coefficients),
+        "cf": list(continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients),
         "canonical_nq": {"n": canon.n, "q": canon.q},
     }
-
-
-def _printed_cf(cd: ClassData) -> CFForm:
-    """The continued fraction of the class, refused past MAX_CF_TERMS terms.
-
-    The cf of nq:n/2 has about n/2 terms, so at most MAX_CF_TERMS + 1 of
-    them are generated, once, and the cf is refused if they all come.
-    """
-    terms = tuple(islice(hj_coefficients(cd.nq.n, cd.nq.n - cd.nq.q), MAX_CF_TERMS + 1))
-    if len(terms) > MAX_CF_TERMS:
-        raise OracleBoundError(
-            f"the continued fraction of {format_form(cd.nq)} has more than "
-            f"{MAX_CF_TERMS} terms, the bound of a printed cf"
-        )
-    return CFForm(terms)
 
 
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
@@ -275,7 +247,11 @@ def _bool(b: bool) -> str:
 def _print_json(doc: dict) -> None:
     import json  # only the commands that print JSON load it
 
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    # written in batches as it is encoded, so the whole text is never held
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def cmd_convert(args) -> int:
@@ -286,7 +262,7 @@ def cmd_convert(args) -> int:
     forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval)))
     tags = FORM_TAGS if args.all else (args.to,)
     if "cf" in tags:  # built only when printed, and before anything is
-        forms["cf"] = _printed_cf(cd)
+        forms["cf"] = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
     for tag in tags:
         print(format_form(forms[tag]))
     print(f"canonical:{format_form(canonical_class(cd.nq))}")
@@ -295,23 +271,10 @@ def cmd_convert(args) -> int:
 
 def cmd_analyze(args) -> int:
     cd = _class_of(args.input)
-    # the degrees (i, k) have 1 <= k <= a_i - 1, so there are sum(a_i - 1)
-    # of them; every a_i >= 2, so the first MAX_T1_DEGREES + 2 terms of the
-    # continued fraction decide the bound, without the Hilbert basis
-    cf = list(islice(hj_coefficients(cd.nq.n, cd.nq.n - cd.nq.q), MAX_T1_DEGREES + 2))
-    degrees = sum(cf) - len(cf) if len(cf) >= 2 else 0
-    if degrees > MAX_T1_DEGREES:
-        raise OracleBoundError(
-            f"{format_form(cd.nq)} has more than {MAX_T1_DEGREES} T1 degrees, "
-            "the bound of analyze"
-        )
-    if degrees and _w_zone_fibers(cf) > MAX_ZONE_FIBERS:
-        raise OracleBoundError(
-            f"the W zones of {format_form(cd.nq)} walk more than {MAX_ZONE_FIBERS} "
-            "fibers, the bound of analyze"
-        )
-    if degrees or args.allow_degenerate:
-        cayley_d(cd)  # the report's Cayley family, refused past its bound before any work
+    # a report prints the Cayley family of any class with e >= 4 (q < n - 1),
+    # so its bound is checked before any other work
+    if cd.nq.q < cd.nq.n - 1 or args.allow_degenerate:
+        cayley_d(cd)
     try:
         report = totals(cd)
     except DegenerateSingularityError:
@@ -333,20 +296,6 @@ def cmd_analyze(args) -> int:
     else:
         _print_human(doc)
     return EXIT_OK
-
-
-def _w_zone_fibers(cf: list[int]) -> int:
-    """The fibers that the W zones of ``w_fast`` walk, from the cf alone.
-
-    ``w_fast`` walks only the zone of each r^i, 2 <= i <= e-1, which has
-    <alpha, r^i> = u_i fibers; u_i follows the recursion of the basis,
-    u_(i+1) = a_i*u_i - u_(i-1) from u_1 = 0, u_2 = 1.
-    """
-    fibers, u_prev, u = 0, 0, 1
-    for a in cf:
-        fibers += u
-        u_prev, u = u, a * u - u_prev
-    return fibers
 
 
 def _print_human(doc: dict) -> None:

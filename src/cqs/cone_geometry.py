@@ -15,7 +15,9 @@ whose lattice points generate all the flatness constraints used in
 :mod:`cqs.deformations`.  A zone is cut out by the two integer pairings
 iota(r) = (<alpha,r>, <beta,r>), so its points are found and returned as
 integer pairs (u, v) = iota(r); the zone path uses integers only and
-boundary points are decided without tolerance.
+boundary points are decided without tolerance.  ``continued_fraction``
+refuses more than MAX_CF_TERMS terms, and ``hilbert_basis_oracle`` an n
+past ORACLE_BOUND, each with OracleBoundError before the work it bounds.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import enum
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -45,6 +48,10 @@ from .representations import (
 
 # the largest n that brute-force enumeration (and so ``cqs verify``) accepts
 ORACLE_BOUND = 10_000
+# continued_fraction refuses an expansion longer than this; the cf of nq:n/2
+# has about n/2 terms.  With the bound lifted, convert --json prints the cf of
+# nq:12000001/2 (6,000,000 terms) in 128 MiB of address space, not nq:16000001/2.
+MAX_CF_TERMS = 500_000
 
 
 class OracleBoundError(ValueError):
@@ -221,8 +228,18 @@ def _preimage(cd: ClassData, u: int, v: int) -> MPoint:
 
 
 def continued_fraction(p: int, s: int) -> CFForm:
-    """Hirzebruch-Jung expansion of p/s: ceil, negate remainder, recurse."""
-    return CFForm(tuple(hj_coefficients(p, s)))
+    """Hirzebruch-Jung expansion of p/s: ceil, negate remainder, recurse.
+
+    At most MAX_CF_TERMS + 1 terms are generated, once, and the expansion
+    is refused with OracleBoundError if they all come.
+    """
+    terms = tuple(islice(hj_coefficients(p, s), MAX_CF_TERMS + 1))
+    if len(terms) > MAX_CF_TERMS:
+        raise OracleBoundError(
+            f"the continued fraction of {p}/{s} has more than MAX_CF_TERMS = "
+            f"{MAX_CF_TERMS} terms"
+        )
+    return CFForm(terms)
 
 
 def hj_coefficients(p: int, s: int) -> Iterator[int]:

@@ -44,13 +44,17 @@ class, ``t1_degrees(h)`` = ``h.degrees``: it starts as
 ``dict.fromkeys(table, default)`` and only its few other entries are
 then set.  The records of this module are NamedTuples, like
 ``DegreeId``.
+
+``totals``, ``w_fast`` and ``cayley_d`` each refuse a class past the bound
+of their own work (MAX_T1_DEGREES, MAX_ZONE_FIBERS, MAX_CAYLEY_D) with
+OracleBoundError before doing it, so every caller gets the refusal.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import eq, le
 from typing import NamedTuple
 
@@ -61,10 +65,22 @@ from .cone_geometry import (
     LatticeTag,
     OracleBoundError,
     ZoneSpec,
+    hj_coefficients,
     zone_points,
 )
 from .lattice import MPoint, pairing
 from .representations import DegenerateSingularityError, NQForm
+
+
+# totals refuses a class with more T1-carrying degrees than this before any
+# work: its table grows with the count, and nq:1000003/500001 (500,002
+# degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
+MAX_T1_DEGREES = 20_000
+# w_fast refuses a class whose W zones walk more fibers than this, the sum
+# of <alpha, r^i> over the zones of the r^i, the only ones it walks: its
+# time grows with it.  nq:2995/1498 walks 2.24 M fibers (about 2 s) and
+# nq:10007/5003 3; cf:3,...,3 with 30 threes would walk 2.5e12.
+MAX_ZONE_FIBERS = 10**8
 
 
 class InternalConsistencyError(RuntimeError):
@@ -383,10 +399,16 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     the base iota(-r^i) from ``cd.iota_basis``.  The chain k*r^i,
     2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
     ``w_chain_threshold(cd, i)`` and 0 from it on, and no chain zone is
-    walked.
+    walked.  A class whose zones have more than MAX_ZONE_FIBERS fibers,
+    the sum of u_i = <alpha, r^i>, is refused before the first walk.
     """
     h = cd.hilbert
     table = t1_degrees(h)
+    if sum(u for u, _ in cd.iota_basis[1:-1]) > MAX_ZONE_FIBERS:
+        raise OracleBoundError(
+            f"the W zones of nq:{cd.nq.n}/{cd.nq.q} walk more than "
+            f"MAX_ZONE_FIBERS = {MAX_ZONE_FIBERS} fibers"
+        )
     out = dict.fromkeys(table, 0)
     j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
     for i, a in enumerate(h.coeffs, 2):
@@ -483,8 +505,17 @@ def classify(cd: ClassData) -> ClassificationFlags:
 def totals(cd: ClassData) -> T1Report:
     """The report of a class: V, qG and VW in closed form, W by ``w_fast``.
 
-    Raises DegenerateSingularityError when the embedding dimension is at most 3.
+    Raises DegenerateSingularityError when the embedding dimension is at
+    most 3, and OracleBoundError past MAX_T1_DEGREES degrees, sum(a_i - 1),
+    which the first MAX_T1_DEGREES + 2 terms a_i >= 2 of the continued
+    fraction decide before ``cd.hilbert`` is read.
     """
+    n, q = cd.nq.n, cd.nq.q
+    cf = list(islice(hj_coefficients(n, n - q), MAX_T1_DEGREES + 2))
+    if len(cf) >= 2 and sum(cf) - len(cf) > MAX_T1_DEGREES:
+        raise OracleBoundError(
+            f"nq:{n}/{q} has more than MAX_T1_DEGREES = {MAX_T1_DEGREES} T1 degrees"
+        )
     return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_fast(cd))
 
 
@@ -560,7 +591,8 @@ def _check_theorems(report: T1Report, cd: ClassData, aligned: list[list[int]]) -
 
 
 # cayley_family refuses d above this: the ray matrix has (2d+2)*(d+2)
-# entries, and as JSON it fits in 128 MiB at d = 700 but not at d = 800.
+# entries; with the bound lifted, cayley --json prints it in 128 MiB of
+# address space at d = 1,500 but not at d = 2,000.
 MAX_CAYLEY_D = 500
 
 
@@ -572,8 +604,8 @@ def cayley_d(cd: ClassData) -> int:
     d = math.floor(cd.ab.A + cd.ab.B) if cd.ab is not None else 0
     if d > MAX_CAYLEY_D:
         raise OracleBoundError(
-            f"the Cayley family of nq:{cd.nq.n}/{cd.nq.q} has d = {d} > {MAX_CAYLEY_D}, "
-            "the bound of its ray matrix"
+            f"the Cayley family of nq:{cd.nq.n}/{cd.nq.q} has d = {d} > "
+            f"MAX_CAYLEY_D = {MAX_CAYLEY_D}, the bound of its ray matrix"
         )
     return d
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqs
-from cqs import cli, deformations
+from cqs import cli, cone_geometry, deformations
 from cqs.cli import format_form, main, parse_form
 from cqs.cone_geometry import class_data, continued_fraction
 from cqs.lattice import NPoint, pairing
@@ -119,14 +119,14 @@ class TestConvert:
 
     def test_cf_built_only_when_printed(self, capsys, monkeypatch):
         # the cf of nq:100000001/2 has 50,000,000 terms
-        real, pulled = cli.hj_coefficients, []
+        real, pulled = cone_geometry.hj_coefficients, []
 
         def counted(p, s):
             for a in real(p, s):
                 pulled.append(a)
                 yield a
 
-        monkeypatch.setattr(cli, "hj_coefficients", counted)
+        monkeypatch.setattr(cone_geometry, "hj_coefficients", counted)
         for tag, line in (("nq", "nq:100000001/2"), ("abc", "abc:100000001,1,3")):
             code, out, _ = run(capsys, "convert", "nq:100000001/2", "--to", tag)
             assert code == 0
@@ -137,8 +137,8 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "nq:100000001/2", "--to", "cf")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(cli.MAX_CF_TERMS) in err
-        assert len(pulled) == cli.MAX_CF_TERMS + 1
+        assert "MAX_CF_TERMS" in err and str(cone_geometry.MAX_CF_TERMS) in err
+        assert len(pulled) == cone_geometry.MAX_CF_TERMS + 1
 
     def test_roundtrip_through_grammar(self, capsys):
         for text in (
@@ -461,12 +461,12 @@ class TestExitCodes:
         assert elapsed < 5, elapsed
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert str(cli.MAX_T1_DEGREES) in proc.stderr
+        assert str(deformations.MAX_T1_DEGREES) in proc.stderr
 
     def test_degree_bound_counts_sum_a_minus_1(self, capsys, monkeypatch):
         # nq:(2t+1)/2 has t+1 degrees: the class one past the bound and its
         # mirror are refused, and e = 3 stays degenerate at any size
-        t = cli.MAX_T1_DEGREES
+        t = deformations.MAX_T1_DEGREES
         for text, expected in (
             (f"nq:{2 * t + 3}/2", 2),
             (f"nq:{2 * t + 3}/{t + 2}", 2),
@@ -481,16 +481,16 @@ class TestExitCodes:
         cf = continued_fraction(2 * t - 1, 2 * t - 3).coefficients
         assert sum(cf) - len(cf) == t
         code, out, err = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
-        assert (code, out) == (2, "") and str(cli.MAX_ZONE_FIBERS) in err
-        # and with that bound lifted it reaches totals
-        monkeypatch.setattr(cli, "MAX_ZONE_FIBERS", 10**9)
+        assert (code, out) == (2, "") and str(deformations.MAX_ZONE_FIBERS) in err
+        # and with that bound lifted it reaches the W walk
+        monkeypatch.setattr(deformations, "MAX_ZONE_FIBERS", 10**9)
         reached = []
 
-        def stop(cd):
+        def stop(z, cd):
             reached.append(cd.nq)
-            raise DegenerateSingularityError("stopped before the W oracle")
+            raise DegenerateSingularityError("stopped at the W walk")
 
-        monkeypatch.setattr(cli, "totals", stop)
+        monkeypatch.setattr(deformations, "zone_points", stop)
         code, _, _ = run(capsys, "analyze", f"nq:{2 * t - 1}/2")
         assert code == 4 and reached == [NQForm(2 * t - 1, 2)]
         # cf:10001,10001 has t degrees too; its two chains of 9,999 degrees
@@ -511,13 +511,14 @@ class TestExitCodes:
         assert time.monotonic() - start < 5
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert str(cli.MAX_ZONE_FIBERS) in proc.stderr
+        assert str(deformations.MAX_ZONE_FIBERS) in proc.stderr
 
     def test_fiber_count_is_the_sum_over_the_w_zones(self, monkeypatch):
         # each zone that totals requests walks <alpha, R> fibers (zone_points'
-        # u-range); the count must equal their sum
+        # u-range); w_fast admits the class at a bound of exactly their sum,
+        # and at one less refuses it before it requests any zone
         requested = []
-        real = deformations.zone_points
+        real, bound = deformations.zone_points, deformations.MAX_ZONE_FIBERS
 
         def recorded(z, cd):
             requested.append(z.R)
@@ -530,9 +531,16 @@ class TestExitCodes:
                     continue
                 cd = class_data(nq_to_cone(NQForm(n, q)))
                 requested.clear()
+                monkeypatch.setattr(deformations, "MAX_ZONE_FIBERS", bound)
                 deformations.totals(cd)
-                expected = sum(pairing(cd.alpha, R) for R in requested)
-                assert cli._w_zone_fibers(list(cd.hilbert.coeffs)) == expected, (n, q)
+                fibers = sum(pairing(cd.alpha, R) for R in requested)
+                monkeypatch.setattr(deformations, "MAX_ZONE_FIBERS", fibers)
+                deformations.totals(cd)
+                monkeypatch.setattr(deformations, "MAX_ZONE_FIBERS", fibers - 1)
+                requested.clear()
+                with pytest.raises(cone_geometry.OracleBoundError, match="MAX_ZONE_FIBERS"):
+                    deformations.totals(cd)
+                assert requested == [], (n, q)
 
     @pytest.mark.parametrize(
         "argv,bound",
@@ -557,8 +565,8 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        limit = getattr(cli, bound, None) or getattr(deformations, bound)
-        assert str(limit) in proc.stderr
+        module = cone_geometry if bound == "MAX_CF_TERMS" else deformations
+        assert f"{bound} = {getattr(module, bound)}" in proc.stderr
 
     def test_largest_admitted_outputs_print_in_128_mib(self):
         # the bounds leave room: d = MAX_CAYLEY_D and a cf of MAX_CF_TERMS
@@ -572,7 +580,7 @@ class TestExitCodes:
             assert proc.returncode == 0, (argv, proc.stderr)
             return proc.stdout
 
-        d, terms = deformations.MAX_CAYLEY_D, cli.MAX_CF_TERMS
+        d, terms = deformations.MAX_CAYLEY_D, cone_geometry.MAX_CF_TERMS
         assert json.loads(output("cayley", f"interval:0,{d}", "--json"))["cayley"]["d"] == d
         doc = json.loads(output("convert", f"nq:{2 * terms + 1}/2", "--json"))
         assert len(doc["forms"]["cf"]) == terms

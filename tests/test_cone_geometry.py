@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqs import cone_geometry
 from cqs.cone_geometry import (
+    MAX_CF_TERMS,
     ORACLE_BOUND,
     LatticeTag,
     OracleBoundError,
@@ -167,6 +169,24 @@ class TestContinuedFraction:
         for p, s in [(4, 4), (3, 5), (6, 3), (5, 0)]:
             with pytest.raises(InvalidSingularityError):
                 continued_fraction(p, s)
+
+    def test_refused_past_the_bound_after_one_pass(self, monkeypatch):
+        # the class nq:100000001/2 expands 100000001/99999999 into 50,000,000
+        # terms; one more than the bound is pulled, once, and then refused
+        real, pulled = cone_geometry.hj_coefficients, []
+
+        def counted(p, s):
+            for a in real(p, s):
+                pulled.append(a)
+                yield a
+
+        monkeypatch.setattr(cone_geometry, "hj_coefficients", counted)
+        with pytest.raises(OracleBoundError, match="MAX_CF_TERMS"):
+            continued_fraction(100000001, 99999999)
+        assert len(pulled) == MAX_CF_TERMS + 1
+        pulled.clear()
+        assert len(continued_fraction(2 * MAX_CF_TERMS + 1, 2 * MAX_CF_TERMS - 1).coefficients) \
+            == MAX_CF_TERMS == len(pulled)
 
 
 class TestHilbertBasis:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -263,6 +266,36 @@ class TestTotals:
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSingularityError):
             totals(setup_class_data(5, 4))
+
+    @pytest.mark.parametrize(
+        "form,bound",
+        [
+            ("NQForm(1000003, 500001)", "MAX_T1_DEGREES"),
+            ("NQForm(39999, 2)", "MAX_ZONE_FIBERS"),
+            ("to_nq(CFForm((3,) * 30))", "MAX_ZONE_FIBERS"),
+        ],
+        ids=["nq:1000003/500001", "nq:39999/2", "cf:3,...,3"],
+    )
+    def test_library_caller_is_refused_in_128_mib(self, form, bound):
+        # 500,002 degrees, 2.0e8 and 2.5e12 W zone fibers: totals refuses
+        # each up front, within 5 s and 128 MiB of address space
+        from test_cli import _limit_128_mib, cqs_env
+
+        script = (
+            "from cqs.cone_geometry import OracleBoundError, class_data\n"
+            "from cqs.deformations import totals\n"
+            "from cqs.representations import CFForm, NQForm, nq_to_cone, to_nq\n"
+            f"cd = class_data(nq_to_cone({form}))\n"
+            "try:\n    totals(cd)\nexcept OracleBoundError as exc:\n    print(exc)\n"
+        )
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=cqs_env(),
+            preexec_fn=_limit_128_mib, timeout=60,
+        )
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert f"{bound} = {getattr(deformations, bound)}" in proc.stdout
 
     def test_sums_match_per_degree(self):
         rep = totals(setup_class_data(30, 17))

@@ -1,4 +1,5 @@
-"""README's Library section runs, and the names the package exports exist.
+"""README's Library section runs, the names the package exports exist, and
+the size bounds README prints are those of the modules it cites.
 
 ``cqs.<name>`` looks ``name`` up in the computing modules, and README's
 Library section calls functions by name; a rename must reach both.
@@ -70,3 +71,21 @@ def test_functions_named_in_the_library_section_exist():
             assert hasattr(importlib.import_module(module), attr), name
         elif "." not in name:
             assert any(hasattr(m, name) for m in modules), name
+
+
+def test_size_bounds_match_their_modules():
+    # a bound such as "`MAX_CF_TERMS` = 500,000 ... (`src/cqs/cone_geometry.py`)"
+    # is that attribute of the one module its paragraph or bullet cites
+    text = README.read_text()
+    blocks = [b for chunk in text.split("\n\n") for b in chunk.split("\n* ")]
+    defined = {}
+    for block in blocks:
+        block = " ".join(block.split())
+        for name, value in re.findall(r"`(MAX_\w+|ORACLE_BOUND)` = (\d[\d,]*(?:\^\d+)?)", block):
+            (stem,) = set(re.findall(r"`src/cqs/(\w+)\.py`", block))
+            base, _, exp = value.replace(",", "").partition("^")
+            module = importlib.import_module(f"cqs.{stem}")
+            assert getattr(module, name) == int(base) ** int(exp or 1), (name, stem)
+            defined[name] = stem
+    named = set(re.findall(r"`(MAX_\w+|ORACLE_BOUND)`", text))
+    assert named == defined.keys() and len(named) == 5, named ^ defined.keys()
