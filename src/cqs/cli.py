@@ -17,7 +17,10 @@ class (embdim <= 3).  A reader that closes the pipe early (``cqs scan
 run on every CPU the process may use (``verify.fan_out``) and print the
 same bytes at any count.  Every call is a fresh interpreter that pays
 for each import, so only these two import ``verify``, and only a command
-that prints JSON imports ``json``.
+that prints JSON imports ``json``.  ``analyze`` prints its human report
+and its CSV rows from the records it holds (``ClassData``, ``T1Report``);
+only ``--json`` builds the report document, the one output with the
+Cayley ray matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ from .cone_geometry import (
     class_data,
     continued_fraction,
 )
-from .deformations import CayleyFamily, T1Report, cayley_d, cayley_family, classify, totals
+from .deformations import (
+    CayleyFamily,
+    T1Report,
+    cayley_d,
+    cayley_family,
+    classify,
+    degree_vector,
+    totals,
+)
 from .lattice import NPoint
 from .representations import (
     ABCForm,
@@ -149,82 +160,50 @@ def _class_of(text: str) -> ClassData:
 
 
 def _forms_block(cd: ClassData) -> dict:
-    abc, iv = cd.abc, cd.interval
-    canon = canonical_class(cd.nq)
+    iv = cd.interval
     return {
-        "nq": {"n": cd.nq.n, "q": cd.nq.q},
-        "abc": {"a": abc.a, "b": abc.b, "c": abc.c, "c_prime": cd.c_prime},
-        "cone": {
-            "alpha": [cd.alpha.x, cd.alpha.y],
-            "beta": [cd.beta.x, cd.beta.y],
-        },
+        "nq": cd.nq._asdict(),
+        "abc": {**cd.abc._asdict(), "c_prime": cd.c_prime},
+        "cone": {"alpha": cd.alpha, "beta": cd.beta},
         "interval": {
-            "g": iv.g,
-            "h": iv.h,
-            "m": iv.m,
-            "left": str(iv.left),
-            "right": str(iv.right),
-            "length": str(iv.length),
+            **iv._asdict(), "left": str(iv.left), "right": str(iv.right), "length": str(iv.length),
         },
-        "cf": list(continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients),
-        "canonical_nq": {"n": canon.n, "q": canon.q},
+        "cf": continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients,
+        "canonical_nq": canonical_class(cd.nq)._asdict(),
     }
 
 
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
+    """The ``--json`` document; JSON writes each tuple and point in it as an array."""
     h = cd.hilbert
     flags = classify(cd) if report is None else report.flags
-    doc = {
+    return {
         "schema_version": "1",
         "input_echo": _forms_block(cd),
         "hilbert": {
             "e": h.e,
-            "basis": [[r.u, r.v] for r in h.basis],
-            "coeffs": list(h.coeffs),
-            "central_degree": [cd.rbar.u, cd.rbar.v],
+            "basis": h.basis,
+            "coeffs": h.coeffs,
+            "central_degree": cd.rbar,
             "central_index": h.central_index,
             "grounded": h.grounded,
             "equations": binomial_equations(h),
         },
         "classification": {
-            "grounded": flags.grounded,
-            "t_singularity": flags.t_singularity,
-            "t0_singularity": flags.t0_singularity,
-            "qg_exists": flags.qg_exists,
+            **flags._asdict(),
             "embdim": h.e,
             "index": cd.m,
             "interval_length": str(cd.interval.length),
         },
-        "t1": None,
-        "cayley": _cayley_block(cayley_family(cd)),
-    }
-    if report is not None:
-        doc["t1"] = {
+        "t1": None if report is None else {
             "per_degree": [
-                {
-                    "i": r.degree.i,
-                    "k": r.degree.k,
-                    "degree": [r.degree.k * h.element(r.degree.i).u,
-                               r.degree.k * h.element(r.degree.i).v],
-                    "dim_t1": r.dim_t1,
-                    "dim_v": r.dim_v,
-                    "dim_w": r.dim_w,
-                    "dim_vw": r.dim_vw,
-                    "dim_qg": r.dim_qg,
-                    "last_deformation": r.last_deformation,
-                }
+                {**r._asdict(), **r.degree._asdict(), "degree": degree_vector(h, r.degree)}
                 for r in report.per_degree
             ],
-            "totals": {
-                "dim_t1": report.totals.dim_t1,
-                "dim_v": report.totals.dim_v,
-                "dim_w": report.totals.dim_w,
-                "dim_vw": report.totals.dim_vw,
-                "dim_qg": report.totals.dim_qg,
-                "gap": report.gap,
-            },
-        }
-    return doc
+            "totals": {**report.totals._asdict(), "gap": report.gap},
+        },
+        "cayley": _cayley_block(cayley_family(cd)),
+    }
 
 
 def _cayley_block(fam: CayleyFamily) -> dict:
@@ -236,12 +215,13 @@ def _cayley_block(fam: CayleyFamily) -> dict:
             "denominator": fam.denominator,
         },
         "degenerate_base": fam.degenerate_base,
-        "rays": [list(r) for r in fam.rays],
+        "rays": fam.rays,
     }
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _csv(*fields) -> str:
+    """The fields joined by commas, booleans as true/false."""
+    return ",".join(str(f).lower() if isinstance(f, bool) else str(f) for f in fields)
 
 
 def _print_json(doc: dict) -> None:
@@ -271,8 +251,8 @@ def cmd_convert(args) -> int:
 
 def cmd_analyze(args) -> int:
     cd = _class_of(args.input)
-    # a report prints the Cayley family of any class with e >= 4 (q < n - 1),
-    # so its bound is checked before any other work
+    # --json prints the Cayley family of any class with e >= 4 (q < n - 1);
+    # its bound is checked first in every mode, so all three refuse alike
     if cd.nq.q < cd.nq.n - 1 or args.allow_degenerate:
         cayley_d(cd)
     try:
@@ -281,77 +261,54 @@ def cmd_analyze(args) -> int:
         if not args.allow_degenerate:
             raise
         report = None
-    doc = build_report_document(cd, report)
     if args.json:
-        _print_json(doc)
+        _print_json(build_report_document(cd, report))
     elif args.csv:
         print(DEGREE_HEADER)
-        if report is not None:
-            for row in doc["t1"]["per_degree"]:
-                print(
-                    f"{row['i']},{row['k']},{row['degree'][0]},{row['degree'][1]},"
-                    f"{row['dim_t1']},{row['dim_v']},{row['dim_w']},{row['dim_vw']},"
-                    f"{row['dim_qg']},{_bool(row['last_deformation'])}"
-                )
+        for r in report.per_degree if report is not None else ():
+            print(_csv(*r.degree, *degree_vector(cd.hilbert, r.degree), *r[1:]))
     else:
-        _print_human(doc)
+        _print_human(cd, report)
     return EXIT_OK
 
 
-def _print_human(doc: dict) -> None:
-    echo = doc["input_echo"]
-    hil = doc["hilbert"]
-    cls = doc["classification"]
-    nq = echo["nq"]
-    print(f"cyclic quotient singularity nq:{nq['n']}/{nq['q']}")
-    abc = echo["abc"]
-    cone = echo["cone"]
-    iv = echo["interval"]
+def _print_human(cd: ClassData, report: T1Report | None) -> None:
+    h = cd.hilbert
+    cf = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
+    print(f"cyclic quotient singularity {format_form(cd.nq)}")
+    forms = (cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, cf)
+    print("forms: " + "  ".join(map(format_form, forms)))
+    print(f"canonical class: {format_form(canonical_class(cd.nq))}")
+    print(f"hilbert basis (e={h.e}): " + " ".join(map(str, h.basis)))
+    where = f" = r^{h.central_index}" if h.central_index else ""
     print(
-        f"forms: abc:{abc['a']},{abc['b']},{abc['c']}"
-        f"  cone:({cone['alpha'][0]},{cone['alpha'][1]}),({cone['beta'][0]},{cone['beta'][1]})"
-        f"  interval:{iv['left']},{iv['right']}"
-        f"  cf:{','.join(str(a) for a in echo['cf'])}"
+        f"coefficients: [{_csv(*h.coeffs)}]  central degree {cd.rbar}{where}"
+        f"  index m={cd.m}  grounded: {'yes' if h.grounded else 'no'}"
     )
-    canon = echo["canonical_nq"]
-    print(f"canonical class: nq:{canon['n']}/{canon['q']}")
-    basis = " ".join(f"[{u},{v}]" for u, v in hil["basis"])
-    print(f"hilbert basis (e={hil['e']}): {basis}")
-    central = hil["central_degree"]
-    grounded = "yes" if hil["grounded"] else "no"
-    where = f" = r^{hil['central_index']}" if hil["central_index"] else ""
-    print(
-        f"coefficients: [{','.join(str(a) for a in hil['coeffs'])}]"
-        f"  central degree [{central[0]},{central[1]}]{where}"
-        f"  index m={cls['index']}  grounded: {grounded}"
-    )
-    if hil["equations"]:
-        print("equations: " + ", ".join(hil["equations"]))
-    print(f"|I| = {cls['interval_length']}")
-    if doc["t1"] is None:
+    equations = binomial_equations(h)
+    if equations:
+        print("equations: " + ", ".join(equations))
+    print(f"|I| = {cd.interval.length}")
+    if report is None:
         print("deformation table skipped (embdim <= 3)")
         return
     print()
     print("degree table (R = k*r^i):")
     print("  i  k  degree      dim_t1  dim_v  dim_w  dim_vw  dim_qg  last")
-    for row in doc["t1"]["per_degree"]:
-        deg = f"[{row['degree'][0]},{row['degree'][1]}]"
-        last = "  *" if row["last_deformation"] else ""
+    for r in report.per_degree:
+        deg = str(degree_vector(h, r.degree))
         print(
-            f"  {row['i']:<2} {row['k']:<2} {deg:<11} {row['dim_t1']:<7} {row['dim_v']:<6}"
-            f" {row['dim_w']:<6} {row['dim_vw']:<7} {row['dim_qg']:<7}{last}"
+            f"  {r.degree.i:<2} {r.degree.k:<2} {deg:<11} {r.dim_t1:<7} {r.dim_v:<6}"
+            f" {r.dim_w:<6} {r.dim_vw:<7} {r.dim_qg:<7}{'  *' if r.last_deformation else ''}"
         )
-    tot = doc["t1"]["totals"]
+    t, f = report.totals, report.flags
     print(
-        f"totals: dim_t1={tot['dim_t1']} dim_v={tot['dim_v']} dim_w={tot['dim_w']}"
-        f" dim_vw={tot['dim_vw']} dim_qg={tot['dim_qg']}  gap(V-VW)={tot['gap']}"
+        f"totals: dim_t1={t.dim_t1} dim_v={t.dim_v} dim_w={t.dim_w}"
+        f" dim_vw={t.dim_vw} dim_qg={t.dim_qg}  gap(V-VW)={report.gap}"
     )
     print(
-        f"flags: grounded={_bool(cls['grounded'])}"
-        f" t_singularity={_bool(cls['t_singularity'])}"
-        f" t0={_bool(cls['t0_singularity'])}"
-        f" qg_exists={_bool(cls['qg_exists'])}"
-        f" embdim={cls['embdim']}"
+        f"flags: grounded={_csv(f.grounded)} t_singularity={_csv(f.t_singularity)}"
+        f" t0={_csv(f.t0_singularity)} qg_exists={_csv(f.qg_exists)} embdim={h.e}"
     )
 
 
@@ -369,14 +326,8 @@ def cmd_scan(args) -> int:
 
 def _scan_row(nq: NQForm) -> str:
     cd = class_data(nq_to_cone(nq))
-    report = totals(cd)
-    abc = cd.abc
-    f, t = report.flags, report.totals
-    return (
-        f"{nq.n},{nq.q},{abc.a},{abc.b},{abc.c},{report.embdim},"
-        f"{_bool(f.grounded)},{_bool(f.t_singularity)},"
-        f"{t.dim_t1},{t.dim_v},{t.dim_w},{t.dim_vw},{t.dim_qg},{report.gap}"
-    )
+    r = totals(cd)
+    return _csv(*nq, *cd.abc, r.embdim, r.flags.grounded, r.flags.t_singularity, *r.totals, r.gap)
 
 
 def cmd_verify(args) -> int:
@@ -409,7 +360,7 @@ def cmd_cayley(args) -> int:
         return EXIT_OK
     print(f"d = {fam.d}")
     print(f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})")
-    print(f"degenerate_base: {_bool(fam.degenerate_base)}")
+    print(f"degenerate_base: {_csv(fam.degenerate_base)}")
     print("rays:")
     for ray in fam.rays:
         print("  (" + ", ".join(str(x) for x in ray) + ")")

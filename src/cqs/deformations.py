@@ -78,9 +78,13 @@ from .representations import DegenerateSingularityError, NQForm
 MAX_T1_DEGREES = 20_000
 # w_fast refuses a class whose W zones walk more fibers than this, the sum
 # of <alpha, r^i> over the zones of the r^i, the only ones it walks: its
-# time grows with it.  nq:2995/1498 walks 2.24 M fibers (about 2 s) and
+# time grows with it, at about 0.9 us a fiber on a 2-vCPU VM.  The u_i are
+# distinct integers in (0, n), so nq:n/1, with n(n-1)/2 fibers, walks the
+# most of its n: nq:7746/1 (29,996,385) is the largest class admitted and
+# takes 27 s there, under 60 s in the VM's 1.7 times slower state, and
+# nq:7747/1 is the first refused.  nq:2995/1498 walks 2.24 M fibers and
 # nq:10007/5003 3; cf:3,...,3 with 30 threes would walk 2.5e12.
-MAX_ZONE_FIBERS = 10**8
+MAX_ZONE_FIBERS = 3 * 10**7
 
 
 class InternalConsistencyError(RuntimeError):

@@ -200,6 +200,37 @@ class TestAnalyze:
         assert lines[2] == "3,1,2,1,2,1,1,1,1,true"
         assert len(lines) == 4
 
+    def test_rows_join_record_fields_in_header_order(self, capsys):
+        # the CSV and scan rows and the JSON classification block are built
+        # from the records' fields, so the headers must follow those fields
+        assert tuple(cli.DEGREE_HEADER.split(",")[4:]) == deformations.DegreeReport._fields[1:]
+        assert tuple(cli.SCAN_HEADER.split(",")[8:13]) == deformations.Totals._fields
+        code, out, _ = run(capsys, "analyze", "nq:20/11", "--json")
+        classification = json.loads(out)["classification"]
+        assert code == 0
+        assert set(deformations.ClassificationFlags._fields) <= classification.keys()
+
+    def test_only_json_builds_the_document(self, capsys, monkeypatch):
+        # the human report and the CSV rows print from the records; neither
+        # builds the report document nor the Cayley family's ray matrix
+        def refuse(*args):
+            raise AssertionError("built outside --json")
+
+        monkeypatch.setattr(cli, "build_report_document", refuse)
+        monkeypatch.setattr(cli, "cayley_family", refuse)
+        for golden, argv in (
+            ("analyze_20_11.txt", ("nq:20/11",)),
+            ("analyze_20_11.csv", ("nq:20/11", "--csv")),
+            ("analyze_5_4_degenerate.txt", ("nq:5/4", "--allow-degenerate")),
+        ):
+            code, out, _ = run(capsys, "analyze", *argv)
+            assert (code, out) == (0, (GOLDEN / golden).read_text()), argv
+        # d = 501: every mode is still refused by the cayley_d pre-check
+        for mode in ((), ("--csv",), ("--json",)):
+            code, out, err = run(capsys, "analyze", "interval:-1001/2,1/2", *mode)
+            assert (code, out) == (2, ""), mode
+            assert err.startswith("error: ") and "MAX_CAYLEY_D" in err, mode
+
 
 class TestScan:
     def test_header_and_20_11(self, capsys):
@@ -221,6 +252,9 @@ class TestScan:
             ("analyze_8_3.json", ("nq:8/3", "--json")),
             ("analyze_20_11.csv", ("nq:20/11", "--csv")),
             ("analyze_5_4_degenerate.json", ("nq:5/4", "--allow-degenerate", "--json")),
+            ("analyze_20_11.txt", ("nq:20/11",)),
+            ("analyze_8_3.txt", ("nq:8/3",)),
+            ("analyze_5_4_degenerate.txt", ("nq:5/4", "--allow-degenerate")),
         ],
     )
     def test_golden_analyze(self, capsys, golden, argv):
@@ -512,6 +546,21 @@ class TestExitCodes:
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert str(deformations.MAX_ZONE_FIBERS) in proc.stderr
+
+    def test_first_class_past_the_fiber_bound_is_refused(self):
+        # nq:n/1 walks n(n-1)/2 fibers, the most of its n: nq:7746/1 is the
+        # largest class admitted and nq:7747/1 the first that scan refuses
+        assert 7746 * 7745 // 2 <= deformations.MAX_ZONE_FIBERS < 7747 * 7746 // 2
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", "analyze", "nq:7747/1", "--csv"],
+            capture_output=True, text=True, env=cqs_env(), timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert time.monotonic() - start < 5
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"MAX_ZONE_FIBERS = {deformations.MAX_ZONE_FIBERS}" in proc.stderr
 
     def test_fiber_count_is_the_sum_over_the_w_zones(self, monkeypatch):
         # each zone that totals requests walks <alpha, R> fibers (zone_points'
