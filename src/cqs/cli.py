@@ -159,7 +159,7 @@ def _class_of(text: str) -> ClassData:
     return class_data(nq_to_cone(nq))
 
 
-def _forms_block(cd: ClassData) -> dict:
+def _forms_block(cd: ClassData, cf: tuple[int, ...]) -> dict:
     iv = cd.interval
     return {
         "nq": cd.nq._asdict(),
@@ -168,7 +168,7 @@ def _forms_block(cd: ClassData) -> dict:
         "interval": {
             **iv._asdict(), "left": str(iv.left), "right": str(iv.right), "length": str(iv.length),
         },
-        "cf": continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q).coefficients,
+        "cf": cf,
         "canonical_nq": canonical_class(cd.nq)._asdict(),
     }
 
@@ -179,7 +179,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
     flags = classify(cd) if report is None else report.flags
     return {
         "schema_version": "1",
-        "input_echo": _forms_block(cd),
+        "input_echo": _forms_block(cd, h.coeffs),
         "hilbert": {
             "e": h.e,
             "basis": h.basis,
@@ -236,13 +236,13 @@ def _print_json(doc: dict) -> None:
 
 def cmd_convert(args) -> int:
     cd = _class_of(args.input)
+    tags = FORM_TAGS if args.all or args.json else (args.to,)
+    # built only when printed, and before anything is
+    cf = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q) if "cf" in tags else None
     if args.json:
-        _print_json({"schema_version": "1", "forms": _forms_block(cd)})
+        _print_json({"schema_version": "1", "forms": _forms_block(cd, cf.coefficients)})
         return EXIT_OK
-    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval)))
-    tags = FORM_TAGS if args.all else (args.to,)
-    if "cf" in tags:  # built only when printed, and before anything is
-        forms["cf"] = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
+    forms = dict(zip(FORM_TAGS, (cd.nq, cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, cf)))
     for tag in tags:
         print(format_form(forms[tag]))
     print(f"canonical:{format_form(canonical_class(cd.nq))}")
@@ -274,9 +274,8 @@ def cmd_analyze(args) -> int:
 
 def _print_human(cd: ClassData, report: T1Report | None) -> None:
     h = cd.hilbert
-    cf = continued_fraction(cd.nq.n, cd.nq.n - cd.nq.q)
     print(f"cyclic quotient singularity {format_form(cd.nq)}")
-    forms = (cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, cf)
+    forms = (cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, CFForm(h.coeffs))
     print("forms: " + "  ".join(map(format_form, forms)))
     print(f"canonical class: {format_form(canonical_class(cd.nq))}")
     print(f"hilbert basis (e={h.e}): " + " ".join(map(str, h.basis)))
@@ -377,16 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between the five descriptions")
     p.add_argument("input")
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--to", choices=FORM_TAGS, help="target description")
     group.add_argument("--all", action="store_true", help="print all five descriptions")
-    p.add_argument("--json", action="store_true")
+    group.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("analyze", help="full deformation report for one singularity")
     p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true")
+    group.add_argument("--csv", action="store_true")
     p.add_argument(
         "--allow-degenerate",
         action="store_true",
@@ -411,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "convert" and not args.all and not args.to and not args.json:
-        parser.error("convert needs --to TAG, --all, or --json")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -23,6 +23,7 @@ past ORACLE_BOUND, each with OracleBoundError before the work it bounds.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
@@ -65,17 +66,14 @@ class DegreeId(NamedTuple):
     k: int
 
 
-class _Record:
-    """Base of the hand-written records HilbertData and ClassData.
+class _Frozen:
+    """Mixin that makes a namedtuple subclass immutable.
 
-    ``__init__`` stores the fields named in ``_FIELDS`` once, straight
-    into the instance dict; after that every assignment raises.  Two
-    records of one class are equal when their fields are, and hash and
-    print by them too.  A ``cached_property`` still works, because it
-    writes to the instance dict, not through ``__setattr__``.
+    A subclass without ``__slots__`` has an instance dict, which a
+    ``cached_property`` writes directly; every other attribute write raises.
     """
 
-    _FIELDS: tuple[str, ...] = ()
+    __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -83,42 +81,18 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._FIELDS))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
-        return f"{type(self).__name__}({pairs})"
-
-
-class HilbertData(_Record):
+class HilbertData(_Frozen, namedtuple("HilbertData", "basis coeffs e central_index grounded")):
     """Ordered Hilbert basis of the dual cone plus its central data.
 
     ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e), coeffs
     are [a_2, ..., a_{e-1}], and ``grounded`` records whether the central
     degree Rbar (``ClassData.rbar``, the primitive generator of the ray
     through r^1 + r^e) is itself a basis element; then ``central_index``
-    is its 1-based position.  ``degrees``, the degree table, is built on
-    first read and kept.
+    is its 1-based position.  ``hilbert_basis`` and
+    ``hilbert_basis_oracle`` compute every field.  ``degrees``, the degree
+    table, is built on first read and kept.
     """
-
-    _FIELDS = ("basis", "coeffs", "e", "central_index", "grounded")
-
-    def __init__(
-        self, basis: tuple[MPoint, ...], coeffs: tuple[int, ...], e: int,
-        central_index: int | None, grounded: bool,
-    ) -> None:
-        self.__dict__.update(
-            basis=basis, coeffs=coeffs, e=e, central_index=central_index, grounded=grounded
-        )
 
     @cached_property
     def degrees(self) -> tuple[DegreeId, ...]:
@@ -152,7 +126,10 @@ class ZoneSpec(NamedTuple):
     lattice: LatticeTag = LatticeTag.M
 
 
-class ClassData(_Record):
+class ClassData(
+    _Frozen,
+    namedtuple("ClassData", "nq alpha beta interval abc c_prime r1 re rbar m det bw ab"),
+):
     """One class S(n,q) in the coordinates of one cone, derived once.
 
     The descriptions nq, abc and interval sit next to the pairing
@@ -161,30 +138,15 @@ class ClassData(_Record):
     degree Rbar/m maps to (1,1).  The fiber over u meets iota(M) exactly
     in v = u * bw (mod n), where bw = <beta, r> for any M-point r with
     <alpha, r> = 1.  ``c_prime`` is the abc invariant c' of the mirror
-    class.
+    class.  ``ab`` holds the endpoint data of the interval when it is
+    grounded and is None otherwise.
 
-    The frame fields are the constructor's arguments.  ``hilbert`` is
-    built by :func:`hilbert_basis` from them on first read and kept on
-    the record, so a caller that never reads it never pays for it, and so
-    is ``iota_basis``; ``ab`` holds the endpoint data of the interval
-    when it is grounded and is None otherwise.  The oracles read only
-    the frame fields and basis elements, never a closed-form result.
+    :func:`class_data` computes every field.  ``hilbert`` is built by
+    :func:`hilbert_basis` from them on first read and kept on the record,
+    so a caller that never reads it never pays for it, and so is
+    ``iota_basis``.  The oracles read only the fields and basis elements,
+    never a closed-form result.
     """
-
-    _FIELDS = (
-        "nq", "alpha", "beta", "interval", "abc", "c_prime", "r1", "re", "rbar", "m", "det",
-        "bw", "ab",
-    )
-
-    def __init__(
-        self, nq: NQForm, alpha: NPoint, beta: NPoint, interval: IntervalUD, abc: ABCForm,
-        c_prime: int, r1: MPoint, re: MPoint, rbar: MPoint, m: int, det: int, bw: int,
-    ) -> None:
-        ab = ab_floor_data(interval) if is_grounded(interval) else None
-        self.__dict__.update(
-            nq=nq, alpha=alpha, beta=beta, interval=interval, abc=abc, c_prime=c_prime,
-            r1=r1, re=re, rbar=rbar, m=m, det=det, bw=bw, ab=ab,
-        )
 
     @cached_property
     def hilbert(self) -> HilbertData:
@@ -201,9 +163,9 @@ def class_data(c: ConeForm) -> ClassData:
     """The class of the cone c, with every derived field in c's coordinates.
 
     The round trip cone -> interval -> abc -> nq is the single place
-    where q is found; the dual generators and Rbar are derived once, and
-    the interval is read around that Rbar.  A smooth cone (n = 1) has no
-    nq and raises InvalidSingularityError.
+    where q is found; the dual generators and Rbar are derived once, the
+    interval is read around that Rbar, and ``ab`` from a grounded interval.
+    A smooth cone (n = 1) has no nq and raises InvalidSingularityError.
     """
     rbar = central_degree(c)
     iv = interval_around(c, rbar)
@@ -211,9 +173,10 @@ def class_data(c: ConeForm) -> ClassData:
     r1, re = dual_generators(c)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
     bw = (c.beta.x * s + c.beta.y * t) % c.order  # <beta, [s, t]>, and <alpha, [s, t]> = 1
+    ab = ab_floor_data(iv) if is_grounded(iv) else None
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
-        r1, re, rbar, iv.m, det2(c.alpha, c.beta), bw,
+        r1, re, rbar, iv.m, det2(c.alpha, c.beta), bw, ab,
     )
 
 

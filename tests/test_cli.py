@@ -231,6 +231,23 @@ class TestAnalyze:
             assert (code, out) == (2, ""), mode
             assert err.startswith("error: ") and "MAX_CAYLEY_D" in err, mode
 
+    def test_analyze_reads_the_cf_from_the_hilbert_record(self, capsys, monkeypatch):
+        # the cf: form and the JSON cf echo print the Hilbert coefficients,
+        # the same terms; only convert expands the continued fraction
+        def refuse(*args):
+            raise AssertionError("continued fraction expanded by analyze")
+
+        monkeypatch.setattr(cli, "continued_fraction", refuse)
+        for golden, argv in (
+            ("analyze_20_11.txt", ("nq:20/11",)),
+            ("analyze_20_11.csv", ("nq:20/11", "--csv")),
+            ("analyze_20_11.json", ("nq:20/11", "--json")),
+            ("analyze_5_4_degenerate.txt", ("nq:5/4", "--allow-degenerate")),
+            ("analyze_5_4_degenerate.json", ("nq:5/4", "--allow-degenerate", "--json")),
+        ):
+            code, out, _ = run(capsys, "analyze", *argv)
+            assert (code, out) == (0, (GOLDEN / golden).read_text()), argv
+
 
 class TestScan:
     def test_header_and_20_11(self, capsys):
@@ -481,6 +498,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["scan"])  # missing bound
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (("analyze", "nq:4/1", "--json", "--csv"),
+         "argument --csv: not allowed with argument --json"),
+        (("convert", "nq:20/11", "--to", "abc", "--json"),
+         "argument --json: not allowed with argument --to"),
+        (("convert", "nq:20/11"), "one of the arguments --to --all --json is required"),
+    ])
+    def test_output_flags_are_one_choice(self, capsys, argv, message):
+        # conflicting or missing output flags are one usage error, not a guess
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith(f"usage: cqs {argv[0]} ") and err.count("error:") == 1
+        assert err.endswith(f"cqs {argv[0]}: error: {message}\n"), err
 
     def test_analyze_refuses_past_the_degree_bound(self):
         # nq:1000003/500001 has 500,002 T1 degrees; under 128 MiB of address

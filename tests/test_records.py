@@ -57,9 +57,11 @@ def test_every_record_type_is_listed():
 
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_field_assignment_raises(record):
-    field = next(iter(getattr(record, "_fields", None) or record._FIELDS))
+    field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     with pytest.raises(AttributeError):
         record.not_a_field = 0
 
@@ -84,6 +86,8 @@ def test_hand_written_records_compare_their_fields_only():
     assert a == b and hash(a) == hash(b)
     assert a != class_data(nq_to_cone(NQForm(20, 9)))
     assert a != a.nq and a.hilbert != a.hilbert.basis
+    # namedtuples, like the other records: equal to the tuple of their fields
+    assert a == tuple(a) and a.hilbert == tuple(a.hilbert)
     assert repr(a).startswith("ClassData(nq=NQForm(n=20, q=11), alpha=NPoint(x=1, y=0), ")
     assert repr(a.hilbert).startswith("HilbertData(basis=(MPoint(u=0, v=1), ")
 
