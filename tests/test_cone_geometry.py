@@ -22,6 +22,7 @@ from cqs.cone_geometry import (
     hilbert_basis_oracle,
     is_grounded,
     zone_points,
+    zone_walk,
 )
 from cqs.lattice import MPoint, pairing
 from cqs.representations import (
@@ -93,8 +94,9 @@ def assert_m_tilde_matches_cosets(cd, R, kappas):
     assert gcd(cd.bw - 1, cd.nq.n) * cd.m == cd.nq.n
     for kappa in kappas:
         z = ZoneSpec(R, kappa, LatticeTag.M_TILDE)
-        got, want = zone_points(z, cd), m_tilde_by_cosets(z, cd)
-        assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
+        want = m_tilde_by_cosets(z, cd)
+        for got in (zone_points(z, cd), list(zone_walk(z, cd))):
+            assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
 
 
 def iota(cd, p):
@@ -358,9 +360,10 @@ class TestZones:
                 (LatticeTag.M_SHIFTED, (1,)),
                 (LatticeTag.M_TILDE, range(m)),
             ]:
-                got = set(zone_points(ZoneSpec(R, kappa, tag), cd))
+                z = ZoneSpec(R, kappa, tag)
                 want = {iota(cd, p) for p in brute_zone(cone, R, kappa, shifts)}
-                assert got == want, (R, kappa, tag)
+                assert set(zone_points(z, cd)) == want, (R, kappa, tag)
+                assert set(zone_walk(z, cd)) == want, (R, kappa, tag)
 
     @pytest.mark.parametrize("kappa", [-1, 0, 1, 5])
     def test_nonstandard_cone_against_box_walk(self, kappa):
@@ -388,8 +391,9 @@ class TestZones:
                             for t in shifts
                         ):
                             want.add((u, v))
-                got = zone_points(ZoneSpec(R, kappa, tag), cd)
-                assert len(got) == len(want) and set(got) == want, (R, kappa, tag)
+                z = ZoneSpec(R, kappa, tag)
+                for got in (zone_points(z, cd), list(zone_walk(z, cd))):
+                    assert len(got) == len(want) and set(got) == want, (R, kappa, tag)
 
     def test_translation_by_central_degree(self):
         cd = data_of(20, 11)
@@ -417,6 +421,33 @@ class TestZones:
         cd = data_of(20, 11)
         with pytest.raises(InvalidSingularityError):
             zone_points(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cd)
+        with pytest.raises(InvalidSingularityError):
+            next(zone_walk(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cd))
+
+
+class TestZoneWalk:
+    """zone_walk advances one residue per fiber and shares no code with
+    zone_points; both give the same points of every zone."""
+
+    def test_every_zone_up_to_40(self):
+        # every degree of every class with n <= 40, in the three lattices,
+        # at each kappa that verify reads
+        zones = 0
+        for n in range(2, 41):
+            for q in range(1, n):
+                if gcd(n, q) != 1:
+                    continue
+                cd = data_of(n, q)
+                h, m = cd.hilbert, cd.m
+                for d in h.degrees:
+                    R = d.k * h.element(d.i)
+                    for tag in LatticeTag:
+                        for kappa in (0, -1, m - 1, m, 2 * m):
+                            z = ZoneSpec(R, kappa, tag)
+                            got, want = list(zone_walk(z, cd)), zone_points(z, cd)
+                            assert len(got) == len(want) and set(got) == set(want), (n, q, z)
+                            zones += 1
+        assert zones == 80_625
 
 
 class TestMTildeProgression:
@@ -465,4 +496,9 @@ class TestMTildeProgression:
         n, q = nq
         cd = data_of(n, q)
         v_r = u_r * cd.bw % n + lift * n or n
-        assert_m_tilde_matches_cosets(cd, _preimage(cd, u_r, v_r), (kappa,))
+        R = _preimage(cd, u_r, v_r)
+        assert_m_tilde_matches_cosets(cd, R, (kappa,))
+        for tag in (LatticeTag.M, LatticeTag.M_SHIFTED):
+            z = ZoneSpec(R, kappa, tag)
+            got, want = list(zone_walk(z, cd)), zone_points(z, cd)
+            assert len(got) == len(want) and set(got) == set(want), tag

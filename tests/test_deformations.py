@@ -620,6 +620,62 @@ class TestContainmentOracles:
                     assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(vec, cd)), (nq, d)
 
 
+class Counted:
+    """An iterator that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.read = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.read += 1
+        return item
+
+
+class TestLazyZoneReads:
+    """Each oracle stops reading its ``zone_walk`` once its answer is fixed.
+    On nq:21/10 (a = (2, 11), m = 21) the top of the chain, R = 10*r^3,
+    has zones of 9, 10 and 200 points."""
+
+    def test_each_read_stops_inside_its_zone(self, monkeypatch):
+        from cqs import verify
+
+        cd = setup_class_data(21, 10)
+        m, R = cd.m, degree_vector(cd.hilbert, DegreeId(3, 10))
+        walks = []
+        real = deformations.zone_walk
+
+        def counted(z, cd):
+            walks.append((z, Counted(real(z, cd))))
+            return walks[-1][1]
+
+        monkeypatch.setattr(deformations, "zone_walk", counted)
+        # the span: the first two points of the kappa = m zone are independent
+        z = ZoneSpec(R, m)
+        walk = deformations.zone_walk(z, cd)
+        base = m * pairing(cd.alpha, R), m * pairing(cd.beta, R)
+        assert len(zone_span(walk, base)) == 2
+        assert walk.read == 2 < len(zone_points(z, cd)) == 10
+        # the containment: the walk ends at the first M_tilde point off the line
+        assert not qg_oracle(R, cd)
+        assert walks[-1][1].read < len(zone_points(ZoneSpec(R, 0, LatticeTag.M_TILDE), cd)) == 200
+        # the emptiness: the first point of the kappa = -1 zone
+        walk = deformations.zone_walk(ZoneSpec(R, -1), cd)
+        assert next(walk, None) is not None
+        assert walk.read == 1 < len(zone_points(ZoneSpec(R, -1), cd)) == 9
+        # and verify, which reads every zone of the class through these,
+        # reads fewer points than the zones hold
+        walks.clear()
+        res = verify.VerificationResult()
+        verify._verify_one_class(cd, res)
+        assert res.ok and walks
+        assert all(w.read <= len(zone_points(z, cd)) for z, w in walks)
+        assert sum(w.read for _, w in walks) < sum(len(zone_points(z, cd)) for z, _ in walks)
+
+
 class TestRankOracles:
     def test_w_20_11_hand_enumerated(self):
         # zones Z_{R,-1} cap M walked by hand: empty at r^2/r^6 (full
