@@ -53,6 +53,63 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def sabotage_deformations(monkeypatch):
+    """Break one oracle or closed form in each of a few classes with n <= 12.
+
+    ``verify`` reads ``v_dims`` first in every class, so the patch of
+    ``v_dims`` records which class is being checked, and each other patch
+    acts in its own class only.  The patches take their arguments as they
+    come, so they do not depend on the oracles' signatures.
+    """
+    current = [None]
+
+    def in_class(n, q, name, broken):
+        real = getattr(deformations, name)
+
+        def call(*args):
+            out = real(*args)
+            return broken(out, *args) if current[0] == NQForm(n, q) else out
+
+        monkeypatch.setattr(deformations, name, call)
+
+    def flip(first):
+        # a closed-form column flipped at the first or last central degree
+        def broken(out, cd):
+            ell = cd.hilbert.central_index
+            d = (ell, 1 if first else cd.hilbert.coefficient(ell) - 1)
+            out[d] = 1 - out[d]
+            return out
+
+        return broken
+
+    def w_dropped_under_vw(report, cd, v, qg, vw, w):
+        # a report whose W misses a VW direction, and whose total says so
+        rows = tuple(r._replace(dim_w=0) if r.dim_vw else r for r in report.per_degree)
+        return report._replace(
+            per_degree=rows, totals=report.totals._replace(dim_w=sum(r.dim_w for r in rows))
+        )
+
+    real_v = deformations.v_dims
+    monkeypatch.setattr(
+        deformations, "v_dims", lambda cd: current.__setitem__(0, cd.nq) or real_v(cd)
+    )
+    in_class(4, 1, "qg_dims", flip(first=False))  # also a theorem check raises
+    in_class(5, 2, "stable_iso_oracle", lambda out, *args: not out)
+    in_class(7, 2, "w_chain_threshold", lambda out, cd, i: out + 1)
+    in_class(7, 3, "iso_oracle", lambda out, *args: not out)
+    in_class(7, 4, "qg_oracle", lambda out, *args: not out)
+    in_class(8, 3, "qg_dims", flip(first=True))  # qG is no initial segment
+    in_class(9, 2, "assemble_report", w_dropped_under_vw)  # its mirror is 9/5
+    in_class(10, 3, "vw_oracle", lambda out, *args: not out)
+    in_class(10, 7, "v_dims_oracle", lambda out, cd: {d: dim + 1 for d, dim in out.items()})
+    in_class(
+        11, 3, "_constrained_dim",
+        lambda out, cd, d, span, with_phi: out + 1 if with_phi else out,
+    )
+    in_class(12, 5, "vw_dims", flip(first=False))  # a frac = 1/m: VW is qG at the last degree
+    in_class(12, 7, "vw_dims", flip(first=False))  # no frac = 1/m: VW is 1 there
+
+
 class TestParsing:
     def test_grammar(self):
         assert parse_form("nq:20/11") == NQForm(20, 11)
@@ -442,6 +499,18 @@ class TestVerify:
         assert cd.hilbert.coeffs == continued_fraction(7, 4).coefficients == (2, 5)
         failures = verify._hilbert_checks(cd).failures
         assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sabotaged_golden(self, capsys, monkeypatch, workers):
+        # every property the deformation checks can emit fails at least
+        # once, so the text and order of each mismatch line are pinned
+        from cqs import verify
+
+        sabotage_deformations(monkeypatch)
+        monkeypatch.setattr(verify, "cpu_count", lambda: workers)
+        code, out, err = run(capsys, "verify", "12")
+        assert code == 1 and not err
+        assert out == (GOLDEN / "verify_sabotaged.txt").read_text()
 
     def test_m_tilde_walked_as_m_is_a_qg_mismatch(self, tmp_path):
         # a copy of the package whose zone_walk steps M_tilde by n instead
