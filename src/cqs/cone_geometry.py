@@ -121,6 +121,12 @@ class LatticeTag(enum.Enum):
 
 
 class ZoneSpec(NamedTuple):
+    """A zone as ``zone_points`` takes it: the degree R, kappa and the lattice.
+
+    The oracles' ``zone_walk`` takes iota(R) instead, which ``iota_basis``
+    already holds for every degree.
+    """
+
     R: MPoint
     kappa: int
     lattice: LatticeTag = LatticeTag.M
@@ -143,9 +149,9 @@ class ClassData(
 
     :func:`class_data` computes every field.  ``hilbert`` is built by
     :func:`hilbert_basis` from them on first read and kept on the record,
-    so a caller that never reads it never pays for it, and so is
-    ``iota_basis``.  The oracles read only the fields and basis elements,
-    never a closed-form result.
+    so a caller that never reads it never pays for it, and so are
+    ``iota_basis`` and ``axis_points``.  The oracles read only the fields
+    and basis elements, never a closed-form result.
     """
 
     @cached_property
@@ -157,6 +163,17 @@ class ClassData(
         """iota(r^i) = (u_i, v_i) of each basis element, r^i at index i-1."""
         (ax, ay), (bx, by) = (self.alpha.x, self.alpha.y), (self.beta.x, self.beta.y)
         return tuple((ax * r.u + ay * r.v, bx * r.u + by * r.v) for r in self.hilbert.basis)
+
+    @cached_property
+    def axis_points(self) -> tuple[int, int]:
+        """(V0, U0): (-1, V0) and (U0, -1) are the least points of iota(M) on
+        the lines u = -1 and v = -1 with the other coordinate >= -1.
+
+        iota(M) is v = bw*u (mod n), so u = -1 gives v = -bw and v = -1 gives
+        u = -1/bw (mod n); bw is a unit, as some r in M has <beta, r> = 1.
+        """
+        n, bw = self.nq.n, self.bw
+        return (1 - bw) % n - 1, (1 - pow(bw, -1, n)) % n - 1
 
 
 def class_data(c: ConeForm) -> ClassData:
@@ -340,7 +357,8 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     v form one arithmetic progression, of step n or g, and the cost is
     proportional to the number of fibers and points, not the zone area.
     ``w_fast`` lists its zones here; the oracles walk theirs with
-    ``zone_walk``, which shares no code with this list.
+    ``zone_walk``, which shares no code with this list and takes iota(R)
+    instead of a ``ZoneSpec``.
     """
     R, kappa, lattice = z.R, z.kappa, z.lattice  # read once, not per fiber
     u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
@@ -364,21 +382,25 @@ def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
     return found
 
 
-def zone_walk(z: ZoneSpec, cd: ClassData) -> Iterator[tuple[int, int]]:
-    """The points of ``zone_points(z, cd)``, generated fiber by fiber.
+def zone_walk(
+    cd: ClassData, size: tuple[int, int], kappa: int, lattice: LatticeTag = LatticeTag.M
+) -> Iterator[tuple[int, int]]:
+    """The points of a zone, generated fiber by fiber, for the oracles.
 
-    The same half-open zone and lattice, the same pairs (u, v), in order
-    of u; the oracles read it, so a reader that has its answer stops the
-    walk there.  The fiber over u + 1 is the fiber over u advanced by bw
-    modulo the step of the lattice: n for iota(M) and its shifted coset,
-    whose first fiber is (1, 1) + iota(M), and g = gcd(bw - 1, n) for
-    iota(M_tilde) = iota(M) + Z*(1, 1), on which v = bw*u (mod g).  So
-    each fiber costs one addition, and its points come as one ``range``.
+    ``size`` is (u_R, v_R) = iota(R) of the degree R, which the caller
+    reads from ``cd.iota_basis``; the zone is kappa <= u < kappa + u_R,
+    kappa <= v < kappa + v_R on ``lattice``.  These are the pairs (u, v)
+    of ``zone_points(ZoneSpec(R, kappa, lattice), cd)``, in order of u;
+    a reader that has its answer stops the walk there.  The fiber over
+    u + 1 is the fiber over u advanced by bw modulo the step of the
+    lattice: n for iota(M) and its shifted coset, whose first fiber is
+    (1, 1) + iota(M), and g = gcd(bw - 1, n) for iota(M_tilde) =
+    iota(M) + Z*(1, 1), on which v = bw*u (mod g).  So each fiber costs
+    one addition, and its points come as one ``range``.
     """
-    R, kappa, lattice = z
-    u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
+    u_r, v_r = size
     if u_r <= 0 or v_r <= 0:
-        raise InvalidSingularityError(f"degree {R} is not interior to the dual cone")
+        raise InvalidSingularityError(f"zone size {size} is not interior to the dual cone")
     n, bw = cd.nq.n, cd.bw
     step = gcd(bw - 1, n) if lattice is LatticeTag.M_TILDE else n
     lift = 1 if lattice is LatticeTag.M_SHIFTED else 0

@@ -28,7 +28,11 @@ form in this module is cross-checked against the zone oracles by
 the zone of every degree, by :mod:`cqs.verify` and acceptance
 criterion 8.
 
-The oracles work in iota coordinates only.  Each reads its zones
+The oracles work in iota coordinates only.  A zone is named by its
+iota size iota(R) = k*iota(r^i), read from ``cd.iota_basis``, and a
+degree by d = (i, k): ``qg_oracle(cd, d)`` and ``vw_oracle(cd, d)`` take
+it as ``t1_space`` and ``phi_vector`` do, so no oracle builds or pairs an
+M-point.  Each reads its zones
 through ``zone_walk``, a generator, lazily: ``zone_span`` reads a zone
 Z_{R,kappa} against the base iota(kappa*R) into a basis of at most two
 vectors and stops at the second, the containment oracles behind
@@ -86,7 +90,7 @@ from .cone_geometry import (
     zone_points,
     zone_walk,
 )
-from .lattice import MPoint, pairing
+from .lattice import MPoint
 from .representations import DegenerateSingularityError, NQForm
 
 
@@ -176,6 +180,8 @@ def t1_degrees(h: HilbertData) -> tuple[DegreeId, ...]:
 
 
 def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
+    """R = k*r^i as an M-point, for output; the oracles read iota(R) =
+    k*iota(r^i) from ``cd.iota_basis`` instead."""
     return d.k * h.element(d.i)
 
 
@@ -322,7 +328,10 @@ def iso_oracle(f: tuple[int, int], span: tuple[tuple[int, int], ...]) -> bool:
     holds on the zone exactly when A*x + B*y = 0 on each basis vector.
     """
     A, B = f
-    return not any(A * x + B * y for x, y in span)
+    for x, y in span:
+        if A * x + B * y:
+            return False
+    return True
 
 
 def stable_iso_oracle(f: tuple[int, int], phi: tuple[int, int], nonempty: bool, iso: bool) -> bool:
@@ -338,31 +347,31 @@ def stable_iso_oracle(f: tuple[int, int], phi: tuple[int, int], nonempty: bool, 
     return not nonempty or (iso and f[0] * phi[0] + f[1] * phi[1] == 0)
 
 
-def _containment_oracle(R: MPoint, cd: ClassData, tag: LatticeTag) -> bool:
-    # containment of the zone's lattice points in the line Q*(Rbar - m*R),
-    # whose iota is (m - m*<alpha,R>, m - m*<beta,R>); the walk stops at
+def _containment_oracle(cd: ClassData, d: DegreeId, tag: LatticeTag) -> bool:
+    # containment of the lattice points of Z_{R,0}, R = k*r^i, in the line
+    # Q*(Rbar - m*R), whose iota is phi_vector(cd, d); the walk stops at
     # the first point off the line
-    m = cd.m
-    lu, lv = m - m * pairing(cd.alpha, R), m - m * pairing(cd.beta, R)
+    lu, lv = phi_vector(cd, d)
     if not (lu or lv):
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
+    u_i, v_i = cd.iota_basis[d.i - 1]
     # at kappa = 0 the base iota(kappa*R) is the origin
-    return all(u * lv == v * lu for u, v in zone_walk(ZoneSpec(R, 0, tag), cd))
+    return all(u * lv == v * lu for u, v in zone_walk(cd, (d.k * u_i, d.k * v_i), 0, tag))
 
 
-def qg_oracle(R: MPoint, cd: ClassData) -> bool:
+def qg_oracle(cd: ClassData, d: DegreeId) -> bool:
     """Zone criterion for qG: Mtilde points of Z_R lie on Q*(Rbar - m*R).
 
-    Decides whether the V-line in degree -R (when one exists) consists of
-    qG-deformations; degrees without V-deformations have dim qG = 0 no
-    matter what this containment says.
+    Decides whether the V-line in degree -R, R = k*r^i (when one exists)
+    consists of qG-deformations; degrees without V-deformations have
+    dim qG = 0 no matter what this containment says.
     """
-    return _containment_oracle(R, cd, LatticeTag.M_TILDE)
+    return _containment_oracle(cd, d, LatticeTag.M_TILDE)
 
 
-def vw_oracle(R: MPoint, cd: ClassData) -> bool:
+def vw_oracle(cd: ClassData, d: DegreeId) -> bool:
     """Zone criterion for VW, with the shifted lattice M + (1/m)Rbar."""
-    return _containment_oracle(R, cd, LatticeTag.M_SHIFTED)
+    return _containment_oracle(cd, d, LatticeTag.M_SHIFTED)
 
 
 def _constrained_dim(
@@ -445,21 +454,10 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     return out
 
 
-def axis_points(cd: ClassData) -> tuple[int, int]:
-    """(V0, U0): (-1, V0) and (U0, -1) are the least points of iota(M) on
-    the lines u = -1 and v = -1 with the other coordinate >= -1.
-
-    iota(M) is v = bw*u (mod n), so u = -1 gives v = -bw and v = -1 gives
-    u = -1/bw (mod n); bw is a unit, as some r in M has <beta, r> = 1.
-    """
-    n, bw = cd.nq.n, cd.bw
-    return (1 - bw) % n - 1, (1 - pow(bw, -1, n)) % n - 1
-
-
 def w_chain_threshold(cd: ClassData, i: int) -> int:
     """The K with W(-k*r^i) = 1 exactly for 2 <= k < K, in closed form.
 
-    With (u_j, v_j) = iota(r^j) and (V0, U0) = ``axis_points(cd)``,
+    With (u_j, v_j) = iota(r^j) and (V0, U0) = ``cd.axis_points``,
     K = min(a_i, max(2, min ceil((x + 2)/y))), the inner min over the
     pairs (x, y) = (v_(i-1), v_i), (u_(i+1), u_i), (V0, v_i), (U0, u_i).
 
@@ -488,7 +486,7 @@ def w_chain_threshold(cd: ClassData, i: int) -> int:
     k >= ceil((x + 2)/y) for its pair, so the least k is the inner min;
     the chain has 2 <= k <= a_i - 1, so K is clamped to [2, a_i].
     """
-    v0, u0 = axis_points(cd)
+    v0, u0 = cd.axis_points
     (u_prev, v_prev), (u_i, v_i), (u_next, _) = cd.iota_basis[i - 2 : i + 1]
     pairs = ((v_prev, v_i), (u_next, u_i), (v0, v_i), (u0, u_i))
     least = min(-(-(x + 2) // y) for x, y in pairs)
@@ -501,12 +499,12 @@ def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
-    h = cd.hilbert
     out = {}
-    for d in t1_degrees(h):
+    for d in t1_degrees(cd.hilbert):
         u_i, v_i = cd.iota_basis[d.i - 1]
-        zone = zone_walk(ZoneSpec(degree_vector(h, d), -1), cd)
-        out[d] = _constrained_dim(cd, d, zone_span(zone, (-d.k * u_i, -d.k * v_i)), with_phi)
+        u_r, v_r = d.k * u_i, d.k * v_i
+        zone = zone_walk(cd, (u_r, v_r), -1)
+        out[d] = _constrained_dim(cd, d, zone_span(zone, (-u_r, -v_r)), with_phi)
     return out
 
 

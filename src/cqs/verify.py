@@ -5,23 +5,27 @@ counterpart built on zone enumeration, and every conversion in
 :mod:`cqs.representations` can be round-tripped.  ``run_checks`` sweeps
 all classes (n, q) up to a bound and records every mismatch, in three
 sections: conversions, hilbert and deformations.  The CLI `verify`
-subcommand and the acceptance test suite both run it.  The deformation
-checks compute each closed form once per class and walk each zone once,
-and assemble the report from those columns (W is the rank on the
-kappa = -1 zone of each degree).  Each zone is read lazily from its
+subcommand and the acceptance test suite both run it.  A check that
+passes is only counted; only a failed one formats its message line.  The
+deformation checks compute each closed form once per class and walk each
+zone once, and assemble the report from those columns (W is the rank on
+the kappa = -1 zone of each degree).  Each degree reads its iota size
+iota(R) = k*iota(r^i) once from ``cd.iota_basis``, and every walk of the
+degree starts from it.  Each zone is read lazily from its
 ``zone_walk``: the first point says whether it is empty, and the walk
 goes on into its span (``zone_span``) and stops at the second
 independent vector; the containment oracles of qG and VW stop at the
 first point off their line.  Each direction of a degree is one integer
 functional on iota (``t1_space``); every iso, stable-iso and rank test
 of the degree reuses the five spans, the emptiness of the five zones
-and the functionals.  The Hilbert coefficients are compared with the
-mirror's continued fraction, reversed, so the comparison does not read
-the expansion that built them.  ``w_fast`` decides each chain degree
-k*r^i, k >= 2, in closed form and walks the zone of each k = 1 degree
-with ``zone_points``; the closed form, taken once per i, is checked
-against the oracle's rank in every chain degree, on the zones already
-walked.
+and the functionals, and a direction's iso and stable answers are tuples
+indexed by the position of the zone.  The Hilbert coefficients are
+compared with the mirror's continued fraction, reversed, so the
+comparison does not read the expansion that built them.  ``w_fast``
+decides each chain degree k*r^i, k >= 2, in closed form and walks the
+zone of each k = 1 degree with ``zone_points``; the closed form, taken
+once per i, is checked against the oracle's rank in every chain degree,
+on the zones already walked.
 
 The per-class checks run through ``fan_out``, which spreads the classes
 of a sweep over the CPUs this process may use and hands the results back
@@ -34,12 +38,12 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd
 from typing import BinaryIO
 
 from . import cone_geometry, deformations, representations
-from .cone_geometry import ClassData, ZoneSpec, class_data, eta, hilbert_basis_oracle, is_grounded
+from .cone_geometry import ClassData, class_data, eta, hilbert_basis_oracle, is_grounded
 from .deformations import DegreeId, DegreeReport, T1Report
 from .representations import IntervalUD, NQForm, q_inverse
 
@@ -55,10 +59,14 @@ class VerificationResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, msg: str) -> None:
+    def check(self, ok: bool, nq: NQForm, prop: str, d: tuple[int, int] | None = None) -> None:
+        """Count one check of the property ``prop`` on the class ``nq``, at
+        the degree d = (i, k) if one is given.  Only a failed check formats
+        its message, ``n=.. q=.. [degree=(i,k)] property=..``."""
         self.checks += 1
         if not ok:
-            self.failures.append(msg)
+            at = f" degree=({d[0]},{d[1]})" if d else ""
+            self.failures.append(f"n={nq.n} q={nq.q}{at} property={prop}")
 
     def merge(self, other: VerificationResult) -> None:
         self.checks += other.checks
@@ -174,33 +182,30 @@ def _serve(work: Callable, share: Iterable, fd: int) -> None:
 def _conversion_checks(nq: NQForm) -> VerificationResult:
     """Round-trips through all five descriptions, plus mirror identities."""
     res = VerificationResult()
-    where = f"n={nq.n} q={nq.q}"
     abc = representations.nq_to_abc(nq)
-    res.check(representations.abc_to_nq(abc) == nq, f"{where} property=abc_roundtrip")
+    res.check(representations.abc_to_nq(abc) == nq, nq, "abc_roundtrip")
     cone = representations.nq_to_cone(nq)
     iv = representations.cone_to_interval(cone)
     res.check(
         representations.abc_to_nq(representations.interval_to_abc(iv)) == nq,
-        f"{where} property=cone_interval_abc_roundtrip",
+        nq, "cone_interval_abc_roundtrip",
     )
     res.check(
         representations.cone_to_interval(representations.interval_to_cone(iv)) == iv,
-        f"{where} property=interval_cone_interval_roundtrip",
+        nq, "interval_cone_interval_roundtrip",
     )
     cf = cone_geometry.continued_fraction(nq.n, nq.n - nq.q)
-    res.check(representations.cf_to_nq(cf) == nq, f"{where} property=cf_roundtrip")
+    res.check(representations.cf_to_nq(cf) == nq, nq, "cf_roundtrip")
 
     mirror = q_inverse(nq)
     abc_m = representations.nq_to_abc(mirror)
-    res.check((abc.a, abc.b) == (abc_m.a, abc_m.b), f"{where} property=mirror_shares_a_b")
+    res.check((abc.a, abc.b) == (abc_m.a, abc_m.b), nq, "mirror_shares_a_b")
     iv_m = representations.cone_to_interval(representations.nq_to_cone(mirror))
-    res.check(
-        IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, f"{where} property=mirror_interval_negation"
-    )
-    res.check(representations.mirror_c(iv) == abc_m.c, f"{where} property=mirror_c_prime")
+    res.check(IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, nq, "mirror_interval_negation")
+    res.check(representations.mirror_c(iv) == abc_m.c, nq, "mirror_c_prime")
     res.check(
         representations.canonical_class(nq) == representations.canonical_class(mirror),
-        f"{where} property=canonical_class_invariance",
+        nq, "canonical_class_invariance",
     )
     return res
 
@@ -209,16 +214,15 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
     """Three-term recursion against the convex-hull oracle, and eta identities."""
     res = VerificationResult()
     nq = cd.nq
-    where = f"n={nq.n} q={nq.q}"
     h = cd.hilbert
-    res.check(h == hilbert_basis_oracle(cd), f"{where} property=hilbert_oracle")
+    res.check(h == hilbert_basis_oracle(cd), nq, "hilbert_oracle")
     # h.coeffs is the expansion of n/(n-q); the mirror's expansion of
     # n/(n-q'), q' = 1/q mod n, is the same sequence reversed
     mirror_cf = cone_geometry.continued_fraction(nq.n, nq.n - q_inverse(nq).q)
-    res.check(h.coeffs == mirror_cf.coefficients[::-1], f"{where} property=hilbert_coeffs_vs_cf")
+    res.check(h.coeffs == mirror_cf.coefficients[::-1], nq, "hilbert_coeffs_vs_cf")
     for i in range(2, h.e):
         ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
-        res.check(ok, f"{where} degree=({i},1) property=three_term_recursion")
+        res.check(ok, nq, "three_term_recursion", (i, 1))
     # adjacent r^j, r^(j+1) form a Z-basis of M iff their iota pairs, which
     # span a sublattice of index n in iota(M), have determinant +-n
     iota = cd.iota_basis
@@ -227,13 +231,13 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
             abs(u * v_next - v * u_next) == nq.n
             for (u, v), (u_next, v_next) in zip(iota, iota[1:])
         ),
-        f"{where} property=adjacent_z_basis",
+        nq, "adjacent_z_basis",
     )
     alphas = [u for u, _ in iota]
     betas = [v for _, v in iota]
     res.check(
         alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
-        f"{where} property=pairing_monotonicity",
+        nq, "pairing_monotonicity",
     )
     if h.e >= 4:
         # with e = 3 both eta ratios equal a_2 exactly and the floor
@@ -242,21 +246,19 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
             value = eta(cd, i)
             res.check(
                 value.numerator // value.denominator == h.coefficient(i) - 1,
-                f"{where} degree=({i},1) property=eta_floor",
+                nq, "eta_floor", (i, 1),
             )
     iv = cd.interval
-    res.check(is_grounded(iv) == h.grounded, f"{where} property=grounded_equivalence")
+    res.check(is_grounded(iv) == h.grounded, nq, "grounded_equivalence")
     if h.grounded and h.e >= 4:
         ab = cd.ab
         ell = h.central_index
-        res.check(
-            h.coefficient(ell) == ab.a_central, f"{where} property=central_a_from_interval"
-        )
+        res.check(h.coefficient(ell) == ab.a_central, nq, "central_a_from_interval")
         res.check(
             eta(cd, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
-            f"{where} property=central_eta_from_interval",
+            nq, "central_eta_from_interval",
         )
-        res.check(iv.length == ab.A + ab.B, f"{where} property=interval_length_AB")
+        res.check(iv.length == ab.A + ab.B, nq, "interval_length_AB")
     return res
 
 
@@ -267,111 +269,95 @@ def _deformation_checks(cd: ClassData) -> tuple[VerificationResult, T1Report | N
     try:
         return res, _verify_one_class(cd, res)
     except Exception as exc:  # record, keep sweeping
-        res.check(False, f"n={cd.nq.n} q={cd.nq.q} property=exception: {exc!r}")
+        res.check(False, cd.nq, f"exception: {exc!r}")
         return res, None
 
 
 def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
-    h, m = cd.hilbert, cd.m
-    where = f"n={cd.nq.n} q={cd.nq.q}"
+    h, m, nq, iota = cd.hilbert, cd.m, cd.nq, cd.iota_basis
+    check = res.check
 
     v = deformations.v_dims(cd)
     qg = deformations.qg_dims(cd)
     vw = deformations.vw_dims(cd)
     v_oracle = deformations.v_dims_oracle(cd)
     w: dict[DegreeId, int] = {}
+    # the oracles called once per zone or direction, looked up once per class
+    zone_walk, zone_span = deformations.zone_walk, deformations.zone_span
+    iso_oracle, stable_iso_oracle = deformations.iso_oracle, deformations.stable_iso_oracle
+    # the five M-zones of a degree by position; the stable oracle is read at
+    # kappa = 0, -1 and m, each against the zone shifted by m: the positions
+    # of the two zones and the name of the check
+    kappas = (0, -1, m - 1, m, 2 * m)
+    shifts = [
+        (j, shifted, f"stable_iso_two_shifts(kappa={kappas[j]})")
+        for j, shifted in ((0, 3), (1, 2), (3, 4))
+    ]
 
     for d in deformations.t1_degrees(h):
-        at = f"{where} degree=({d.i},{d.k})"
-        vec = deformations.degree_vector(h, d)
-        u_i, v_i = cd.iota_basis[d.i - 1]
-        # each M-zone of the degree is walked once and read once: its first
+        # every zone of the degree has the size (u_R, v_R) = iota(R) =
+        # k*iota(r^i).  Each M-zone is walked once and read once: its first
         # point says whether it is empty, and the walk goes on into the span
         # of its points against the base iota(kappa*R), which stops at the
-        # second independent vector; every direction is judged on the
-        # spans, and the span at kappa = -1 also gives the W and VW ranks
-        nonempty, spans = {}, {}
-        for kappa in (0, -1, m - 1, m, 2 * m):
-            walk = deformations.zone_walk(ZoneSpec(vec, kappa), cd)
+        # second independent vector; every direction is judged on the spans,
+        # and the span at kappa = -1 also gives the W and VW ranks
+        u_i, v_i = iota[d.i - 1]
+        u_r, v_r = size = d.k * u_i, d.k * v_i
+        nonempty, spans = [], []
+        for kappa in kappas:
+            walk = zone_walk(cd, size, kappa)
             first = next(walk, None)
-            nonempty[kappa] = first is not None
-            base = kappa * d.k * u_i, kappa * d.k * v_i
-            spans[kappa] = deformations.zone_span(chain((first,), walk), base) if first else ()
-        w[d] = deformations._constrained_dim(cd, d, spans[-1], False)
+            nonempty.append(first is not None)
+            base = kappa * u_r, kappa * v_r
+            spans.append(zone_span(chain((first,), walk), base) if first else ())
+        w[d] = deformations._constrained_dim(cd, d, spans[1], False)
         if d.k == 2:
             # the chain k*r^i starts: its threshold, once per i
             threshold = deformations.w_chain_threshold(cd, d.i)
         if d.k >= 2:
             # w_fast decides the chain in closed form; the rank is the oracle
-            res.check(int(d.k < threshold) == w[d], f"{at} property=w_fast_vs_oracle")
-        res.check(v[d] == v_oracle[d], f"{at} property=v_phi_kernel")
-        res.check(
-            (qg[d] == 1) == (v[d] >= 1 and deformations.qg_oracle(vec, cd)),
-            f"{at} property=qg_zone_oracle",
-        )
-        res.check(
-            (vw[d] == 1) == (v[d] >= 1 and deformations.vw_oracle(vec, cd)),
-            f"{at} property=vw_zone_oracle",
-        )
-        res.check(
-            vw[d] == deformations._constrained_dim(cd, d, spans[-1], True),
-            f"{at} property=vw_rank_oracle",
-        )
+            check(int(d.k < threshold) == w[d], nq, "w_fast_vs_oracle", d)
+        check(v[d] == v_oracle[d], nq, "v_phi_kernel", d)
+        qg_held = v[d] >= 1 and deformations.qg_oracle(cd, d)
+        check((qg[d] == 1) == qg_held, nq, "qg_zone_oracle", d)
+        vw_held = v[d] >= 1 and deformations.vw_oracle(cd, d)
+        check((vw[d] == 1) == vw_held, nq, "vw_zone_oracle", d)
+        vw_rank = deformations._constrained_dim(cd, d, spans[1], True)
+        check(vw[d] == vw_rank, nq, "vw_rank_oracle", d)
         phi = deformations.phi_vector(cd, d)
         for f in deformations.t1_space(cd, d):
-            iso = {kappa: deformations.iso_oracle(f, span) for kappa, span in spans.items()}
+            iso = tuple(map(iso_oracle, repeat(f), spans))
             # the stable oracle takes the iso read of the same zone
-            stable = {
-                kappa: deformations.stable_iso_oracle(f, phi, nonempty[kappa], iso[kappa])
-                for kappa in (0, -1, m)
-            }
-            res.check(iso[0], f"{at} property=iso0_automatic")
+            stable = tuple([stable_iso_oracle(f, phi, nonempty[j], iso[j]) for j, _, _ in shifts])
+            check(iso[0], nq, "iso0_automatic", d)
             phi_zero = f[0] * phi[0] + f[1] * phi[1] == 0
-            res.check(stable[0] == phi_zero, f"{at} property=stable_iso0_is_phi_kernel")
-            for kappa in (0, -1, m):
-                res.check(
-                    stable[kappa] == (iso[kappa] and iso[kappa + m]),
-                    f"{at} property=stable_iso_two_shifts(kappa={kappa})",
-                )
+            check(stable[0] == phi_zero, nq, "stable_iso0_is_phi_kernel", d)
+            for held, (j, shifted, prop) in zip(stable, shifts):
+                check(held == (iso[j] and iso[shifted]), nq, prop, d)
 
     if h.grounded:
         ab = cd.ab
         ell = h.central_index
         last = DegreeId(ell, ab.a_central - 1)
-        res.check(
-            (qg[last] == 1) == (ab.frac_a + ab.frac_b >= 1),
-            f"{where} degree=({last.i},{last.k}) property=last_deformation_qg",
-        )
+        check((qg[last] == 1) == (ab.frac_a + ab.frac_b >= 1), nq, "last_deformation_qg", last)
         one_over_m = Fraction(1, m)
         if ab.frac_a != one_over_m and ab.frac_b != one_over_m:
-            res.check(
-                vw[last] == 1,
-                f"{where} degree=({last.i},{last.k}) property=last_deformation_vw",
-            )
+            check(vw[last] == 1, nq, "last_deformation_vw", last)
         else:
-            res.check(
-                vw[last] == qg[last],
-                f"{where} degree=({last.i},{last.k}) property=last_deformation_vw_is_qg",
-            )
+            check(vw[last] == qg[last], nq, "last_deformation_vw_is_qg", last)
         qg_ks = [d.k for d, dim in qg.items() if dim == 1]
-        res.check(
-            sorted(qg_ks) == list(range(1, len(qg_ks) + 1)),
-            f"{where} property=qg_initial_segment",
-        )
+        check(sorted(qg_ks) == list(range(1, len(qg_ks) + 1)), nq, "qg_initial_segment")
 
     # assemble_report runs the theorem checks internally
     report = deformations.assemble_report(cd, v, qg, vw, w)
     res.checks += 1
     for r in report.per_degree:
-        res.check(
-            vw[r.degree] <= r.dim_w,
-            f"{where} degree=({r.degree.i},{r.degree.k}) property=w_contains_vw",
-        )
+        check(vw[r.degree] <= r.dim_w, nq, "w_contains_vw", r.degree)
     return report
 
 
 def _merge_deformations(
-    res: VerificationResult, mirrors: dict[NQForm, tuple[str, T1Report]],
+    res: VerificationResult, mirrors: dict[NQForm, tuple[NQForm, T1Report]],
     nq: NQForm, class_res: VerificationResult, report: T1Report | None,
 ) -> None:
     """Add the checks of one class, then compare it with its mirror once
@@ -380,22 +366,21 @@ def _merge_deformations(
     res.merge(class_res)
     if report is None:
         return
-    where = f"n={nq.n} q={nq.q}"
     mirror = q_inverse(nq)
     if nq.q <= mirror.q:
-        mirrors[mirror] = (where, report)
+        mirrors[mirror] = (nq, report)
     if nq in mirrors:  # the mirror's turn; a self-mirror class is its own mirror
-        first_where, first = mirrors.pop(nq)
+        first_nq, first = mirrors.pop(nq)
         res.check(
             first.totals == report.totals and first.embdim == report.embdim,
-            f"{first_where} property=totals_mirror_invariance",
+            first_nq, "totals_mirror_invariance",
         )
         flipped = {
             DegreeId(first.embdim + 1 - r.degree.i, r.degree.k): _columns(r)
             for r in report.per_degree
         }
         own = {r.degree: _columns(r) for r in first.per_degree}
-        res.check(own == flipped, f"{first_where} property=per_degree_mirror_reversal")
+        res.check(own == flipped, first_nq, "per_degree_mirror_reversal")
 
 
 def _columns(r: DegreeReport) -> tuple[int, ...]:
@@ -413,7 +398,7 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
     are the same at any number of CPUs.
     """
     results = {name: VerificationResult() for name in ("conversions", "hilbert", "deformations")}
-    mirrors: dict[NQForm, tuple[str, T1Report]] = {}
+    mirrors: dict[NQForm, tuple[NQForm, T1Report]] = {}
     for nq, conv, hil, defo in fan_out(_class_checks, nq_range(n_max)):
         results["conversions"].merge(conv)
         results["hilbert"].merge(hil)

@@ -419,11 +419,12 @@ class TestVerify:
         assert not any(f == "totals" for f, _ in calls)
 
     def test_each_zone_enumerated_once(self, monkeypatch):
-        # per (class, R, kappa, lattice): one walk serves the emptiness
+        # per (class, iota(R), kappa, lattice): one walk serves the emptiness
         # test, the iso and stable oracles and, at kappa = -1, the W and VW
         # ranks.  Each degree walks its five M-zones, kappa in {0, -1, m-1,
         # m, 2m}; a degree with a V-direction also walks its two kappa = 0
-        # containment zones, M_tilde for qG and M + Rbar/m for VW
+        # containment zones, M_tilde for qG and M + Rbar/m for VW.  The
+        # degrees of a class have distinct iota(R), so each names its zones
         from collections import Counter
 
         from cqs import deformations, verify
@@ -433,9 +434,9 @@ class TestVerify:
         seen = Counter()
         real = deformations.zone_walk
 
-        def counted(z, cd):
-            seen[cd.nq, z.R, z.kappa, z.lattice] += 1
-            return real(z, cd)
+        def counted(cd, size, kappa, lattice=LatticeTag.M):
+            seen[cd.nq, size, kappa, lattice] += 1
+            return real(cd, size, kappa, lattice)
 
         monkeypatch.setattr(deformations, "zone_walk", counted)
         assert all(res.ok for res in verify.run_checks(20).values())
@@ -446,6 +447,7 @@ class TestVerify:
             h, m, v = cd.hilbert, cd.m, deformations.v_dims(cd)
             for d in h.degrees:
                 R = deformations.degree_vector(h, d)
+                R = pairing(cd.alpha, R), pairing(cd.beta, R)
                 expected.update(
                     (nq, R, kappa, LatticeTag.M) for kappa in (0, -1, m - 1, m, 2 * m)
                 )

@@ -18,7 +18,6 @@ from cqs.deformations import (
     Totals,
     _constrained_dim,
     assemble_report,
-    axis_points,
     cayley_family,
     classify,
     degree_vector,
@@ -577,19 +576,19 @@ class TestZoneSpan:
 class TestContainmentOracles:
     def test_worked_example(self):
         cd = setup_class_data(20, 11)
-        h = cd.hilbert
-        r3, r4 = h.element(3), h.element(4)
-        assert not qg_oracle(r4, cd)
-        assert vw_oracle(r4, cd)
-        assert not vw_oracle(r3, cd)
-        assert not qg_oracle(r3, cd)
+        r3, r4 = DegreeId(3, 1), DegreeId(4, 1)
+        assert not qg_oracle(cd, r4)
+        assert vw_oracle(cd, r4)
+        assert not vw_oracle(cd, r3)
+        assert not qg_oracle(cd, r3)
 
     def test_4_1_central(self):
         cd = setup_class_data(4, 1)
         h = cd.hilbert
-        rbar = cd.rbar
-        assert qg_oracle(rbar, cd)
-        assert vw_oracle(rbar, cd)
+        assert h.element(h.central_index) == cd.rbar
+        central = DegreeId(h.central_index, 1)
+        assert qg_oracle(cd, central)
+        assert vw_oracle(cd, central)
 
     def test_nongrounded_fails_at_constraining_degrees(self):
         # every interior or multiple degree of a non-grounded class fails
@@ -602,7 +601,7 @@ class TestContainmentOracles:
             assert not is_grounded(cd.interval)
             for d in t1_degrees(h):
                 if d.k >= 2 or 3 <= d.i <= h.e - 2:
-                    assert not qg_oracle(degree_vector(h, d), cd), (n, q, d)
+                    assert not qg_oracle(cd, d), (n, q, d)
 
     def test_oracles_match_closed_forms(self):
         for n in range(2, 31):
@@ -615,9 +614,8 @@ class TestContainmentOracles:
                 qg = qg_dims(cd)
                 vw = vw_dims(cd)
                 for d in t1_degrees(h):
-                    vec = degree_vector(h, d)
-                    assert (qg[d] == 1) == (v[d] >= 1 and qg_oracle(vec, cd)), (nq, d)
-                    assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(vec, cd)), (nq, d)
+                    assert (qg[d] == 1) == (v[d] >= 1 and qg_oracle(cd, d)), (nq, d)
+                    assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(cd, d)), (nq, d)
 
 
 class Counted:
@@ -644,36 +642,49 @@ class TestLazyZoneReads:
         from cqs import verify
 
         cd = setup_class_data(21, 10)
-        m, R = cd.m, degree_vector(cd.hilbert, DegreeId(3, 10))
+        h, m = cd.hilbert, cd.m
+        # each zone as zone_points takes it, keyed by the iota size the
+        # walks take: iota(R) of each degree R
+        degree_of = {}
+        for d in h.degrees:
+            R = degree_vector(h, d)
+            degree_of[pairing(cd.alpha, R), pairing(cd.beta, R)] = R
+
+        def listed(size, kappa, lattice=LatticeTag.M):
+            return zone_points(ZoneSpec(degree_of[size], kappa, lattice), cd)
+
+        d = DegreeId(3, 10)
+        R = degree_vector(h, d)
+        size = pairing(cd.alpha, R), pairing(cd.beta, R)
         walks = []
         real = deformations.zone_walk
 
-        def counted(z, cd):
-            walks.append((z, Counted(real(z, cd))))
+        def counted(cd, size, kappa, lattice=LatticeTag.M):
+            walks.append(((size, kappa, lattice), Counted(real(cd, size, kappa, lattice))))
             return walks[-1][1]
 
         monkeypatch.setattr(deformations, "zone_walk", counted)
         # the span: the first two points of the kappa = m zone are independent
-        z = ZoneSpec(R, m)
-        walk = deformations.zone_walk(z, cd)
-        base = m * pairing(cd.alpha, R), m * pairing(cd.beta, R)
+        walk = deformations.zone_walk(cd, size, m)
+        base = m * size[0], m * size[1]
         assert len(zone_span(walk, base)) == 2
-        assert walk.read == 2 < len(zone_points(z, cd)) == 10
+        assert walk.read == 2 < len(listed(size, m)) == 10
         # the containment: the walk ends at the first M_tilde point off the line
-        assert not qg_oracle(R, cd)
-        assert walks[-1][1].read < len(zone_points(ZoneSpec(R, 0, LatticeTag.M_TILDE), cd)) == 200
+        assert not qg_oracle(cd, d)
+        assert walks[-1][0] == (size, 0, LatticeTag.M_TILDE)
+        assert walks[-1][1].read < len(listed(size, 0, LatticeTag.M_TILDE)) == 200
         # the emptiness: the first point of the kappa = -1 zone
-        walk = deformations.zone_walk(ZoneSpec(R, -1), cd)
+        walk = deformations.zone_walk(cd, size, -1)
         assert next(walk, None) is not None
-        assert walk.read == 1 < len(zone_points(ZoneSpec(R, -1), cd)) == 9
+        assert walk.read == 1 < len(listed(size, -1)) == 9
         # and verify, which reads every zone of the class through these,
         # reads fewer points than the zones hold
         walks.clear()
         res = verify.VerificationResult()
         verify._verify_one_class(cd, res)
         assert res.ok and walks
-        assert all(w.read <= len(zone_points(z, cd)) for z, w in walks)
-        assert sum(w.read for _, w in walks) < sum(len(zone_points(z, cd)) for z, _ in walks)
+        assert all(w.read <= len(listed(*z)) for z, w in walks)
+        assert sum(w.read for _, w in walks) < sum(len(listed(*z)) for z, _ in walks)
 
 
 class TestRankOracles:
@@ -853,14 +864,14 @@ class TestWFast:
             n = cd.nq.n
             v0 = next(v for v in range(-1, n) if in_iota_m(cd, -1, v))
             u0 = next(u for u in range(-1, n) if in_iota_m(cd, u, -1))
-            assert axis_points(cd) == (v0, u0) and min(v0, u0) >= 0, cone
+            assert cd.axis_points == (v0, u0) and min(v0, u0) >= 0, cone
 
     def test_axis_points_in_standard_coordinates(self):
         # in nq_to_cone coordinates V0 = q and U0 = 1/q mod n
         for n in range(3, 201):
             for q in range(1, n - 1):
                 if gcd(n, q) == 1:
-                    assert axis_points(setup_class_data(n, q)) == (q, pow(q, -1, n)), (n, q)
+                    assert setup_class_data(n, q).axis_points == (q, pow(q, -1, n)), (n, q)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSingularityError):
@@ -997,9 +1008,9 @@ class TestNonstandardCones:
                 assert w_fast(cd) == w_dims_oracle(cd) == w_dims_oracle(std)
                 assert vw_dims_oracle(cd) == vw_dims_oracle(std)
                 for d in t1_degrees(std.hilbert):
-                    R, R_std = degree_vector(cd.hilbert, d), degree_vector(std.hilbert, d)
-                    assert qg_oracle(R, cd) == qg_oracle(R_std, std), (n, q, d)
-                    assert vw_oracle(R, cd) == vw_oracle(R_std, std), (n, q, d)
+                    # each record reads the zones from its own iota basis
+                    assert qg_oracle(cd, d) == qg_oracle(std, d), (n, q, d)
+                    assert vw_oracle(cd, d) == vw_oracle(std, d), (n, q, d)
                 checked += 1
         assert checked > 100
 
