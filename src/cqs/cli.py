@@ -7,7 +7,7 @@ strings, never floats).  Exit codes: 0 success, 1 verification failure,
 2 parse error (an integer past the digit limit of int() included, and a
 class whose n is past it) or an input past a size bound, which the
 function whose work it bounds raises as OracleBoundError: a ``verify``
-bound past ORACLE_BOUND or a continued fraction of more than
+bound past ORACLE_BOUND (``run_checks``), a continued fraction of more than
 MAX_CF_TERMS terms (cone_geometry), a class with more than
 MAX_T1_DEGREES T1-carrying degrees (``totals``), whose W zones walk more
 than MAX_ZONE_FIBERS fibers (``w_fast``) or whose Cayley family has
@@ -34,7 +34,6 @@ from itertools import islice
 
 from . import __version__
 from .cone_geometry import (
-    ORACLE_BOUND,
     ClassData,
     OracleBoundError,
     binomial_equations,
@@ -332,8 +331,6 @@ def _scan_row(nq: NQForm) -> str:
 def cmd_verify(args) -> int:
     if args.n_max < 2:
         raise ParseError(f"verify bound must be >= 2, got {args.n_max}")
-    if args.n_max > ORACLE_BOUND:
-        raise ParseError(f"verify bound {args.n_max} exceeds the oracle guard {ORACLE_BOUND}")
     from .verify import run_checks
 
     results = run_checks(args.n_max)

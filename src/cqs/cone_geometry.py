@@ -41,7 +41,6 @@ from .representations import (
     NQForm,
     abc_to_nq,
     central_degree,
-    dual_generators,
     interval_around,
     interval_to_abc,
     mirror_c,
@@ -82,16 +81,20 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
-class HilbertData(_Frozen, namedtuple("HilbertData", "basis coeffs e central_index grounded")):
+class HilbertData(
+    _Frozen, namedtuple("HilbertData", "basis iota coeffs e central_index grounded")
+):
     """Ordered Hilbert basis of the dual cone plus its central data.
 
-    ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e), coeffs
+    ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e) and
+    ``iota[i-1]`` its pair iota(r^i) = (<alpha,r^i>, <beta,r^i>), coeffs
     are [a_2, ..., a_{e-1}], and ``grounded`` records whether the central
     degree Rbar (``ClassData.rbar``, the primitive generator of the ray
     through r^1 + r^e) is itself a basis element; then ``central_index``
     is its 1-based position.  ``hilbert_basis`` and
-    ``hilbert_basis_oracle`` compute every field.  ``degrees``, the degree
-    table, is built on first read and kept.
+    ``hilbert_basis_oracle`` find the iota pairs and ``_finish`` the
+    rest, building each M-point once.  ``degrees``, the degree table, is
+    built on first read and kept.
     """
 
     @cached_property
@@ -134,7 +137,7 @@ class ZoneSpec(NamedTuple):
 
 class ClassData(
     _Frozen,
-    namedtuple("ClassData", "nq alpha beta interval abc c_prime r1 re rbar m det bw ab"),
+    namedtuple("ClassData", "nq alpha beta interval abc c_prime rbar m det bw ab"),
 ):
     """One class S(n,q) in the coordinates of one cone, derived once.
 
@@ -149,20 +152,19 @@ class ClassData(
 
     :func:`class_data` computes every field.  ``hilbert`` is built by
     :func:`hilbert_basis` from them on first read and kept on the record,
-    so a caller that never reads it never pays for it, and so are
-    ``iota_basis`` and ``axis_points``.  The oracles read only the fields
-    and basis elements, never a closed-form result.
+    so a caller that never reads it never pays for it, and so is
+    ``axis_points``; ``iota_basis`` reads ``hilbert.iota``.  The oracles
+    read only the fields and basis elements, never a closed-form result.
     """
 
     @cached_property
     def hilbert(self) -> HilbertData:
         return hilbert_basis(self)
 
-    @cached_property
+    @property
     def iota_basis(self) -> tuple[tuple[int, int], ...]:
         """iota(r^i) = (u_i, v_i) of each basis element, r^i at index i-1."""
-        (ax, ay), (bx, by) = (self.alpha.x, self.alpha.y), (self.beta.x, self.beta.y)
-        return tuple((ax * r.u + ay * r.v, bx * r.u + by * r.v) for r in self.hilbert.basis)
+        return self.hilbert.iota
 
     @cached_property
     def axis_points(self) -> tuple[int, int]:
@@ -180,20 +182,19 @@ def class_data(c: ConeForm) -> ClassData:
     """The class of the cone c, with every derived field in c's coordinates.
 
     The round trip cone -> interval -> abc -> nq is the single place
-    where q is found; the dual generators and Rbar are derived once, the
-    interval is read around that Rbar, and ``ab`` from a grounded interval.
-    A smooth cone (n = 1) has no nq and raises InvalidSingularityError.
+    where q is found; Rbar is derived once, the interval is read around
+    that Rbar, and ``ab`` from a grounded interval.  A smooth cone (n = 1)
+    has no nq and raises InvalidSingularityError.
     """
     rbar = central_degree(c)
     iv = interval_around(c, rbar)
     abc = interval_to_abc(iv)
-    r1, re = dual_generators(c)
     _, s, t = ext_gcd(c.alpha.x, c.alpha.y)
     bw = (c.beta.x * s + c.beta.y * t) % c.order  # <beta, [s, t]>, and <alpha, [s, t]> = 1
     ab = ab_floor_data(iv) if is_grounded(iv) else None
     return ClassData(
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
-        r1, re, rbar, iv.m, det2(c.alpha, c.beta), bw, ab,
+        rbar, iv.m, det2(c.alpha, c.beta), bw, ab,
     )
 
 
@@ -235,63 +236,62 @@ def hj_coefficients(p: int, s: int) -> Iterator[int]:
 def hilbert_basis(cd: ClassData) -> HilbertData:
     """Hilbert basis via the three-term recursion, O(e) exact steps.
 
-    Seeds are r^1 and the unique element r^2 with <alpha, r^2> = 1 and
-    <beta, r^2> = n - q; the recursion r^(i+1) = a_i r^i - r^(i-1) then
-    walks to r^e.  Reads only the frame fields of ``cd``; a ClassData
-    runs it on the first read of ``cd.hilbert``, so callers read that.
+    The recursion runs on iota pairs.  Its seeds hold in every cone's
+    coordinates: iota(r^1) = (0, n), as r^1 is orthogonal to alpha with
+    <beta, r^1> = |det| = n, and iota(r^2) = (1, n - q).  The step
+    iota(r^(i+1)) = a_i iota(r^i) - iota(r^(i-1)) then walks to
+    iota(r^e), which must be (n, 0).  Reads only the frame fields of
+    ``cd``; a ClassData runs it on the first read of ``cd.hilbert``, so
+    callers read that.
     """
     n, q = cd.nq.n, cd.nq.q
     coeffs = tuple(hj_coefficients(n, n - q))
-    basis = [cd.r1, _preimage(cd, 1, n - q)]
-    (x0, y0), (x, y) = (cd.r1.u, cd.r1.v), (basis[1].u, basis[1].v)
+    iota = [(0, n), (1, n - q)]
+    (u0, v0), (u, v) = iota
     for a in coeffs:
-        x0, y0, x, y = x, y, a * x - x0, a * y - y0
-        basis.append(MPoint(x, y))
-    if basis[-1] != cd.re:
+        u0, v0, u, v = u, v, a * u - u0, a * v - v0
+        iota.append((u, v))
+    if iota[-1] != (n, 0):
         raise AssertionError(f"recursion did not terminate at r^e for <{cd.alpha}, {cd.beta}>")
-    return _finish(cd, tuple(basis), coeffs)
+    return _finish(cd, iota, coeffs)
 
 
 def hilbert_basis_oracle(cd: ClassData) -> HilbertData:
     """Hilbert basis by brute force, for cross-checking the recursion.
 
-    Enumerates all candidates in iota-coordinates (every basis element
-    satisfies 0 <= <alpha,r>, <beta,r> <= n), discards the decomposable
-    ones (those dominating another nonzero semigroup element in both
-    coordinates), walking the candidates in order of <alpha, .>.  Cost
-    O(n); an n past ORACLE_BOUND raises OracleBoundError.  Reads the
-    frame fields of ``cd`` only, never ``cd.hilbert``.
+    Walks iota(M) over the box [0, n]^2 with ``zone_walk`` (every basis
+    element satisfies 0 <= <alpha,r>, <beta,r> <= n) in order of
+    <alpha, .> and keeps the staircase minima, dropping the decomposable
+    points (those dominating another nonzero semigroup element in both
+    coordinates).  The a_j and the three-term recursion are then read
+    and checked on the iota pairs.  Cost O(n); an n past ORACLE_BOUND
+    raises OracleBoundError.  Reads the frame fields of ``cd`` only,
+    never ``cd.hilbert``.
     """
     n = cd.nq.n
     if n > ORACLE_BOUND:
         raise OracleBoundError(f"n={n} exceeds the oracle bound {ORACLE_BOUND}")
-    # the fiber over u is the progression v = u*bw (mod n), so the
-    # candidates come out sorted
-    pts = [
-        (u, v) for u in range(n + 1) for v in range(u * cd.bw % n, n + 1, n) if u or v
-    ]
-    iota_basis = []
-    min_v: int | None = None
-    for u, v in pts:
-        if min_v is None or v < min_v:
-            iota_basis.append((u, v))
-            min_v = v
-    basis = [_preimage(cd, u, v) for u, v in iota_basis]
+    iota, least = [], n + 1
+    for u, v in zone_walk(cd, (n + 1, n + 1), 0):
+        if v < least and (u or v):
+            iota.append((u, v))
+            least = v
     coeffs = []
-    for j in range(1, len(basis) - 1):
-        s = basis[j - 1] + basis[j + 1]
-        # <alpha, r^j> >= 1 away from r^1, so the iota u-coordinate divides
-        a = (iota_basis[j - 1][0] + iota_basis[j + 1][0]) // iota_basis[j][0]
-        if a * basis[j] != s:
+    for (u0, v0), (u, v), (u1, v1) in zip(iota, iota[1:], iota[2:]):
+        # <alpha, r^j> >= 1 away from r^1, so the u-coordinate divides
+        a = (u0 + u1) // u
+        if (a * u, a * v) != (u0 + u1, v0 + v1):
             raise AssertionError("enumerated basis violates the three-term recursion")
         coeffs.append(a)
-    return _finish(cd, tuple(basis), tuple(coeffs))
+    return _finish(cd, iota, coeffs)
 
 
-def _finish(cd: ClassData, basis: tuple[MPoint, ...], coeffs) -> HilbertData:
-    u, v = cd.rbar.u, cd.rbar.v
-    index = next((j for j, r in enumerate(basis, 1) if r.u == u and r.v == v), None)
-    return HilbertData(basis, tuple(coeffs), len(basis), index, index is not None)
+def _finish(cd: ClassData, iota: list[tuple[int, int]], coeffs) -> HilbertData:
+    # Rbar is the basis element with iota(Rbar) = (m, m), if any; each
+    # M-point is built here, once
+    index = next((j for j, p in enumerate(iota, 1) if p == (cd.m, cd.m)), None)
+    basis = tuple(_preimage(cd, u, v) for u, v in iota)
+    return HilbertData(basis, tuple(iota), tuple(coeffs), len(basis), index, index is not None)
 
 
 def eta(cd: ClassData, i: int) -> Fraction:

@@ -40,9 +40,10 @@ vectors and stops at the second, the containment oracles behind
 and the emptiness that ``stable_iso_oracle`` needs is the zone's first
 point.  ``t1_space`` gives each direction a as its integer functional
 (A, B) on iota, and ``phi_vector`` is iota(Rbar - m*R).
-``iso_oracle``, ``stable_iso_oracle``, the W and VW ranks and
-``v_dims_oracle`` then decide on at most three integer pairs, and one
-walk and one read serve every direction in the degree.
+``iso_oracle``, ``stable_iso_oracle`` and the W and VW ranks then decide
+on at most three integer pairs, and one walk and one read serve every
+direction in the degree.  ``v_dims_oracle`` is the same rank rule,
+``_constrained_dim``, on the phi row alone, with no zone.
 ``assemble_report`` builds and checks a report from columns its caller
 already holds.
 
@@ -237,14 +238,12 @@ def v_dims(cd: ClassData) -> dict[DegreeId, int]:
     line (the kernel of <., Rbar - m*r^i>); a multiple k*r^i with k >= 2
     contributes iff the cone is grounded and r^i is the central degree.
     """
-    h, rbar, m = cd.hilbert, cd.rbar, cd.m
+    h = cd.hilbert
     out = dict.fromkeys(t1_degrees(h), 0)
-    for i in range(2, h.e):
-        # the counting needs Rbar - m*R != 0, which holds at every
-        # lattice degree (only the rational Rbar/m is annihilated)
-        r = h.basis[i - 1]
-        if rbar.u == m * r.u and rbar.v == m * r.v:
-            raise InternalConsistencyError(f"vanishing functional at r^{i}")
+    # the counting needs Rbar - m*r^i != 0, that is iota(r^i) != (1, 1),
+    # which holds at every lattice degree (only Rbar/m has iota (1, 1))
+    if (1, 1) in h.iota[1:-1]:
+        raise InternalConsistencyError(f"vanishing functional at r^{h.iota.index((1, 1)) + 1}")
     out.update(((i, 1), 1) for i in range(3, h.e - 1))
     if h.grounded:
         ell = h.central_index
@@ -402,14 +401,9 @@ def _constrained_dim(
 
 
 def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
-    """dim ker Phi per degree, i.e. directions with <a, Rbar - m*R> = 0."""
-    out = {}
-    for d in t1_degrees(cd.hilbert):
-        x, y = phi_vector(cd, d)
-        basis = t1_space(cd, d)
-        # Phi is one row: rank 1 unless it vanishes on the whole basis
-        out[d] = len(basis) - any(A * x + B * y for A, B in basis)
-    return out
+    """dim ker Phi per degree, i.e. directions with <a, Rbar - m*R> = 0:
+    the rank rule of ``_constrained_dim`` on the phi row alone, no zone."""
+    return {d: _constrained_dim(cd, d, (), True) for d in t1_degrees(cd.hilbert)}
 
 
 def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:

@@ -15,8 +15,10 @@ degree starts from it.  Each zone is read lazily from its
 ``zone_walk``: the first point says whether it is empty, and the walk
 goes on into its span (``zone_span``) and stops at the second
 independent vector; the containment oracles of qG and VW stop at the
-first point off their line.  Each direction of a degree is one integer
-functional on iota (``t1_space``); every iso, stable-iso and rank test
+first point off their line, and are read only in a degree where
+``v_dims_oracle``, not the closed form, finds a V-direction.  Each
+direction of a degree is one integer functional on iota
+(``t1_space``); every iso, stable-iso and rank test
 of the degree reuses the five spans, the emptiness of the five zones
 and the functionals, and a direction's iso and stable answers are tuples
 indexed by the position of the zone.  The Hilbert coefficients are
@@ -318,9 +320,10 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
             # w_fast decides the chain in closed form; the rank is the oracle
             check(int(d.k < threshold) == w[d], nq, "w_fast_vs_oracle", d)
         check(v[d] == v_oracle[d], nq, "v_phi_kernel", d)
-        qg_held = v[d] >= 1 and deformations.qg_oracle(cd, d)
+        # the oracle side reads the V oracle, never the closed form
+        qg_held = v_oracle[d] >= 1 and deformations.qg_oracle(cd, d)
         check((qg[d] == 1) == qg_held, nq, "qg_zone_oracle", d)
-        vw_held = v[d] >= 1 and deformations.vw_oracle(cd, d)
+        vw_held = v_oracle[d] >= 1 and deformations.vw_oracle(cd, d)
         check((vw[d] == 1) == vw_held, nq, "vw_zone_oracle", d)
         vw_rank = deformations._constrained_dim(cd, d, spans[1], True)
         check(vw[d] == vw_rank, nq, "vw_rank_oracle", d)
@@ -395,8 +398,13 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
     oracle equivalences and theorem checks, and is compared with its
     mirror.  The classes are checked with ``fan_out`` and merged section by
     section in (n, q) order, so the counts and the order of the failures
-    are the same at any number of CPUs.
+    are the same at any number of CPUs.  A bound past ORACLE_BOUND is
+    refused with OracleBoundError before any class is built.
     """
+    if n_max > cone_geometry.ORACLE_BOUND:
+        raise cone_geometry.OracleBoundError(
+            f"verify bound {n_max} exceeds the oracle guard {cone_geometry.ORACLE_BOUND}"
+        )
     results = {name: VerificationResult() for name in ("conversions", "hilbert", "deformations")}
     mirrors: dict[NQForm, tuple[NQForm, T1Report]] = {}
     for nq, conv, hil, defo in fan_out(_class_checks, nq_range(n_max)):

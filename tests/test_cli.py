@@ -380,8 +380,44 @@ class TestVerify:
         # refused before any class is checked: past the oracle bound 10,000
         code, out, err = run(capsys, "verify", "10001")
         assert code == 2 and not out
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "oracle" in err
+        assert err == "error: verify bound 10001 exceeds the oracle guard 10000\n"
+
+    def test_run_checks_refuses_its_bound_first(self, monkeypatch):
+        # the library sweep itself refuses, before it builds any class
+        from cqs import verify
+        from cqs.cone_geometry import ORACLE_BOUND, OracleBoundError
+
+        def refuse(cone):
+            raise AssertionError("class built past the bound")
+
+        monkeypatch.setattr(verify, "class_data", refuse)
+        with pytest.raises(OracleBoundError, match="exceeds the oracle guard"):
+            verify.run_checks(ORACLE_BOUND + 1)
+
+    def test_wrong_v_does_not_hide_a_wrong_qg(self, monkeypatch):
+        # V and qG broken together at the central degree (3, 1) of nq:4/1:
+        # the qG check reads the V oracle, not the closed form, so it still
+        # sees the qG column disagree with the zone
+        from cqs import deformations, verify
+
+        def at_central(name):
+            real = getattr(deformations, name)
+
+            def broken(cd):
+                out = real(cd)
+                if cd.nq == NQForm(4, 1):
+                    out[(3, 1)] = 1 - out[(3, 1)]
+                return out
+
+            monkeypatch.setattr(deformations, name, broken)
+
+        cd = class_data(nq_to_cone(NQForm(4, 1)))
+        assert deformations.v_dims(cd)[(3, 1)] == deformations.qg_dims(cd)[(3, 1)] == 1
+        at_central("v_dims")
+        at_central("qg_dims")
+        res, _ = verify._deformation_checks(cd)
+        assert "n=4 q=1 degree=(3,1) property=qg_zone_oracle" in res.failures
+        assert "n=4 q=1 degree=(3,1) property=v_phi_kernel" in res.failures
 
     def test_each_class_derived_once(self, monkeypatch):
         # one record per class, and one closed form of each kind and one
@@ -496,7 +532,7 @@ class TestVerify:
         # the record a faulty expansion would give: a cached_property reads
         # the instance dict
         vars(cd)["hilbert"] = HilbertData(
-            h.basis, tuple(faulty(7, 4)), h.e, h.central_index, h.grounded
+            h.basis, h.iota, tuple(faulty(7, 4)), h.e, h.central_index, h.grounded
         )
         assert cd.hilbert.coeffs == continued_fraction(7, 4).coefficients == (2, 5)
         failures = verify._hilbert_checks(cd).failures

@@ -90,8 +90,9 @@ def test_zone_walk_is_pinned(args, calls, fibers, points):
 def test_oracle_walk_is_pinned():
     # the zones verify's oracles request, at one worker: every oracle zone
     # is walked by zone_walk, none is skipped or derived from another by
-    # translation.  The tracer counts fibers and points of zone_points
-    # calls only, so verify's zone counters stay empty
+    # translation, and the Hilbert oracle walks its box [0, n]^2 once for
+    # each of the 45 classes.  The tracer counts fibers and points of
+    # zone_points calls only, so verify's zone counters stay empty
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
@@ -108,7 +109,7 @@ def test_oracle_walk_is_pinned():
     lines = [line for line in proc.stderr.decode().splitlines() if line.startswith(MARKER)]
     assert len(lines) == 1, proc.stderr.decode()
     trace = json.loads(lines[0][len(MARKER):])
-    assert trace["calls"]["cone_geometry.zone_walk"] == 1_033
+    assert trace["calls"]["cone_geometry.zone_walk"] == 1_078
     assert "cone_geometry.zone_points" not in trace["calls"]
     assert trace["counts"].get("zone_points.fibers", 0) == 0
     assert trace["counts"].get("zone_points.points", 0) == 0
