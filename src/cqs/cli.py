@@ -15,7 +15,11 @@ d > MAX_CAYLEY_D (deformations); 3 invalid singularity, 4 degenerate
 class (embdim <= 3).  A reader that closes the pipe early (``cqs scan
 400 | head``) ends the run quietly with exit 0.  ``scan`` and ``verify``
 run on every CPU the process may use (``verify.fan_out``) and print the
-same bytes at any count.  Every call is a fresh interpreter that pays
+same bytes at any count.  Tables go to stdout in batches of
+ROWS_PER_WRITE lines (``_write_lines``): ``scan`` writes its header, then
+its rows a batch at a time as they come, so they still stream; the
+``analyze`` CSV and human tables, ``cayley``'s rays and ``verify``'s
+report are written the same way.  Every call is a fresh interpreter that pays
 for each import, so only these two import ``verify``, and only a command
 that prints JSON imports ``json``.  ``analyze`` prints its human report
 and its CSV rows from the records it holds (``ClassData``, ``T1Report``);
@@ -29,8 +33,9 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
 from .cone_geometry import (
@@ -72,6 +77,9 @@ EXIT_DEGENERATE = 4
 SCAN_HEADER = "n,q,a,b,c,e,grounded,t_sing,dim_t1,dim_v,dim_w,dim_vw,dim_qg,gap"
 DEGREE_HEADER = "i,k,deg_u,deg_v,dim_t1,dim_v,dim_w,dim_vw,dim_qg,last_deformation"
 FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
+# the rows of a table go to stdout this many to a write; unbuffered (as
+# under PYTHONUNBUFFERED=1) a print per row costs two write calls
+ROWS_PER_WRITE = 256
 
 
 class ParseError(ValueError):
@@ -223,13 +231,33 @@ def _csv(*fields) -> str:
     return ",".join(str(f).lower() if isinstance(f, bool) else str(f) for f in fields)
 
 
+def _write_lines(lines: Iterable[str], per_write: int = ROWS_PER_WRITE, end: str = "\n") -> None:
+    """Each line followed by ``end``, ``per_write`` lines to a ``sys.stdout.write``.
+
+    The lines are read as they come, so a generator's rows stream out a
+    batch at a time; if it raises, the lines it gave before are written
+    first, as a print per line would have left them.
+    """
+    lines = iter(lines)
+    batch: list[str] = []
+    try:
+        while True:
+            batch.extend(islice(lines, per_write))
+            if not batch:
+                return
+            text = end.join(batch) + end
+            batch.clear()
+            sys.stdout.write(text)
+    finally:
+        if batch:  # extend keeps the lines read before the generator raised
+            sys.stdout.write(end.join(batch) + end)
+
+
 def _print_json(doc: dict) -> None:
     import json  # only the commands that print JSON load it
 
     # written in batches as it is encoded, so the whole text is never held
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    while batch := "".join(islice(chunks, 4096)):
-        sys.stdout.write(batch)
+    _write_lines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), 4096, "")
     sys.stdout.write("\n")
 
 
@@ -263,48 +291,51 @@ def cmd_analyze(args) -> int:
     if args.json:
         _print_json(build_report_document(cd, report))
     elif args.csv:
-        print(DEGREE_HEADER)
-        for r in report.per_degree if report is not None else ():
-            print(_csv(*r.degree, *degree_vector(cd.hilbert, r.degree), *r[1:]))
+        h, rows = cd.hilbert, report.per_degree if report is not None else ()
+        _write_lines(chain(
+            (DEGREE_HEADER,),
+            (_csv(*r.degree, *degree_vector(h, r.degree), *r[1:]) for r in rows),
+        ))
     else:
-        _print_human(cd, report)
+        _write_lines(_human_lines(cd, report))
     return EXIT_OK
 
 
-def _print_human(cd: ClassData, report: T1Report | None) -> None:
+def _human_lines(cd: ClassData, report: T1Report | None) -> Iterator[str]:
+    """The lines of the human report, its degree table included."""
     h = cd.hilbert
-    print(f"cyclic quotient singularity {format_form(cd.nq)}")
+    yield f"cyclic quotient singularity {format_form(cd.nq)}"
     forms = (cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, CFForm(h.coeffs))
-    print("forms: " + "  ".join(map(format_form, forms)))
-    print(f"canonical class: {format_form(canonical_class(cd.nq))}")
-    print(f"hilbert basis (e={h.e}): " + " ".join(map(str, h.basis)))
+    yield "forms: " + "  ".join(map(format_form, forms))
+    yield f"canonical class: {format_form(canonical_class(cd.nq))}"
+    yield f"hilbert basis (e={h.e}): " + " ".join(map(str, h.basis))
     where = f" = r^{h.central_index}" if h.central_index else ""
-    print(
+    yield (
         f"coefficients: [{_csv(*h.coeffs)}]  central degree {cd.rbar}{where}"
         f"  index m={cd.m}  grounded: {'yes' if h.grounded else 'no'}"
     )
     equations = binomial_equations(h)
     if equations:
-        print("equations: " + ", ".join(equations))
-    print(f"|I| = {cd.interval.length}")
+        yield "equations: " + ", ".join(equations)
+    yield f"|I| = {cd.interval.length}"
     if report is None:
-        print("deformation table skipped (embdim <= 3)")
+        yield "deformation table skipped (embdim <= 3)"
         return
-    print()
-    print("degree table (R = k*r^i):")
-    print("  i  k  degree      dim_t1  dim_v  dim_w  dim_vw  dim_qg  last")
+    yield ""
+    yield "degree table (R = k*r^i):"
+    yield "  i  k  degree      dim_t1  dim_v  dim_w  dim_vw  dim_qg  last"
     for r in report.per_degree:
         deg = str(degree_vector(h, r.degree))
-        print(
+        yield (
             f"  {r.degree.i:<2} {r.degree.k:<2} {deg:<11} {r.dim_t1:<7} {r.dim_v:<6}"
             f" {r.dim_w:<6} {r.dim_vw:<7} {r.dim_qg:<7}{'  *' if r.last_deformation else ''}"
         )
     t, f = report.totals, report.flags
-    print(
+    yield (
         f"totals: dim_t1={t.dim_t1} dim_v={t.dim_v} dim_w={t.dim_w}"
         f" dim_vw={t.dim_vw} dim_qg={t.dim_qg}  gap(V-VW)={report.gap}"
     )
-    print(
+    yield (
         f"flags: grounded={_csv(f.grounded)} t_singularity={_csv(f.t_singularity)}"
         f" t0={_csv(f.t0_singularity)} qg_exists={_csv(f.qg_exists)} embdim={h.e}"
     )
@@ -315,10 +346,9 @@ def cmd_scan(args) -> int:
         raise ParseError(f"scan bound must be >= 2, got {args.n_max}")
     from .verify import fan_out, nq_range  # only scan and verify load verify
 
-    print(SCAN_HEADER)
+    sys.stdout.write(SCAN_HEADER + "\n")  # before fan_out flushes stdout and forks
     classes = nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q)
-    for row in fan_out(_scan_row, classes):
-        print(row)
+    _write_lines(fan_out(_scan_row, classes))
     return EXIT_OK
 
 
@@ -334,19 +364,18 @@ def cmd_verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(args.n_max)
-    total = 0
-    failed = 0
+    total = sum(res.checks for res in results.values())
+    failed = sum(len(res.failures) for res in results.values())
+    lines = []
     for name, res in results.items():
-        print(f"{name}: {res.checks} checks, {len(res.failures)} mismatches")
-        total += res.checks
-        failed += len(res.failures)
-        for msg in res.failures:
-            print(f"MISMATCH {msg}")
+        lines.append(f"{name}: {res.checks} checks, {len(res.failures)} mismatches")
+        lines += (f"MISMATCH {msg}" for msg in res.failures)
     if failed:
-        print(f"FAILED: {failed} mismatches out of {total} checks")
-        return EXIT_VERIFY_FAILED
-    print(f"all checks passed ({total} checks)")
-    return EXIT_OK
+        lines.append(f"FAILED: {failed} mismatches out of {total} checks")
+    else:
+        lines.append(f"all checks passed ({total} checks)")
+    _write_lines(lines)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def cmd_cayley(args) -> int:
@@ -354,12 +383,15 @@ def cmd_cayley(args) -> int:
     if args.json:
         _print_json({"schema_version": "1", "cayley": _cayley_block(fam)})
         return EXIT_OK
-    print(f"d = {fam.d}")
-    print(f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})")
-    print(f"degenerate_base: {_csv(fam.degenerate_base)}")
-    print("rays:")
-    for ray in fam.rays:
-        print("  (" + ", ".join(str(x) for x in ray) + ")")
+    _write_lines(chain(
+        (
+            f"d = {fam.d}",
+            f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})",
+            f"degenerate_base: {_csv(fam.degenerate_base)}",
+            "rays:",
+        ),
+        ("  (" + ", ".join(map(str, ray)) + ")" for ray in fam.rays),
+    ))
     return EXIT_OK
 
 

@@ -100,7 +100,7 @@ class HilbertData(
     @cached_property
     def degrees(self) -> tuple[DegreeId, ...]:
         """The degrees (i, k), 2 <= i <= e-1 and 1 <= k <= a_i - 1, ordered by (i, k)."""
-        return tuple(DegreeId(i, k) for i, a in enumerate(self.coeffs, 2) for k in range(1, a))
+        return tuple([DegreeId(i, k) for i, a in enumerate(self.coeffs, 2) for k in range(1, a)])
 
     def coefficient(self, i: int) -> int:
         """a_i for 2 <= i <= e-1."""
@@ -289,8 +289,9 @@ def hilbert_basis_oracle(cd: ClassData) -> HilbertData:
 def _finish(cd: ClassData, iota: list[tuple[int, int]], coeffs) -> HilbertData:
     # Rbar is the basis element with iota(Rbar) = (m, m), if any; each
     # M-point is built here, once
-    index = next((j for j, p in enumerate(iota, 1) if p == (cd.m, cd.m)), None)
-    basis = tuple(_preimage(cd, u, v) for u, v in iota)
+    rbar = (cd.m, cd.m)
+    index = iota.index(rbar) + 1 if rbar in iota else None
+    basis = tuple([_preimage(cd, u, v) for u, v in iota])
     return HilbertData(basis, tuple(iota), tuple(coeffs), len(basis), index, index is not None)
 
 

@@ -61,10 +61,12 @@ has its closed form.
 
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
-class, ``t1_degrees(h)`` = ``h.degrees``: it starts as
-``dict.fromkeys(table, default)`` and only its few other entries are
-then set.  The records of this module are NamedTuples, like
-``DegreeId``.
+class, ``t1_degrees(h)`` = ``h.degrees``, in table order.  A closed form
+starts it as ``dict.fromkeys(table, default)`` and then sets only its
+few other entries; ``w_fast`` fills a list in table order, a slice per
+chain, and zips it with the table.  ``assemble_report`` reads such a
+column as it is, and realigns any other once its key set is checked.
+The records of this module are NamedTuples, like ``DegreeId``.
 
 ``totals``, ``w_fast`` and ``cayley_d`` each refuse a class past the bound
 of their own work (MAX_T1_DEGREES, MAX_ZONE_FIBERS, MAX_CAYLEY_D) with
@@ -426,26 +428,29 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     A degree -r^i keeps its own kappa = -1 zone and rank, read against
     the base iota(-r^i) from ``cd.iota_basis``.  The chain k*r^i,
     2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
-    ``w_chain_threshold(cd, i)`` and 0 from it on, and no chain zone is
-    walked.  A class whose zones have more than MAX_ZONE_FIBERS fibers,
-    the sum of u_i = <alpha, r^i>, is refused before the first walk.
+    ``w_chain_threshold(cd, i)`` and 0 from it on, set as one slice of the
+    column, which is a list in table order until it is keyed; no chain
+    zone is walked.  A class whose zones have more than MAX_ZONE_FIBERS
+    fibers, the sum of u_i = <alpha, r^i>, is refused before the first
+    walk.
     """
     h = cd.hilbert
-    table = t1_degrees(h)
-    if sum(u for u, _ in cd.iota_basis[1:-1]) > MAX_ZONE_FIBERS:
+    table, iota = t1_degrees(h), cd.iota_basis
+    if sum(u for u, _ in iota[1:-1]) > MAX_ZONE_FIBERS:
         raise OracleBoundError(
             f"the W zones of nq:{cd.nq.n}/{cd.nq.q} walk more than "
             f"MAX_ZONE_FIBERS = {MAX_ZONE_FIBERS} fibers"
         )
-    out = dict.fromkeys(table, 0)
+    col = [0] * len(table)
     j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
     for i, a in enumerate(h.coeffs, 2):
-        u, v = cd.iota_basis[i - 1]
+        u, v = iota[i - 1]
         zone = zone_points(ZoneSpec(h.basis[i - 1], -1), cd)
-        out[table[j]] = _constrained_dim(cd, table[j], zone_span(zone, (-u, -v)), False)
-        out.update(dict.fromkeys(table[j + 1 : j + w_chain_threshold(cd, i) - 1], 1))
+        col[j] = _constrained_dim(cd, table[j], zone_span(zone, (-u, -v)), False)
+        ones = w_chain_threshold(cd, i) - 2  # the chain degrees with W = 1
+        col[j + 1 : j + 1 + ones] = repeat(1, ones)
         j += a - 1
-    return out
+    return dict(zip(table, col))
 
 
 def w_chain_threshold(cd: ClassData, i: int) -> int:
@@ -480,11 +485,15 @@ def w_chain_threshold(cd: ClassData, i: int) -> int:
     k >= ceil((x + 2)/y) for its pair, so the least k is the inner min;
     the chain has 2 <= k <= a_i - 1, so K is clamped to [2, a_i].
     """
+    a_i = cd.hilbert.coefficient(i)  # also refuses an i outside 2..e-1
     v0, u0 = cd.axis_points
-    (u_prev, v_prev), (u_i, v_i), (u_next, _) = cd.iota_basis[i - 2 : i + 1]
-    pairs = ((v_prev, v_i), (u_next, u_i), (v0, v_i), (u0, u_i))
-    least = min(-(-(x + 2) // y) for x, y in pairs)
-    return min(cd.hilbert.coefficient(i), max(2, least))
+    iota = cd.iota_basis
+    (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2], iota[i - 1], iota[i]
+    least = min(
+        -(-(v_prev + 2) // v_i), -(-(u_next + 2) // u_i),
+        -(-(v0 + 2) // v_i), -(-(u0 + 2) // u_i),
+    )
+    return min(a_i, max(2, least))
 
 
 def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -543,7 +552,9 @@ def assemble_report(
     """The report of a class from its V, qG, VW and W columns.
 
     Every column must be keyed by exactly the degree table of the class,
-    ``t1_degrees(cd.hilbert)``; the totals are the sums of the columns.
+    ``t1_degrees(cd.hilbert)``: a column whose keys are the table in
+    order is read as it is, and any other is checked for its key set and
+    realigned to the table.  The totals are the sums of the columns.
     Before returning, the columns are checked against the inclusion chain
     qG <= VW <= V <= T1, VW <= W in every degree, and the totals against
     the independent total formulas (V = e-4 [+ floor(A)+floor(B)], qG =
@@ -552,18 +563,24 @@ def assemble_report(
     InternalConsistencyError and indicates a bug, not bad input.
     """
     h = cd.hilbert
-    t1 = t1_dims(h)
-    columns = {"T1": t1, "V": v, "W": w, "VW": vw, "qG": qg}
-    for name, col in columns.items():
-        if col.keys() != t1.keys():
+    table, t1 = h.degrees, t1_dims(h)
+    # each column as a list in table order: read as it is when its keys are
+    # the table in order, as every column function builds it, and realigned
+    # otherwise, once its key set is checked
+    aligned = []
+    for name, col in {"T1": t1, "V": v, "W": w, "VW": vw, "qG": qg}.items():
+        if tuple(col) == table:
+            aligned.append(list(col.values()))
+        elif col.keys() != t1.keys():
             raise InternalConsistencyError(
                 f"the {name} column of {cd.nq} is not keyed by its T1 degrees"
             )
-    table = h.degrees
-    # each column as a list in table order, whatever order the caller's dict has
-    aligned = [list(map(col.__getitem__, table)) for col in columns.values()]
+        else:
+            aligned.append(list(map(col.__getitem__, table)))
     last = DegreeId(h.central_index, h.coefficient(h.central_index) - 1) if h.grounded else None
-    per_degree = tuple(map(DegreeReport._make, zip(table, *aligned, map(eq, table, repeat(last)))))
+    # each row made as DegreeReport._make makes it, without a Python call per row
+    rows = zip(table, *aligned, map(eq, table, repeat(last)))
+    per_degree = tuple(map(tuple.__new__, repeat(DegreeReport), rows))
     report = T1Report(cd.nq, per_degree, Totals(*map(sum, aligned)), classify(cd), h.e)
     _check_theorems(report, cd, aligned)
     return report

@@ -361,6 +361,77 @@ class TestScan:
         assert code == 2
 
 
+class CountingWriter(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def counted(monkeypatch, *argv):
+    """The exit code, text and write count of ``main(argv)`` on a counting stdout."""
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(list(argv))
+    return code, out.getvalue(), out.writes
+
+
+def batches(lines):
+    return -(-lines // cli.ROWS_PER_WRITE)
+
+
+class TestBatchedWrites:
+    # unbuffered (PYTHONUNBUFFERED=1), each write is a write call; a print
+    # per row made two
+    def test_scan_writes_its_header_then_batches(self, monkeypatch):
+        code, out, writes = counted(monkeypatch, "scan", "25")
+        assert (code, out) == (0, (GOLDEN / "scan_25.csv").read_text())
+        rows = out.count("\n") - 1
+        assert rows > 1 and writes <= 1 + batches(rows)
+
+    @pytest.mark.parametrize("mode", [("--csv",), ()])
+    def test_analyze_table_in_a_handful_of_writes(self, monkeypatch, mode):
+        cd = class_data(nq_to_cone(NQForm(3001, 2)))
+        degrees = len(deformations.totals(cd).per_degree)
+        code, out, writes = counted(monkeypatch, "analyze", "nq:3001/2", *mode)
+        assert code == 0 and out.count("\n") > degrees
+        assert writes <= batches(out.count("\n")) <= 10
+
+    def test_verify_in_one_write(self, monkeypatch):
+        code, out, writes = counted(monkeypatch, "verify", "12")
+        assert (code, writes) == (0, 1) and out.endswith(" checks)\n")
+
+    def test_rows_stream_a_batch_at_a_time(self, monkeypatch):
+        out = CountingWriter()
+        monkeypatch.setattr(sys, "stdout", out)
+        size = cli.ROWS_PER_WRITE
+
+        def rows():
+            for j in range(2 * size + 1):
+                # each full batch is written before the next row is asked for
+                assert out.writes == j // size
+                yield str(j)
+
+        cli._write_lines(rows())
+        assert out.writes == 3
+        assert out.getvalue() == "".join(f"{j}\n" for j in range(2 * size + 1))
+
+    def test_rows_before_an_error_are_written(self, monkeypatch):
+        out = CountingWriter()
+        monkeypatch.setattr(sys, "stdout", out)
+
+        def rows():
+            yield from ("a", "b")
+            raise deformations.InternalConsistencyError("row 3")
+
+        with pytest.raises(deformations.InternalConsistencyError, match="row 3"):
+            cli._write_lines(rows())
+        assert (out.getvalue(), out.writes) == ("a\nb\n", 1)
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "8")

@@ -422,6 +422,18 @@ class TestAssemblyRefusesBrokenColumns:
         with pytest.raises(InternalConsistencyError):
             assemble(cd, cols)
 
+    @pytest.mark.parametrize("n, q", [(20, 11), (4, 1), (13, 4)])
+    def test_reordered_columns_are_realigned(self, n, q):
+        # every column function keys its dict by the table in order, which
+        # is read as it is; the same degrees in reversed insertion order
+        # take the realigning path and give the same report
+        cd, cols = true_columns(n, q)
+        table = list(cd.hilbert.degrees)
+        assert all(list(col) == table for col in cols.values())
+        backwards = {name: dict(reversed(col.items())) for name, col in cols.items()}
+        assert all(list(col) == table[::-1] for col in backwards.values())
+        assert assemble(cd, backwards) == assemble(cd, cols) == totals(cd)
+
     @pytest.mark.parametrize("n, q", [(20, 11), (4, 1)])
     @pytest.mark.parametrize("column", ["v", "qg", "vw", "w"])
     def test_missing_degree(self, n, q, column):
@@ -840,6 +852,7 @@ class TestWFast:
         w = w_fast(cd)
         assert [w[DegreeId(4, k)] for k in (2, 3, 4)] == [1, 1, 0]
         assert w == w_dims_oracle(cd)
+        assert list(w) == list(cd.hilbert.degrees)
 
     def test_closed_form_equals_the_zone_walk(self):
         # every chain with n <= 40, and with n <= 25 in the four coordinate
