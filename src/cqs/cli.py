@@ -19,9 +19,16 @@ same bytes at any count.  Tables go to stdout in batches of
 ROWS_PER_WRITE lines (``_write_lines``): ``scan`` writes its header, then
 its rows a batch at a time as they come, so they still stream; the
 ``analyze`` CSV and human tables, ``cayley``'s rays and ``verify``'s
-report are written the same way.  Every call is a fresh interpreter that pays
-for each import, so only these two import ``verify``, and only a command
-that prints JSON imports ``json``.  ``analyze`` prints its human report
+report are written the same way.  ``--json`` (``analyze``, ``convert``,
+``cayley``) prints the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` from its own writer (``_print_json``), streamed in
+writes of at most JSON_WRITE_CHARS characters: small blocks recursively,
+a flat list of ints in one ``str.join`` per JSON_ITEMS_PER_JOIN items,
+and each per-degree row from one template, read from its
+``DegreeReport`` (``DegreeRows``) with no dict built per row.  Every call
+is a fresh interpreter that pays for each import, so only ``scan`` and
+``verify`` import ``verify``, and only a command that prints JSON imports
+``json``, for its string escaping.  ``analyze`` prints its human report
 and its CSV rows from the records it holds (``ClassData``, ``T1Report``);
 only ``--json`` builds the report document, the one output with the
 Cayley ray matrix.
@@ -33,13 +40,14 @@ import argparse
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, islice
 
 from . import __version__
 from .cone_geometry import (
     ClassData,
+    HilbertData,
     OracleBoundError,
     binomial_equations,
     class_data,
@@ -47,6 +55,7 @@ from .cone_geometry import (
 )
 from .deformations import (
     CayleyFamily,
+    DegreeReport,
     T1Report,
     cayley_d,
     cayley_family,
@@ -80,6 +89,26 @@ FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
 # the rows of a table go to stdout this many to a write; unbuffered (as
 # under PYTHONUNBUFFERED=1) a print per row costs two write calls
 ROWS_PER_WRITE = 256
+# the JSON text goes to stdout in writes of at most this many characters,
+# and a flat list of ints is joined this many items to a piece
+JSON_WRITE_CHARS = 1 << 16
+JSON_ITEMS_PER_JOIN = 2048
+# a JSON per-degree row as json.dumps(..., indent=2, sort_keys=True) prints
+# it, each line after the first to be indented as deep as the row
+_ROW_TEMPLATE = """{
+  "degree": [
+    %s,
+    %s
+  ],
+  "dim_qg": %s,
+  "dim_t1": %s,
+  "dim_v": %s,
+  "dim_vw": %s,
+  "dim_w": %s,
+  "i": %s,
+  "k": %s,
+  "last_deformation": %s
+}"""
 
 
 class ParseError(ValueError):
@@ -180,8 +209,23 @@ def _forms_block(cd: ClassData, cf: tuple[int, ...]) -> dict:
     }
 
 
+class DegreeRows:
+    """The per-degree rows of a report document, kept as their records.
+
+    The JSON writer prints each ``DegreeReport`` as the object of its
+    fields and its degree's ``i`` and ``k``, with ``degree`` its degree
+    vector, and builds no dict per row.
+    """
+
+    __slots__ = ("hilbert", "rows")
+
+    def __init__(self, hilbert: HilbertData, rows: tuple[DegreeReport, ...]):
+        self.hilbert, self.rows = hilbert, rows
+
+
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
-    """The ``--json`` document; JSON writes each tuple and point in it as an array."""
+    """The ``--json`` document; JSON writes each tuple and point in it as an
+    array, and its per-degree rows (``DegreeRows``) as objects."""
     h = cd.hilbert
     flags = classify(cd) if report is None else report.flags
     return {
@@ -203,10 +247,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
             "interval_length": str(cd.interval.length),
         },
         "t1": None if report is None else {
-            "per_degree": [
-                {**r._asdict(), **r.degree._asdict(), "degree": degree_vector(h, r.degree)}
-                for r in report.per_degree
-            ],
+            "per_degree": DegreeRows(h, report.per_degree),
             "totals": {**report.totals._asdict(), "gap": report.gap},
         },
         "cayley": _cayley_block(cayley_family(cd)),
@@ -231,8 +272,8 @@ def _csv(*fields) -> str:
     return ",".join(str(f).lower() if isinstance(f, bool) else str(f) for f in fields)
 
 
-def _write_lines(lines: Iterable[str], per_write: int = ROWS_PER_WRITE, end: str = "\n") -> None:
-    """Each line followed by ``end``, ``per_write`` lines to a ``sys.stdout.write``.
+def _write_lines(lines: Iterable[str]) -> None:
+    """Each line and a newline, ROWS_PER_WRITE lines to a ``sys.stdout.write``.
 
     The lines are read as they come, so a generator's rows stream out a
     batch at a time; if it raises, the lines it gave before are written
@@ -242,23 +283,120 @@ def _write_lines(lines: Iterable[str], per_write: int = ROWS_PER_WRITE, end: str
     batch: list[str] = []
     try:
         while True:
-            batch.extend(islice(lines, per_write))
+            batch.extend(islice(lines, ROWS_PER_WRITE))
             if not batch:
                 return
-            text = end.join(batch) + end
+            text = "\n".join(batch) + "\n"
             batch.clear()
             sys.stdout.write(text)
     finally:
         if batch:  # extend keeps the lines read before the generator raised
-            sys.stdout.write(end.join(batch) + end)
+            sys.stdout.write("\n".join(batch) + "\n")
 
 
 def _print_json(doc: dict) -> None:
-    import json  # only the commands that print JSON load it
+    """Print ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
 
-    # written in batches as it is encoded, so the whole text is never held
-    _write_lines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), 4096, "")
-    sys.stdout.write("\n")
+    The text goes out as it is made, in writes of at most
+    JSON_WRITE_CHARS characters unless one piece is longer, so the whole
+    text is never held.
+    """
+    # only the commands that print JSON load json; its escaping is kept
+    from json.encoder import encode_basestring_ascii
+
+    pieces: list[str] = []
+    size = 0
+    for piece in _json_pieces(doc, "", encode_basestring_ascii):
+        if size + len(piece) > JSON_WRITE_CHARS and pieces:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+            size = 0
+        pieces.append(piece)
+        size += len(piece)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
+
+
+def _json_pieces(value, indent: str, string: Callable[[str], str]) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in pieces.
+
+    ``indent`` is the indentation of the line that holds ``value``, whose
+    items are indented two spaces more, and ``string`` quotes a str.  As
+    in ``json``, a bool is tested before an int, ints print by
+    ``int.__repr__`` and lists and tuples print alike; dict keys must be
+    str, and any other type (a float, a Fraction, a set) raises TypeError.
+    """
+    if isinstance(value, str):
+        yield string(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, (list, tuple)):
+        yield from _json_array(value, indent, string)
+    elif isinstance(value, dict):
+        yield from _json_object(value, indent, string)
+    elif isinstance(value, DegreeRows):
+        yield from _json_degree_rows(value, indent)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_object(obj: dict, indent: str, string: Callable[[str], str]) -> Iterator[str]:
+    if not obj:
+        yield "{}"
+        return
+    inner = indent + "  "
+    sep = "{\n" + inner
+    for key in sorted(obj):
+        yield sep + string(key) + ": "  # string raises TypeError on a key not a str
+        yield from _json_pieces(obj[key], inner, string)
+        sep = ",\n" + inner
+    yield "\n" + indent + "}"
+
+
+def _json_array(items: list | tuple, indent: str, string: Callable[[str], str]) -> Iterator[str]:
+    if not items:
+        yield "[]"
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    head = "[\n" + inner
+    for start in range(0, len(items), JSON_ITEMS_PER_JOIN):
+        part = items[start:start + JSON_ITEMS_PER_JOIN]
+        if set(map(type, part)) == {int}:  # a flat integer list, no bool in it
+            yield head + sep.join(map(int.__repr__, part))
+        else:
+            for item in part:
+                yield head
+                yield from _json_pieces(item, inner, string)
+                head = sep
+        head = sep
+    yield "\n" + indent + "]"
+
+
+def _json_degree_rows(table: DegreeRows, indent: str) -> Iterator[str]:
+    """Each row formatted from one template (``_ROW_TEMPLATE``)."""
+    if not table.rows:
+        yield "[]"
+        return
+    item = indent + "  "
+    template = _ROW_TEMPLATE.replace("\n", "\n" + item)
+    h, text = table.hilbert, int.__repr__
+    sep = "[\n" + item
+    for r in table.rows:
+        (i, k), t1, v, w, vw, qg, last = r
+        x, y = degree_vector(h, r.degree)
+        yield sep + template % (
+            text(x), text(y), text(qg), text(t1), text(v), text(vw), text(w), text(i), text(k),
+            "true" if last is True else "false" if last is False else text(last),
+        )
+        sep = ",\n" + item
+    yield "\n" + indent + "]"
 
 
 def cmd_convert(args) -> int:

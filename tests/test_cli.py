@@ -7,17 +7,20 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqs
 from cqs import cli, cone_geometry, deformations
 from cqs.cli import format_form, main, parse_form
 from cqs.cone_geometry import class_data, continued_fraction
+from cqs.deformations import degree_vector
 from cqs.lattice import NPoint, pairing
 from cqs.representations import (
     ABCForm,
@@ -322,17 +325,19 @@ class TestScan:
     @pytest.mark.parametrize(
         "golden,argv",
         [
-            ("analyze_20_11.json", ("nq:20/11", "--json")),
-            ("analyze_8_3.json", ("nq:8/3", "--json")),
-            ("analyze_20_11.csv", ("nq:20/11", "--csv")),
-            ("analyze_5_4_degenerate.json", ("nq:5/4", "--allow-degenerate", "--json")),
-            ("analyze_20_11.txt", ("nq:20/11",)),
-            ("analyze_8_3.txt", ("nq:8/3",)),
-            ("analyze_5_4_degenerate.txt", ("nq:5/4", "--allow-degenerate")),
+            ("analyze_20_11.json", ("analyze", "nq:20/11", "--json")),
+            ("analyze_8_3.json", ("analyze", "nq:8/3", "--json")),
+            ("analyze_20_11.csv", ("analyze", "nq:20/11", "--csv")),
+            ("analyze_5_4_degenerate.json", ("analyze", "nq:5/4", "--allow-degenerate", "--json")),
+            ("analyze_20_11.txt", ("analyze", "nq:20/11")),
+            ("analyze_8_3.txt", ("analyze", "nq:8/3")),
+            ("analyze_5_4_degenerate.txt", ("analyze", "nq:5/4", "--allow-degenerate")),
+            ("convert_20_11.json", ("convert", "nq:20/11", "--json")),
+            ("cayley_-2_5_4_5.json", ("cayley", "interval:-2/5,4/5", "--json")),
         ],
     )
     def test_golden_analyze(self, capsys, golden, argv):
-        code, out, _ = run(capsys, "analyze", *argv)
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
@@ -362,12 +367,14 @@ class TestScan:
 
 
 class CountingWriter(io.StringIO):
-    """A stdout that counts its write calls."""
+    """A stdout that counts its write calls and keeps the longest text written."""
 
     writes = 0
+    longest = 0
 
     def write(self, text):
         self.writes += 1
+        self.longest = max(self.longest, len(text))
         return super().write(text)
 
 
@@ -404,6 +411,21 @@ class TestBatchedWrites:
         code, out, writes = counted(monkeypatch, "verify", "12")
         assert (code, writes) == (0, 1) and out.endswith(" checks)\n")
 
+    def test_json_streams_in_bounded_writes(self, monkeypatch):
+        # the 1,501 rows of nq:3001/2 fill about 400,000 characters; a writer
+        # that joined them for one write would pass the bound six times over
+        cd = class_data(nq_to_cone(NQForm(3001, 2)))
+        reference = json.dumps(
+            plain_document(cd, deformations.totals(cd)), indent=2, sort_keys=True
+        ) + "\n"
+        out = CountingWriter()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["analyze", "nq:3001/2", "--json"]) == 0
+        assert out.getvalue() == reference
+        assert len(reference) > 6 * cli.JSON_WRITE_CHARS
+        assert out.writes >= len(reference) / cli.JSON_WRITE_CHARS
+        assert out.longest <= cli.JSON_WRITE_CHARS
+
     def test_rows_stream_a_batch_at_a_time(self, monkeypatch):
         out = CountingWriter()
         monkeypatch.setattr(sys, "stdout", out)
@@ -430,6 +452,97 @@ class TestBatchedWrites:
         with pytest.raises(deformations.InternalConsistencyError, match="row 3"):
             cli._write_lines(rows())
         assert (out.getvalue(), out.writes) == ("a\nb\n", 1)
+
+
+def plain_document(cd, report):
+    """The report document with its per-degree rows as plain dicts."""
+    doc = cli.build_report_document(cd, report)
+    if report is not None:
+        doc["t1"]["per_degree"] = [
+            {**r._asdict(), **r.degree._asdict(), "degree": degree_vector(cd.hilbert, r.degree)}
+            for r in report.per_degree
+        ]
+    return doc
+
+
+def json_text(value):
+    """What ``cli._print_json`` prints for ``value``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(value)
+    return out.getvalue()
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u2603\U0001f600'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-60, 60), st.integers(-(10**40), 10**40),
+        _JSON_STRINGS,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJSONWriter:
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example({})
+    @example({"": [], "a": {}, "b": [[], {}, ()]})
+    @example([True, 1, False, 0, -(2**70)])
+    @example(["a", "b\n", 'c"', "\\", "\u00e9"])
+    @given(_JSON_VALUES)
+    def test_prints_what_json_dumps_prints(self, value):
+        assert json_text(value) == dumps(value)
+        # flat lists longer than one join are joined a few items at a time
+        with mock.patch.object(cli, "JSON_ITEMS_PER_JOIN", 2):
+            assert json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, [1, 2.0], {"a": [Fraction(3)]}, ["a", {"b"}], {1: "a"}],
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    def test_every_class_to_n_40_prints_what_json_dumps_prints(self):
+        degenerate = 0
+        for n in range(2, 41):
+            for q in (q for q in range(1, n) if gcd(n, q) == 1):
+                cd = class_data(nq_to_cone(NQForm(n, q)))
+                try:
+                    report = deformations.totals(cd)
+                except DegenerateSingularityError:
+                    report, degenerate = None, degenerate + 1
+                doc = cli.build_report_document(cd, report)
+                assert (doc["t1"] is None) == (q == n - 1), (n, q)
+                assert json_text(doc) == dumps(plain_document(cd, report)), (n, q)
+        assert degenerate == 39
+
+    def test_rows_print_from_the_records(self, capsys, monkeypatch):
+        # no dict is built per row
+        def refuse(self):
+            raise AssertionError("row built as a dict")
+
+        monkeypatch.setattr(deformations.DegreeReport, "_asdict", refuse)
+        monkeypatch.setattr(deformations.DegreeId, "_asdict", refuse)
+        code, out, _ = run(capsys, "analyze", "nq:20/11", "--json")
+        assert (code, out) == (0, (GOLDEN / "analyze_20_11.json").read_text())
 
 
 class TestVerify:
