@@ -15,17 +15,17 @@ d > MAX_CAYLEY_D (deformations); 3 invalid singularity, 4 degenerate
 class (embdim <= 3).  A reader that closes the pipe early (``cqs scan
 400 | head``) ends the run quietly with exit 0.  ``scan`` and ``verify``
 run on every CPU the process may use (``verify.fan_out``) and print the
-same bytes at any count.  Tables go to stdout in batches of
-ROWS_PER_WRITE lines (``_write_lines``): ``scan`` writes its header, then
-its rows a batch at a time as they come, so they still stream; the
-``analyze`` CSV and human tables, ``cayley``'s rays and ``verify``'s
-report are written the same way.  ``--json`` (``analyze``, ``convert``,
-``cayley``) prints the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` from its own writer (``_print_json``), streamed in
-writes of at most JSON_WRITE_CHARS characters: small blocks recursively,
-a flat list of ints in one ``str.join`` per JSON_ITEMS_PER_JOIN items,
-and each per-degree row from one template, read from its
-``DegreeReport`` (``DegreeRows``) with no dict built per row.  Every call
+same bytes at any count.  Each command prints its text as it is made,
+so ``scan``'s rows stream as the classes are computed; ``main`` turns
+off the write-through and line buffering of stdout, so that its text
+layer passes the text on about 8,192 characters at a time on a pipe, on
+a terminal and under PYTHONUNBUFFERED=1 alike, and flushes it on every
+way out.  ``--json`` (``analyze``, ``convert``, ``cayley``)
+prints the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` from
+its own writer (``_print_json``): small blocks recursively, a flat list
+of ints in one ``str.join`` per JSON_ITEMS_PER_JOIN items, and each
+per-degree row from one template, read from its ``DegreeReport``
+(``DegreeRows``) with no dict built per row.  Every call
 is a fresh interpreter that pays for each import, so only ``scan`` and
 ``verify`` import ``verify``, and only a command that prints JSON imports
 ``json``, for its string escaping.  ``analyze`` prints its human report
@@ -37,12 +37,12 @@ Cayley ray matrix.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
 
 from . import __version__
 from .cone_geometry import (
@@ -86,12 +86,7 @@ EXIT_DEGENERATE = 4
 SCAN_HEADER = "n,q,a,b,c,e,grounded,t_sing,dim_t1,dim_v,dim_w,dim_vw,dim_qg,gap"
 DEGREE_HEADER = "i,k,deg_u,deg_v,dim_t1,dim_v,dim_w,dim_vw,dim_qg,last_deformation"
 FORM_TAGS = ("nq", "abc", "cone", "interval", "cf")
-# the rows of a table go to stdout this many to a write; unbuffered (as
-# under PYTHONUNBUFFERED=1) a print per row costs two write calls
-ROWS_PER_WRITE = 256
-# the JSON text goes to stdout in writes of at most this many characters,
-# and a flat list of ints is joined this many items to a piece
-JSON_WRITE_CHARS = 1 << 16
+# a flat JSON list of ints is joined this many items to a piece
 JSON_ITEMS_PER_JOIN = 2048
 # a JSON per-degree row as json.dumps(..., indent=2, sort_keys=True) prints
 # it, each line after the first to be indented as deep as the row
@@ -272,49 +267,17 @@ def _csv(*fields) -> str:
     return ",".join(str(f).lower() if isinstance(f, bool) else str(f) for f in fields)
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Each line and a newline, ROWS_PER_WRITE lines to a ``sys.stdout.write``.
-
-    The lines are read as they come, so a generator's rows stream out a
-    batch at a time; if it raises, the lines it gave before are written
-    first, as a print per line would have left them.
-    """
-    lines = iter(lines)
-    batch: list[str] = []
-    try:
-        while True:
-            batch.extend(islice(lines, ROWS_PER_WRITE))
-            if not batch:
-                return
-            text = "\n".join(batch) + "\n"
-            batch.clear()
-            sys.stdout.write(text)
-    finally:
-        if batch:  # extend keeps the lines read before the generator raised
-            sys.stdout.write("\n".join(batch) + "\n")
-
-
 def _print_json(doc: dict) -> None:
     """Print ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
 
-    The text goes out as it is made, in writes of at most
-    JSON_WRITE_CHARS characters unless one piece is longer, so the whole
-    text is never held.
+    The text is written piece by piece as it is made, so the whole text
+    is never held.
     """
     # only the commands that print JSON load json; its escaping is kept
     from json.encoder import encode_basestring_ascii
 
-    pieces: list[str] = []
-    size = 0
-    for piece in _json_pieces(doc, "", encode_basestring_ascii):
-        if size + len(piece) > JSON_WRITE_CHARS and pieces:
-            sys.stdout.write("".join(pieces))
-            pieces.clear()
-            size = 0
-        pieces.append(piece)
-        size += len(piece)
-    pieces.append("\n")
-    sys.stdout.write("".join(pieces))
+    sys.stdout.writelines(_json_pieces(doc, "", encode_basestring_ascii))
+    print()
 
 
 def _json_pieces(value, indent: str, string: Callable[[str], str]) -> Iterator[str]:
@@ -429,13 +392,12 @@ def cmd_analyze(args) -> int:
     if args.json:
         _print_json(build_report_document(cd, report))
     elif args.csv:
-        h, rows = cd.hilbert, report.per_degree if report is not None else ()
-        _write_lines(chain(
-            (DEGREE_HEADER,),
-            (_csv(*r.degree, *degree_vector(h, r.degree), *r[1:]) for r in rows),
-        ))
+        print(DEGREE_HEADER)
+        for r in report.per_degree if report is not None else ():
+            print(_csv(*r.degree, *degree_vector(cd.hilbert, r.degree), *r[1:]))
     else:
-        _write_lines(_human_lines(cd, report))
+        for line in _human_lines(cd, report):
+            print(line)
     return EXIT_OK
 
 
@@ -484,9 +446,10 @@ def cmd_scan(args) -> int:
         raise ParseError(f"scan bound must be >= 2, got {args.n_max}")
     from .verify import fan_out, nq_range  # only scan and verify load verify
 
-    sys.stdout.write(SCAN_HEADER + "\n")  # before fan_out flushes stdout and forks
+    print(SCAN_HEADER)  # before fan_out flushes stdout and forks
     classes = nq_range(args.n_max, skip_degenerate=True, canonical_only=not args.all_q)
-    _write_lines(fan_out(_scan_row, classes))
+    for row in fan_out(_scan_row, classes):
+        print(row)
     return EXIT_OK
 
 
@@ -504,15 +467,14 @@ def cmd_verify(args) -> int:
     results = run_checks(args.n_max)
     total = sum(res.checks for res in results.values())
     failed = sum(len(res.failures) for res in results.values())
-    lines = []
     for name, res in results.items():
-        lines.append(f"{name}: {res.checks} checks, {len(res.failures)} mismatches")
-        lines += (f"MISMATCH {msg}" for msg in res.failures)
+        print(f"{name}: {res.checks} checks, {len(res.failures)} mismatches")
+        for msg in res.failures:
+            print(f"MISMATCH {msg}")
     if failed:
-        lines.append(f"FAILED: {failed} mismatches out of {total} checks")
+        print(f"FAILED: {failed} mismatches out of {total} checks")
     else:
-        lines.append(f"all checks passed ({total} checks)")
-    _write_lines(lines)
+        print(f"all checks passed ({total} checks)")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -521,15 +483,12 @@ def cmd_cayley(args) -> int:
     if args.json:
         _print_json({"schema_version": "1", "cayley": _cayley_block(fam)})
         return EXIT_OK
-    _write_lines(chain(
-        (
-            f"d = {fam.d}",
-            f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})",
-            f"degenerate_base: {_csv(fam.degenerate_base)}",
-            "rays:",
-        ),
-        ("  (" + ", ".join(map(str, ray)) + ")" for ray in fam.rays),
-    ))
+    print(f"d = {fam.d}")
+    print(f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})")
+    print(f"degenerate_base: {_csv(fam.degenerate_base)}")
+    print("rays:")
+    for ray in fam.rays:
+        print("  (" + ", ".join(map(str, ray)) + ")")
     return EXIT_OK
 
 
@@ -579,10 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # one batching policy for a pipe, a terminal and PYTHONUNBUFFERED=1:
+        # the text layer gathers the writes, and is flushed on every way out
+        sys.stdout.reconfigure(line_buffering=False, write_through=False)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # before an error line, or a closed pipe's handling
     except BrokenPipeError:
         # the reader closed the pipe; point stdout at devnull so that the
         # interpreter's final flush of the remaining buffer is silent too

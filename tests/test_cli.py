@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import pty
 import resource
+import select
 import shutil
 import subprocess
 import sys
@@ -43,6 +46,13 @@ def cqs_env():
     src = str(Path(cqs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def child_env(unbuffered: bool) -> dict:
+    """``cqs_env()`` with PYTHONUNBUFFERED=1 or without it."""
+    env = cqs_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
 
 
 def _limit_128_mib():
@@ -309,6 +319,19 @@ class TestAnalyze:
             assert (code, out) == (0, (GOLDEN / golden).read_text()), argv
 
 
+SINGLE_CLASS_GOLDENS = [
+    ("analyze_20_11.json", ("analyze", "nq:20/11", "--json")),
+    ("analyze_8_3.json", ("analyze", "nq:8/3", "--json")),
+    ("analyze_20_11.csv", ("analyze", "nq:20/11", "--csv")),
+    ("analyze_5_4_degenerate.json", ("analyze", "nq:5/4", "--allow-degenerate", "--json")),
+    ("analyze_20_11.txt", ("analyze", "nq:20/11")),
+    ("analyze_8_3.txt", ("analyze", "nq:8/3")),
+    ("analyze_5_4_degenerate.txt", ("analyze", "nq:5/4", "--allow-degenerate")),
+    ("convert_20_11.json", ("convert", "nq:20/11", "--json")),
+    ("cayley_-2_5_4_5.json", ("cayley", "interval:-2/5,4/5", "--json")),
+]
+
+
 class TestScan:
     def test_header_and_20_11(self, capsys):
         code, out, _ = run(capsys, "scan", "25")
@@ -322,24 +345,26 @@ class TestScan:
         assert code == 0
         assert out == (GOLDEN / "scan_25.csv").read_text()
 
-    @pytest.mark.parametrize(
-        "golden,argv",
-        [
-            ("analyze_20_11.json", ("analyze", "nq:20/11", "--json")),
-            ("analyze_8_3.json", ("analyze", "nq:8/3", "--json")),
-            ("analyze_20_11.csv", ("analyze", "nq:20/11", "--csv")),
-            ("analyze_5_4_degenerate.json", ("analyze", "nq:5/4", "--allow-degenerate", "--json")),
-            ("analyze_20_11.txt", ("analyze", "nq:20/11")),
-            ("analyze_8_3.txt", ("analyze", "nq:8/3")),
-            ("analyze_5_4_degenerate.txt", ("analyze", "nq:5/4", "--allow-degenerate")),
-            ("convert_20_11.json", ("convert", "nq:20/11", "--json")),
-            ("cayley_-2_5_4_5.json", ("cayley", "interval:-2/5,4/5", "--json")),
-        ],
-    )
+    @pytest.mark.parametrize("golden,argv", SINGLE_CLASS_GOLDENS)
     def test_golden_analyze(self, capsys, golden, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [("scan_25.csv", ("scan", "25")), ("verify_30.txt", ("verify", "30"))]
+        + SINGLE_CLASS_GOLDENS,
+    )
+    def test_golden_on_a_real_stdout(self, golden, argv, unbuffered):
+        # the interpreter's own stdout, on a pipe, as under PYTHONUNBUFFERED=1
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqs", *argv],
+            capture_output=True, env=child_env(unbuffered), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / golden).read_bytes()
 
     def test_b1_rows_have_no_vw(self, capsys):
         code, out, _ = run(capsys, "scan", "20")
@@ -366,92 +391,141 @@ class TestScan:
         assert code == 2
 
 
-class CountingWriter(io.StringIO):
-    """A stdout that counts its write calls and keeps the longest text written."""
+# a child that pins itself to one CPU, so that fan_out forks no worker
+# whose writes it would count, and prints on stderr, after its own output,
+# the number of write calls main made
+_COUNTING_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import json.encoder, cqs.verify  # what main imports when it runs, loaded first
+from cqs.cli import main
 
-    writes = 0
-    longest = 0
+def writes():
+    with open("/proc/self/io") as f:
+        return int(next(line for line in f if line.startswith("syscw:")).split()[1])
 
-    def write(self, text):
-        self.writes += 1
-        self.longest = max(self.longest, len(text))
-        return super().write(text)
+before = writes()
+code = main(sys.argv[1:])
+sys.stderr.write(f"{writes() - before}\\n")
+sys.exit(code)
+"""
+# the sha256 of `cqs scan 100`
+SCAN_100_SHA256 = "0fb153c147931e27064d1cfaffd5ceccf8ab05b1cd3121c79d64b1f4c42190dc"
+# the text layer of stdout writes once it holds this many characters
+CHUNK = 8192
+counts_writes = pytest.mark.skipif(
+    not (os.path.exists("/proc/self/io") and hasattr(os, "sched_setaffinity")),
+    reason="counts write calls in /proc/self/io and pins to one CPU",
+)
 
 
-def counted(monkeypatch, *argv):
-    """The exit code, text and write count of ``main(argv)`` on a counting stdout."""
-    out = CountingWriter()
-    monkeypatch.setattr(sys, "stdout", out)
-    code = main(list(argv))
-    return code, out.getvalue(), out.writes
-
-
-def batches(lines):
-    return -(-lines // cli.ROWS_PER_WRITE)
+def counted(*argv):
+    """The exit code, stdout and stdout write calls of `cqs argv` on a pipe,
+    unbuffered as under PYTHONUNBUFFERED=1."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNTING_CHILD, *argv],
+        capture_output=True, env=child_env(True), timeout=120,
+    )
+    return proc.returncode, proc.stdout, int(proc.stderr.splitlines()[-1])
 
 
 class TestBatchedWrites:
-    # unbuffered (PYTHONUNBUFFERED=1), each write is a write call; a print
-    # per row made two
-    def test_scan_writes_its_header_then_batches(self, monkeypatch):
-        code, out, writes = counted(monkeypatch, "scan", "25")
-        assert (code, out) == (0, (GOLDEN / "scan_25.csv").read_text())
-        rows = out.count("\n") - 1
-        assert rows > 1 and writes <= 1 + batches(rows)
+    # main batches stdout in its text layer; unbuffered, a write per row or
+    # per JSON piece would each be a write call
+    @counts_writes
+    def test_scan_writes_its_header_then_batches(self):
+        code, out, writes = counted("scan", "100")
+        assert (code, hashlib.sha256(out).hexdigest()) == (0, SCAN_100_SHA256)
+        assert writes <= 9
 
+    @counts_writes
     @pytest.mark.parametrize("mode", [("--csv",), ()])
-    def test_analyze_table_in_a_handful_of_writes(self, monkeypatch, mode):
+    def test_analyze_table_in_a_handful_of_writes(self, mode):
         cd = class_data(nq_to_cone(NQForm(3001, 2)))
         degrees = len(deformations.totals(cd).per_degree)
-        code, out, writes = counted(monkeypatch, "analyze", "nq:3001/2", *mode)
-        assert code == 0 and out.count("\n") > degrees
-        assert writes <= batches(out.count("\n")) <= 10
+        code, out, writes = counted("analyze", "nq:3001/2", *mode)
+        assert code == 0 and out.count(b"\n") > degrees
+        assert writes <= len(out) // CHUNK + 2
+        if mode:
+            assert writes <= 7
 
-    def test_verify_in_one_write(self, monkeypatch):
-        code, out, writes = counted(monkeypatch, "verify", "12")
-        assert (code, writes) == (0, 1) and out.endswith(" checks)\n")
+    @counts_writes
+    def test_verify_in_one_write(self):
+        code, out, writes = counted("verify", "12")
+        assert (code, writes) == (0, 1) and out.endswith(b" checks)\n")
 
-    def test_json_streams_in_bounded_writes(self, monkeypatch):
-        # the 1,501 rows of nq:3001/2 fill about 400,000 characters; a writer
-        # that joined them for one write would pass the bound six times over
+    @counts_writes
+    def test_json_streams_in_bounded_writes(self):
+        # the 1,501 rows of nq:3001/2 fill about 400,000 characters: the text
+        # goes out a chunk at a time, never in one write
         cd = class_data(nq_to_cone(NQForm(3001, 2)))
-        reference = json.dumps(
-            plain_document(cd, deformations.totals(cd)), indent=2, sort_keys=True
-        ) + "\n"
-        out = CountingWriter()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(["analyze", "nq:3001/2", "--json"]) == 0
-        assert out.getvalue() == reference
-        assert len(reference) > 6 * cli.JSON_WRITE_CHARS
-        assert out.writes >= len(reference) / cli.JSON_WRITE_CHARS
-        assert out.longest <= cli.JSON_WRITE_CHARS
+        reference = dumps(plain_document(cd, deformations.totals(cd))).encode()
+        code, out, writes = counted("analyze", "nq:3001/2", "--json")
+        assert (code, out) == (0, reference)
+        assert len(out) / (8 * CHUNK) <= writes <= len(out) / CHUNK + 2
+        assert writes > 1
 
-    def test_rows_stream_a_batch_at_a_time(self, monkeypatch):
-        out = CountingWriter()
-        monkeypatch.setattr(sys, "stdout", out)
-        size = cli.ROWS_PER_WRITE
+    @counts_writes
+    def test_a_terminal_is_not_written_a_line_at_a_time(self):
+        # a terminal's stdout is line-buffered until main turns that off
+        master, slave = pty.openpty()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _COUNTING_CHILD, "scan", "100"],
+            stdout=slave, stderr=subprocess.PIPE, env=child_env(False),
+        )
+        os.close(slave)
+        chunks = []
+        try:
+            while select.select([master], [], [], 120)[0]:
+                try:
+                    chunk = os.read(master, 1 << 16)
+                except OSError:  # EIO: the child closed the terminal
+                    break
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        finally:
+            os.close(master)
+            err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 0, err
+        out = b"".join(chunks).replace(b"\r\n", b"\n")
+        assert hashlib.sha256(out).hexdigest() == SCAN_100_SHA256
+        assert int(err.splitlines()[-1]) <= 9
 
-        def rows():
-            for j in range(2 * size + 1):
-                # each full batch is written before the next row is asked for
-                assert out.writes == j // size
-                yield str(j)
+    def test_rows_stream_a_batch_at_a_time(self, capsys):
+        # the child computes every row itself and ends with os._exit, with no
+        # flush, when the sweep reaches n = 60: the header and the first rows
+        # are on the pipe by then
+        child = (
+            "import os, sys; from cqs import cli, verify; verify.fan_out = map;"
+            " row = cli._scan_row;"
+            " cli._scan_row = lambda nq: os._exit(3) if nq.n == 60 else row(nq);"
+            " sys.exit(cli.main(['scan', '100']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=cqs_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == cli.SCAN_HEADER and len(lines) > 1
+        assert run(capsys, "scan", "59")[1].startswith(proc.stdout)
 
-        cli._write_lines(rows())
-        assert out.writes == 3
-        assert out.getvalue() == "".join(f"{j}\n" for j in range(2 * size + 1))
-
-    def test_rows_before_an_error_are_written(self, monkeypatch):
-        out = CountingWriter()
-        monkeypatch.setattr(sys, "stdout", out)
-
-        def rows():
-            yield from ("a", "b")
-            raise deformations.InternalConsistencyError("row 3")
-
-        with pytest.raises(deformations.InternalConsistencyError, match="row 3"):
-            cli._write_lines(rows())
-        assert (out.getvalue(), out.writes) == ("a\nb\n", 1)
+    def test_rows_before_an_error_are_written(self, capsys):
+        # nq:41/1 is the first class whose W zones walk more than 780 fibers:
+        # scan 60 prints the rows of scan 40, then the error, then exits 2
+        child = (
+            "import sys; from cqs import deformations; deformations.MAX_ZONE_FIBERS = 780;"
+            " from cqs.cli import main; sys.exit(main(['scan', '60']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=cqs_env(), timeout=120,
+        )
+        *rows, error = proc.stdout.decode().splitlines()
+        assert proc.returncode == 2
+        assert rows == run(capsys, "scan", "40")[1].splitlines()
+        assert error == "error: the W zones of nq:41/1 walk more than MAX_ZONE_FIBERS = 780 fibers"
 
 
 def plain_document(cd, report):

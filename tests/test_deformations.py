@@ -843,6 +843,19 @@ class TestWFast:
                 assert max(cd.hilbert.coeffs) == a
                 assert w_fast(cd) == w_dims_oracle(cd), cd.nq
 
+    def test_printed_w_equals_the_oracle_past_60(self):
+        # the W column scan and analyze print, read from totals, for every
+        # class with e >= 4 at a few n from 97 to 300: 600 classes
+        checked = 0
+        for n in (97, 128, 150, 199, 256, 300):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    cd = class_data(nq_to_cone(NQForm(n, q)))
+                    printed = {r.degree: r.dim_w for r in totals(cd).per_degree}
+                    assert printed == w_dims_oracle(cd), cd.nq
+                    checked += 1
+        assert checked == 600
+
     def test_mixed_chain(self):
         # nq:13/4 has coefficients (2, 2, 5): W is 1, 1, 0 along 2*r^4,
         # 3*r^4, 4*r^4, so the threshold lies strictly inside the chain
