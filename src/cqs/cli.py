@@ -8,10 +8,10 @@ strings, never floats).  Exit codes: 0 success, 1 verification failure,
 class whose n is past it) or an input past a size bound, which the
 function whose work it bounds raises as OracleBoundError: a ``verify``
 bound past ORACLE_BOUND (``run_checks``), a continued fraction of more than
-MAX_CF_TERMS terms (cone_geometry), a class with more than
-MAX_T1_DEGREES T1-carrying degrees (``totals``), whose W zones walk more
-than MAX_ZONE_FIBERS fibers (``w_fast``) or whose Cayley family has
-d > MAX_CAYLEY_D (deformations); 3 invalid singularity, 4 degenerate
+MAX_CF_TERMS terms (``continued_fraction``), a class with more than
+MAX_T1_DEGREES T1-carrying degrees (``hilbert_basis``), whose W zones walk
+more than MAX_ZONE_FIBERS fibers (``w_fast``) or whose Cayley family has
+d > MAX_CAYLEY_D (``cayley_d``); 3 invalid singularity, 4 degenerate
 class (embdim <= 3).  A reader that closes the pipe early (``cqs scan
 400 | head``) ends the run quietly with exit 0.  ``scan`` and ``verify``
 run on every CPU the process may use (``verify.fan_out``) and print the

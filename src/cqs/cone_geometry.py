@@ -16,8 +16,10 @@ whose lattice points generate all the flatness constraints used in
 iota(r) = (<alpha,r>, <beta,r>), so its points are found and returned as
 integer pairs (u, v) = iota(r); the zone path uses integers only and
 boundary points are decided without tolerance.  ``continued_fraction``
-refuses more than MAX_CF_TERMS terms, and ``hilbert_basis_oracle`` an n
-past ORACLE_BOUND, each with OracleBoundError before the work it bounds.
+refuses more than MAX_CF_TERMS terms, ``hilbert_basis`` a class with
+more than MAX_T1_DEGREES T1-carrying degrees, and
+``hilbert_basis_oracle`` an n past ORACLE_BOUND, each with
+OracleBoundError before the work it bounds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ ORACLE_BOUND = 10_000
 # has about n/2 terms.  With the bound lifted, convert --json prints the cf of
 # nq:12000001/2 (6,000,000 terms) in 128 MiB of address space, not nq:16000001/2.
 MAX_CF_TERMS = 500_000
+# hilbert_basis refuses a class with more T1-carrying degrees, sum(a_i - 1),
+# than this before it builds any basis element: the degree table and every
+# column grow with the count, and nq:1000003/500001 (500,002 degrees) would
+# need far more than 128 MiB; nq:3001/2 has 1,501.
+MAX_T1_DEGREES = 20_000
 
 
 class OracleBoundError(ValueError):
@@ -242,10 +249,16 @@ def hilbert_basis(cd: ClassData) -> HilbertData:
     iota(r^(i+1)) = a_i iota(r^i) - iota(r^(i-1)) then walks to
     iota(r^e), which must be (n, 0).  Reads only the frame fields of
     ``cd``; a ClassData runs it on the first read of ``cd.hilbert``, so
-    callers read that.
+    callers read that.  The expansion is read once, at most MAX_T1_DEGREES
+    + 1 terms a_i >= 2, and a class with e >= 4 past MAX_T1_DEGREES
+    degrees, sum(a_i - 1), is refused before any pair is built.
     """
     n, q = cd.nq.n, cd.nq.q
-    coeffs = tuple(hj_coefficients(n, n - q))
+    coeffs = tuple(islice(hj_coefficients(n, n - q), MAX_T1_DEGREES + 1))
+    if len(coeffs) >= 2 and sum(coeffs) - len(coeffs) > MAX_T1_DEGREES:
+        raise OracleBoundError(
+            f"nq:{n}/{q} has more than MAX_T1_DEGREES = {MAX_T1_DEGREES} T1 degrees"
+        )
     iota = [(0, n), (1, n - q)]
     (u0, v0), (u, v) = iota
     for a in coeffs:

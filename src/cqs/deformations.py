@@ -64,21 +64,21 @@ Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 class, ``t1_degrees(h)`` = ``h.degrees``, in table order.  A closed form
 starts it as ``dict.fromkeys(table, default)`` and then sets only its
 few other entries; ``w_fast`` fills a list in table order, a slice per
-chain, and zips it with the table.  ``assemble_report`` reads such a
-column as it is, and realigns any other once its key set is checked.
+chain, and zips it with the table.  ``assemble_report`` reads each
+column as it is, and refuses one whose keys are not the table in order.
 The records of this module are NamedTuples, like ``DegreeId``.
 
-``totals``, ``w_fast`` and ``cayley_d`` each refuse a class past the bound
-of their own work (MAX_T1_DEGREES, MAX_ZONE_FIBERS, MAX_CAYLEY_D) with
-OracleBoundError before doing it, so every caller gets the refusal.
+``cone_geometry.hilbert_basis``, which builds ``cd.hilbert`` and so the
+degree table, ``w_fast`` and ``cayley_d`` each refuse a class past the
+bound of their own work (MAX_T1_DEGREES, MAX_ZONE_FIBERS, MAX_CAYLEY_D)
+with OracleBoundError before doing it, so every caller gets the refusal.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from operator import eq, le
 from typing import NamedTuple
 
@@ -89,7 +89,6 @@ from .cone_geometry import (
     LatticeTag,
     OracleBoundError,
     ZoneSpec,
-    hj_coefficients,
     zone_points,
     zone_walk,
 )
@@ -97,10 +96,6 @@ from .lattice import MPoint
 from .representations import DegenerateSingularityError, NQForm
 
 
-# totals refuses a class with more T1-carrying degrees than this before any
-# work: its table grows with the count, and nq:1000003/500001 (500,002
-# degrees) would need far more than 128 MiB; nq:3001/2 has 1,501.
-MAX_T1_DEGREES = 20_000
 # w_fast refuses a class whose W zones walk more fibers than this, the sum
 # of <alpha, r^i> over the zones of the r^i, the only ones it walks: its
 # time grows with it, at about 0.9 us a fiber on a 2-vCPU VM.  The u_i are
@@ -532,16 +527,10 @@ def totals(cd: ClassData) -> T1Report:
     """The report of a class: V, qG and VW in closed form, W by ``w_fast``.
 
     Raises DegenerateSingularityError when the embedding dimension is at
-    most 3, and OracleBoundError past MAX_T1_DEGREES degrees, sum(a_i - 1),
-    which the first MAX_T1_DEGREES + 2 terms a_i >= 2 of the continued
-    fraction decide before ``cd.hilbert`` is read.
+    most 3, and OracleBoundError past MAX_T1_DEGREES degrees, from the
+    first read of ``cd.hilbert``, or past MAX_ZONE_FIBERS fibers, from
+    ``w_fast``.
     """
-    n, q = cd.nq.n, cd.nq.q
-    cf = list(islice(hj_coefficients(n, n - q), MAX_T1_DEGREES + 2))
-    if len(cf) >= 2 and sum(cf) - len(cf) > MAX_T1_DEGREES:
-        raise OracleBoundError(
-            f"nq:{n}/{q} has more than MAX_T1_DEGREES = {MAX_T1_DEGREES} T1 degrees"
-        )
     return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_fast(cd))
 
 
@@ -552,9 +541,9 @@ def assemble_report(
     """The report of a class from its V, qG, VW and W columns.
 
     Every column must be keyed by exactly the degree table of the class,
-    ``t1_degrees(cd.hilbert)``: a column whose keys are the table in
-    order is read as it is, and any other is checked for its key set and
-    realigned to the table.  The totals are the sums of the columns.
+    ``t1_degrees(cd.hilbert)``, in table order, as every column function
+    builds it; its values are then read as they stand, and any other
+    column is refused.  The totals are the sums of the columns.
     Before returning, the columns are checked against the inclusion chain
     qG <= VW <= V <= T1, VW <= W in every degree, and the totals against
     the independent total formulas (V = e-4 [+ floor(A)+floor(B)], qG =
@@ -564,19 +553,14 @@ def assemble_report(
     """
     h = cd.hilbert
     table, t1 = h.degrees, t1_dims(h)
-    # each column as a list in table order: read as it is when its keys are
-    # the table in order, as every column function builds it, and realigned
-    # otherwise, once its key set is checked
+    # each column as a list in table order
     aligned = []
     for name, col in {"T1": t1, "V": v, "W": w, "VW": vw, "qG": qg}.items():
-        if tuple(col) == table:
-            aligned.append(list(col.values()))
-        elif col.keys() != t1.keys():
+        if tuple(col) != table:
             raise InternalConsistencyError(
-                f"the {name} column of {cd.nq} is not keyed by its T1 degrees"
+                f"the {name} column of {cd.nq} is not keyed by its T1 degrees in table order"
             )
-        else:
-            aligned.append(list(map(col.__getitem__, table)))
+        aligned.append(list(col.values()))
     last = DegreeId(h.central_index, h.coefficient(h.central_index) - 1) if h.grounded else None
     # each row made as DegreeReport._make makes it, without a Python call per row
     rows = zip(table, *aligned, map(eq, table, repeat(last)))
@@ -635,7 +619,8 @@ def cayley_d(cd: ClassData) -> int:
 
     Raises OracleBoundError when d exceeds MAX_CAYLEY_D.
     """
-    d = math.floor(cd.ab.A + cd.ab.B) if cd.ab is not None else 0
+    iv = cd.interval
+    d = (iv.h - iv.g) // iv.m if cd.ab is not None else 0  # floor(|I|), |I| = A + B
     if d > MAX_CAYLEY_D:
         raise OracleBoundError(
             f"the Cayley family of nq:{cd.nq.n}/{cd.nq.q} has d = {d} > "

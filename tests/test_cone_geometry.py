@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cqs import cone_geometry
 from cqs.cone_geometry import (
     MAX_CF_TERMS,
+    MAX_T1_DEGREES,
     ORACLE_BOUND,
     LatticeTag,
     OracleBoundError,
@@ -179,23 +180,15 @@ class TestContinuedFraction:
             with pytest.raises(InvalidSingularityError):
                 continued_fraction(p, s)
 
-    def test_refused_past_the_bound_after_one_pass(self, monkeypatch):
+    def test_refused_past_the_bound_after_one_pass(self, hj_pulls):
         # the class nq:100000001/2 expands 100000001/99999999 into 50,000,000
         # terms; one more than the bound is pulled, once, and then refused
-        real, pulled = cone_geometry.hj_coefficients, []
-
-        def counted(p, s):
-            for a in real(p, s):
-                pulled.append(a)
-                yield a
-
-        monkeypatch.setattr(cone_geometry, "hj_coefficients", counted)
         with pytest.raises(OracleBoundError, match="MAX_CF_TERMS"):
             continued_fraction(100000001, 99999999)
-        assert len(pulled) == MAX_CF_TERMS + 1
-        pulled.clear()
+        assert len(hj_pulls) == MAX_CF_TERMS + 1
+        hj_pulls.clear()
         assert len(continued_fraction(2 * MAX_CF_TERMS + 1, 2 * MAX_CF_TERMS - 1).coefficients) \
-            == MAX_CF_TERMS == len(pulled)
+            == MAX_CF_TERMS == len(hj_pulls)
 
 
 class TestHilbertBasis:
@@ -247,6 +240,24 @@ class TestHilbertBasis:
     def test_oracle_bound(self):
         with pytest.raises(OracleBoundError):
             hilbert_basis_oracle(data_of(ORACLE_BOUND + 1, 1))
+
+    def test_degree_bound_is_read_in_one_bounded_pass(self, hj_pulls, monkeypatch):
+        # nq:(2t+1)/2 has t + 1 degrees in t terms: the class with exactly t
+        # degrees is built, the next one is refused, and so is nq:(10^30+1)/2
+        # after t + 1 of its 5 * 10^29 terms, each before any M-point
+        t = MAX_T1_DEGREES
+        assert len(data_of(2 * t - 1, 2).hilbert.degrees) == t
+        assert len(hj_pulls) == t - 1
+        monkeypatch.setattr(cone_geometry, "_preimage", None)  # no M-point may be built
+        for n, terms in ((2 * t + 1, t), (10**30 + 1, t + 1)):
+            hj_pulls.clear()
+            with pytest.raises(OracleBoundError, match=f"nq:{n}/2 has more than MAX_T1_DEGREES"):
+                data_of(n, 2).hilbert
+            assert len(hj_pulls) == terms
+        # e = 3 (one term, however large) is left to the degenerate check
+        monkeypatch.undo()
+        h = data_of(10**30, 10**30 - 1).hilbert
+        assert (h.e, h.coeffs) == (3, (10**30,))
 
     def test_printed_basis_pairs_to_the_iota_basis(self):
         # the basis is found in iota pairs and each M-point is built from

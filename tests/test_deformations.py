@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cqs import deformations
+from cqs import cone_geometry, deformations
 from cqs.cone_geometry import LatticeTag, ZoneSpec, class_data, zone_points
 from cqs.deformations import (
     ClassificationFlags,
@@ -267,17 +267,20 @@ class TestTotals:
             totals(setup_class_data(5, 4))
 
     @pytest.mark.parametrize(
-        "form,bound",
+        "form,read,module,bound",
         [
-            ("NQForm(1000003, 500001)", "MAX_T1_DEGREES"),
-            ("NQForm(39999, 2)", "MAX_ZONE_FIBERS"),
-            ("to_nq(CFForm((3,) * 30))", "MAX_ZONE_FIBERS"),
+            ("NQForm(1000003, 500001)", "totals(cd)", cone_geometry, "MAX_T1_DEGREES"),
+            ("NQForm(39999, 2)", "totals(cd)", deformations, "MAX_ZONE_FIBERS"),
+            ("to_nq(CFForm((3,) * 30))", "totals(cd)", deformations, "MAX_ZONE_FIBERS"),
+            ("NQForm(1000001, 2)", "cd.hilbert", cone_geometry, "MAX_T1_DEGREES"),
         ],
-        ids=["nq:1000003/500001", "nq:39999/2", "cf:3,...,3"],
+        ids=["nq:1000003/500001", "nq:39999/2", "cf:3,...,3", "nq:1000001/2-hilbert"],
     )
-    def test_library_caller_is_refused_in_128_mib(self, form, bound):
+    def test_library_caller_is_refused_in_128_mib(self, form, read, module, bound):
         # 500,002 degrees, 2.0e8 and 2.5e12 W zone fibers: totals refuses
-        # each up front, within 5 s and 128 MiB of address space
+        # each up front, within 5 s and 128 MiB of address space; the
+        # Hilbert basis of nq:1000001/2 (500,000 degrees), which README's
+        # Library section reads, is refused as its table would be
         from test_cli import _limit_128_mib, cqs_env
 
         script = (
@@ -285,7 +288,7 @@ class TestTotals:
             "from cqs.deformations import totals\n"
             "from cqs.representations import CFForm, NQForm, nq_to_cone, to_nq\n"
             f"cd = class_data(nq_to_cone({form}))\n"
-            "try:\n    totals(cd)\nexcept OracleBoundError as exc:\n    print(exc)\n"
+            f"try:\n    {read}\nexcept OracleBoundError as exc:\n    print(exc)\n"
         )
         start = time.monotonic()
         proc = subprocess.run(
@@ -294,7 +297,16 @@ class TestTotals:
         )
         assert time.monotonic() - start < 5
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        assert f"{bound} = {getattr(deformations, bound)}" in proc.stdout
+        assert f"{bound} = {getattr(module, bound)}" in proc.stdout
+
+    def test_the_continued_fraction_is_expanded_once(self, hj_pulls):
+        # nq:3001/2 expands 3001/2999 into 1,500 terms; totals reads them
+        # once, through cd.hilbert, on a fresh record
+        for name in ("hj_coefficients", "islice", "math"):
+            assert not hasattr(deformations, name), name
+        report = totals(setup_class_data(3001, 2))
+        assert len(hj_pulls) == 1500 == report.embdim - 2
+        assert len(report.per_degree) == 1501
 
     def test_sums_match_per_degree(self):
         rep = totals(setup_class_data(30, 17))
@@ -423,16 +435,21 @@ class TestAssemblyRefusesBrokenColumns:
             assemble(cd, cols)
 
     @pytest.mark.parametrize("n, q", [(20, 11), (4, 1), (13, 4)])
-    def test_reordered_columns_are_realigned(self, n, q):
+    def test_reordered_columns_are_refused(self, n, q):
         # every column function keys its dict by the table in order, which
-        # is read as it is; the same degrees in reversed insertion order
-        # take the realigning path and give the same report
+        # is read as it is; a column with the same degrees in reversed
+        # insertion order is refused, whichever column it is
         cd, cols = true_columns(n, q)
         table = list(cd.hilbert.degrees)
         assert all(list(col) == table for col in cols.values())
-        backwards = {name: dict(reversed(col.items())) for name, col in cols.items()}
-        assert all(list(col) == table[::-1] for col in backwards.values())
-        assert assemble(cd, backwards) == assemble(cd, cols) == totals(cd)
+        for name, col in cols.items():
+            backwards = dict(reversed(col.items()))
+            assert list(backwards) == table[::-1] and backwards == col
+            with pytest.raises(
+                InternalConsistencyError, match="not keyed by its T1 degrees in table order"
+            ):
+                assemble(cd, {**cols, name: backwards})
+        assert assemble(cd, cols) == totals(cd)
 
     @pytest.mark.parametrize("n, q", [(20, 11), (4, 1)])
     @pytest.mark.parametrize("column", ["v", "qg", "vw", "w"])
