@@ -19,7 +19,9 @@ boundary points are decided without tolerance.  ``continued_fraction``
 refuses more than MAX_CF_TERMS terms, ``hilbert_basis`` a class with
 more than MAX_T1_DEGREES T1-carrying degrees, and
 ``hilbert_basis_oracle`` an n past ORACLE_BOUND, each with
-OracleBoundError before the work it bounds.
+OracleBoundError before the work it bounds.  ``HilbertData.degrees``
+refuses e <= 3, the A_(n-1) classes that are not graded here, with
+DegenerateSingularityError, so the degree table is bounded for every class.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .representations import (
     ABCForm,
     CFForm,
     ConeForm,
+    DegenerateSingularityError,
     IntervalUD,
     InvalidSingularityError,
     NQForm,
@@ -106,7 +109,14 @@ class HilbertData(
 
     @cached_property
     def degrees(self) -> tuple[DegreeId, ...]:
-        """The degrees (i, k), 2 <= i <= e-1 and 1 <= k <= a_i - 1, ordered by (i, k)."""
+        """The T1-carrying degrees (i, k), 2 <= i <= e-1 and 1 <= k <= a_i - 1,
+        ordered by (i, k).  Only e >= 4 carries them: e <= 3 is refused
+        with DegenerateSingularityError before any entry is built."""
+        if self.e <= 3:
+            raise DegenerateSingularityError(
+                f"embedding dimension {self.e} <= 3: smooth points and A_(n-1) "
+                "singularities (q = n-1) carry no graded deformation theory here"
+            )
         return tuple([DegreeId(i, k) for i, a in enumerate(self.coeffs, 2) for k in range(1, a)])
 
     def coefficient(self, i: int) -> int:
@@ -133,8 +143,8 @@ class LatticeTag(enum.Enum):
 class ZoneSpec(NamedTuple):
     """A zone as ``zone_points`` takes it: the degree R, kappa and the lattice.
 
-    The oracles' ``zone_walk`` takes iota(R) instead, which ``iota_basis``
-    already holds for every degree.
+    The oracles' ``zone_walk`` takes iota(R) instead, which they read from
+    ``hilbert.iota`` for every degree.
     """
 
     R: MPoint
@@ -160,18 +170,13 @@ class ClassData(
     :func:`class_data` computes every field.  ``hilbert`` is built by
     :func:`hilbert_basis` from them on first read and kept on the record,
     so a caller that never reads it never pays for it, and so is
-    ``axis_points``; ``iota_basis`` reads ``hilbert.iota``.  The oracles
-    read only the fields and basis elements, never a closed-form result.
+    ``axis_points``.  The oracles read only the fields, ``hilbert.iota``
+    and the basis elements, never a closed-form result.
     """
 
     @cached_property
     def hilbert(self) -> HilbertData:
         return hilbert_basis(self)
-
-    @property
-    def iota_basis(self) -> tuple[tuple[int, int], ...]:
-        """iota(r^i) = (u_i, v_i) of each basis element, r^i at index i-1."""
-        return self.hilbert.iota
 
     @cached_property
     def axis_points(self) -> tuple[int, int]:
@@ -314,7 +319,7 @@ def eta(cd: ClassData, i: int) -> Fraction:
     For e >= 4 its floor is a_i - 1; with e = 3 both ratios are exactly
     a_2 and the floor identity does not apply.
     """
-    iota = cd.iota_basis
+    iota = cd.hilbert.iota
     if not 2 <= i <= len(iota) - 1:
         raise IndexError(f"eta_i defined for 2 <= i <= e-1, got i={i}")
     (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2 : i + 1]
@@ -402,7 +407,7 @@ def zone_walk(
     """The points of a zone, generated fiber by fiber, for the oracles.
 
     ``size`` is (u_R, v_R) = iota(R) of the degree R, which the caller
-    reads from ``cd.iota_basis``; the zone is kappa <= u < kappa + u_R,
+    reads from ``cd.hilbert.iota``; the zone is kappa <= u < kappa + u_R,
     kappa <= v < kappa + v_R on ``lattice``.  These are the pairs (u, v)
     of ``zone_points(ZoneSpec(R, kappa, lattice), cd)``, in order of u;
     a reader that has its answer stops the walk there.  The fiber over

@@ -29,7 +29,7 @@ the zone of every degree, by :mod:`cqs.verify` and acceptance
 criterion 8.
 
 The oracles work in iota coordinates only.  A zone is named by its
-iota size iota(R) = k*iota(r^i), read from ``cd.iota_basis``, and a
+iota size iota(R) = k*iota(r^i), read from ``cd.hilbert.iota``, and a
 degree by d = (i, k): ``qg_oracle(cd, d)`` and ``vw_oracle(cd, d)`` take
 it as ``t1_space`` and ``phi_vector`` do, so no oracle builds or pairs an
 M-point.  Each reads its zones
@@ -61,7 +61,8 @@ has its closed form.
 
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
-class, ``t1_degrees(h)`` = ``h.degrees``, in table order.  A closed form
+class, ``h.degrees``, in table order; read first, it refuses e <= 3
+with DegenerateSingularityError before any column is started.  A closed form
 starts it as ``dict.fromkeys(table, default)`` and then sets only its
 few other entries; ``w_fast`` fills a list in table order, a slice per
 chain, and zips it with the table.  ``assemble_report`` reads each
@@ -93,7 +94,7 @@ from .cone_geometry import (
     zone_walk,
 )
 from .lattice import MPoint
-from .representations import DegenerateSingularityError, NQForm
+from .representations import NQForm
 
 
 # w_fast refuses a class whose W zones walk more fibers than this, the sum
@@ -167,19 +168,9 @@ class CayleyFamily(NamedTuple):
     rays: tuple[tuple[int, ...], ...]
 
 
-def t1_degrees(h: HilbertData) -> tuple[DegreeId, ...]:
-    """All T1-carrying degrees, ordered by (i, k): the table ``h.degrees``."""
-    if h.e <= 3:
-        raise DegenerateSingularityError(
-            f"embedding dimension {h.e} <= 3: smooth points and A_(n-1) "
-            "singularities (q = n-1) carry no graded deformation theory here"
-        )
-    return h.degrees
-
-
 def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
     """R = k*r^i as an M-point, for output; the oracles read iota(R) =
-    k*iota(r^i) from ``cd.iota_basis`` instead."""
+    k*iota(r^i) from ``cd.hilbert.iota`` instead."""
     return d.k * h.element(d.i)
 
 
@@ -191,7 +182,7 @@ def t1_dims(h: HilbertData) -> dict[DegreeId, int]:
     pairs (i, k), which equal and hash as DegreeId(i, k), so the keys
     stay the table's DegreeIds.
     """
-    out = dict.fromkeys(t1_degrees(h), 1)
+    out = dict.fromkeys(h.degrees, 1)
     out.update(((i, 1), 2) for i in range(3, h.e - 1))
     return out
 
@@ -210,7 +201,7 @@ def t1_space(cd: ClassData, d: DegreeId) -> tuple[tuple[int, int], ...]:
     <beta, .>, (0, 1); likewise (1, 0) at r^(e-1), which is N mod beta.
     """
     if d.k >= 2:
-        u_i, v_i = cd.iota_basis[d.i - 1]
+        u_i, v_i = cd.hilbert.iota[d.i - 1]
         return ((v_i, -u_i),)
     if d.i == 2:
         return ((0, 1),)
@@ -223,7 +214,7 @@ def phi_vector(cd: ClassData, d: DegreeId) -> tuple[int, int]:
     """iota(Rbar - m*R) for R = k*r^i: a direction is a V-direction in
     degree -R exactly when its functional vanishes here.  From the frame
     pairings, iota(Rbar) = (m, m)."""
-    u_i, v_i = cd.iota_basis[d.i - 1]
+    u_i, v_i = cd.hilbert.iota[d.i - 1]
     m = cd.m
     return m - m * d.k * u_i, m - m * d.k * v_i
 
@@ -236,7 +227,7 @@ def v_dims(cd: ClassData) -> dict[DegreeId, int]:
     contributes iff the cone is grounded and r^i is the central degree.
     """
     h = cd.hilbert
-    out = dict.fromkeys(t1_degrees(h), 0)
+    out = dict.fromkeys(h.degrees, 0)
     # the counting needs Rbar - m*r^i != 0, that is iota(r^i) != (1, 1),
     # which holds at every lattice degree (only Rbar/m has iota (1, 1))
     if (1, 1) in h.iota[1:-1]:
@@ -256,7 +247,7 @@ def qg_dims(cd: ClassData) -> dict[DegreeId, int]:
     |I|), where l is the central index.
     """
     h = cd.hilbert
-    out = dict.fromkeys(t1_degrees(h), 0)
+    out = dict.fromkeys(h.degrees, 0)
     if not h.grounded:
         return out
     ab, ell = cd.ab, h.central_index
@@ -276,7 +267,7 @@ def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     c = -1/g and c' = 1/h in (Z/mZ)*.
     """
     h = cd.hilbert
-    out = dict.fromkeys(t1_degrees(h), 0)
+    out = dict.fromkeys(h.degrees, 0)
     if not h.grounded:
         return out
     ell, iv = h.central_index, cd.interval
@@ -350,7 +341,7 @@ def _containment_oracle(cd: ClassData, d: DegreeId, tag: LatticeTag) -> bool:
     lu, lv = phi_vector(cd, d)
     if not (lu or lv):
         raise InternalConsistencyError("Rbar - m*R vanished; R = Rbar/m is not a lattice degree")
-    u_i, v_i = cd.iota_basis[d.i - 1]
+    u_i, v_i = cd.hilbert.iota[d.i - 1]
     # at kappa = 0 the base iota(kappa*R) is the origin
     return all(u * lv == v * lu for u, v in zone_walk(cd, (d.k * u_i, d.k * v_i), 0, tag))
 
@@ -400,7 +391,7 @@ def _constrained_dim(
 def v_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
     """dim ker Phi per degree, i.e. directions with <a, Rbar - m*R> = 0:
     the rank rule of ``_constrained_dim`` on the phi row alone, no zone."""
-    return {d: _constrained_dim(cd, d, (), True) for d in t1_degrees(cd.hilbert)}
+    return {d: _constrained_dim(cd, d, (), True) for d in cd.hilbert.degrees}
 
 
 def w_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
@@ -421,7 +412,7 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, as ``w_dims_oracle``, walking one zone per r^i.
 
     A degree -r^i keeps its own kappa = -1 zone and rank, read against
-    the base iota(-r^i) from ``cd.iota_basis``.  The chain k*r^i,
+    the base iota(-r^i) from ``cd.hilbert.iota``.  The chain k*r^i,
     2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
     ``w_chain_threshold(cd, i)`` and 0 from it on, set as one slice of the
     column, which is a list in table order until it is keyed; no chain
@@ -430,7 +421,7 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     walk.
     """
     h = cd.hilbert
-    table, iota = t1_degrees(h), cd.iota_basis
+    table, iota = h.degrees, h.iota
     if sum(u for u, _ in iota[1:-1]) > MAX_ZONE_FIBERS:
         raise OracleBoundError(
             f"the W zones of nq:{cd.nq.n}/{cd.nq.q} walk more than "
@@ -482,7 +473,7 @@ def w_chain_threshold(cd: ClassData, i: int) -> int:
     """
     a_i = cd.hilbert.coefficient(i)  # also refuses an i outside 2..e-1
     v0, u0 = cd.axis_points
-    iota = cd.iota_basis
+    iota = cd.hilbert.iota
     (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2], iota[i - 1], iota[i]
     least = min(
         -(-(v_prev + 2) // v_i), -(-(u_next + 2) // u_i),
@@ -497,9 +488,9 @@ def vw_dims_oracle(cd: ClassData) -> dict[DegreeId, int]:
 
 
 def _iso_minus_one_dims(cd: ClassData, with_phi: bool) -> dict[DegreeId, int]:
-    out = {}
-    for d in t1_degrees(cd.hilbert):
-        u_i, v_i = cd.iota_basis[d.i - 1]
+    h, out = cd.hilbert, {}
+    for d in h.degrees:
+        u_i, v_i = h.iota[d.i - 1]
         u_r, v_r = d.k * u_i, d.k * v_i
         zone = zone_walk(cd, (u_r, v_r), -1)
         out[d] = _constrained_dim(cd, d, zone_span(zone, (-u_r, -v_r)), with_phi)
@@ -527,9 +518,9 @@ def totals(cd: ClassData) -> T1Report:
     """The report of a class: V, qG and VW in closed form, W by ``w_fast``.
 
     Raises DegenerateSingularityError when the embedding dimension is at
-    most 3, and OracleBoundError past MAX_T1_DEGREES degrees, from the
-    first read of ``cd.hilbert``, or past MAX_ZONE_FIBERS fibers, from
-    ``w_fast``.
+    most 3, from the first read of ``cd.hilbert.degrees``, OracleBoundError
+    past MAX_T1_DEGREES degrees, from the first read of ``cd.hilbert``, or
+    past MAX_ZONE_FIBERS fibers, from ``w_fast``.
     """
     return assemble_report(cd, v_dims(cd), qg_dims(cd), vw_dims(cd), w_fast(cd))
 
@@ -541,7 +532,7 @@ def assemble_report(
     """The report of a class from its V, qG, VW and W columns.
 
     Every column must be keyed by exactly the degree table of the class,
-    ``t1_degrees(cd.hilbert)``, in table order, as every column function
+    ``cd.hilbert.degrees``, in table order, as every column function
     builds it; its values are then read as they stand, and any other
     column is refused.  The totals are the sums of the columns.
     Before returning, the columns are checked against the inclusion chain

@@ -10,7 +10,7 @@ passes is only counted; only a failed one formats its message line.  The
 deformation checks compute each closed form once per class and walk each
 zone once, and assemble the report from those columns (W is the rank on
 the kappa = -1 zone of each degree).  Each degree reads its iota size
-iota(R) = k*iota(r^i) once from ``cd.iota_basis``, and every walk of the
+iota(R) = k*iota(r^i) once from ``cd.hilbert.iota``, and every walk of the
 degree starts from it.  Each zone is read lazily from its
 ``zone_walk``: the first point says whether it is empty, and the walk
 goes on into its span (``zone_span``) and stops at the second
@@ -181,17 +181,17 @@ def _serve(work: Callable, share: Iterable, fd: int) -> None:
             out.flush()
 
 
-def _conversion_checks(nq: NQForm) -> VerificationResult:
-    """Round-trips through all five descriptions, plus mirror identities."""
+def _conversion_checks(nq: NQForm, cd: ClassData) -> VerificationResult:
+    """Round-trips through all five descriptions, plus mirror identities.
+
+    ``cd`` is the record of nq's standard cone: ``class_data`` found its
+    nq by the round trip cone -> interval -> abc -> nq, and its interval
+    and c' once, so they are read from it."""
     res = VerificationResult()
     abc = representations.nq_to_abc(nq)
     res.check(representations.abc_to_nq(abc) == nq, nq, "abc_roundtrip")
-    cone = representations.nq_to_cone(nq)
-    iv = representations.cone_to_interval(cone)
-    res.check(
-        representations.abc_to_nq(representations.interval_to_abc(iv)) == nq,
-        nq, "cone_interval_abc_roundtrip",
-    )
+    res.check(cd.nq == nq, nq, "cone_interval_abc_roundtrip")
+    iv = cd.interval
     res.check(
         representations.cone_to_interval(representations.interval_to_cone(iv)) == iv,
         nq, "interval_cone_interval_roundtrip",
@@ -204,7 +204,7 @@ def _conversion_checks(nq: NQForm) -> VerificationResult:
     res.check((abc.a, abc.b) == (abc_m.a, abc_m.b), nq, "mirror_shares_a_b")
     iv_m = representations.cone_to_interval(representations.nq_to_cone(mirror))
     res.check(IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, nq, "mirror_interval_negation")
-    res.check(representations.mirror_c(iv) == abc_m.c, nq, "mirror_c_prime")
+    res.check(cd.c_prime == abc_m.c, nq, "mirror_c_prime")
     res.check(
         representations.canonical_class(nq) == representations.canonical_class(mirror),
         nq, "canonical_class_invariance",
@@ -227,7 +227,7 @@ def _hilbert_checks(cd: ClassData) -> VerificationResult:
         res.check(ok, nq, "three_term_recursion", (i, 1))
     # adjacent r^j, r^(j+1) form a Z-basis of M iff their iota pairs, which
     # span a sublattice of index n in iota(M), have determinant +-n
-    iota = cd.iota_basis
+    iota = h.iota
     res.check(
         all(
             abs(u * v_next - v * u_next) == nq.n
@@ -276,7 +276,7 @@ def _deformation_checks(cd: ClassData) -> tuple[VerificationResult, T1Report | N
 
 
 def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
-    h, m, nq, iota = cd.hilbert, cd.m, cd.nq, cd.iota_basis
+    h, m, nq, iota = cd.hilbert, cd.m, cd.nq, cd.hilbert.iota
     check = res.check
 
     v = deformations.v_dims(cd)
@@ -296,7 +296,7 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
         for j, shifted in ((0, 3), (1, 2), (3, 4))
     ]
 
-    for d in deformations.t1_degrees(h):
+    for d in h.degrees:
         # every zone of the degree has the size (u_R, v_R) = iota(R) =
         # k*iota(r^i).  Each M-zone is walked once and read once: its first
         # point says whether it is empty, and the walk goes on into the span
@@ -416,8 +416,8 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
 
 
 def _class_checks(nq: NQForm):
-    # one record serves the Hilbert and the deformation checks; the
+    # one record serves the conversion, Hilbert and deformation checks; the
     # degenerate class q = n - 1 (embdim 3) gets no deformation checks
     cd = class_data(representations.nq_to_cone(nq))
     defo = None if nq.q == nq.n - 1 else _deformation_checks(cd)
-    return nq, _conversion_checks(nq), _hilbert_checks(cd), defo
+    return nq, _conversion_checks(nq, cd), _hilbert_checks(cd), defo

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from cqs.cli import main
 from cqs.cone_geometry import class_data
-from cqs.deformations import totals, vw_dims_oracle, w_dims_oracle, t1_degrees
+from cqs.deformations import totals, vw_dims_oracle, w_dims_oracle
 from cqs.representations import (
     NQForm,
     cone_to_interval,
@@ -173,6 +173,6 @@ def test_criterion_8_w_consistency():
             vw_rank = vw_dims_oracle(cd)
             w_rank = w_dims_oracle(cd)
             by_degree = {r.degree: r for r in report.per_degree}
-            for d in t1_degrees(h):
+            for d in h.degrees:
                 assert by_degree[d].dim_vw == vw_rank[d], (report.nq, d)
                 assert by_degree[d].dim_w == w_rank[d] >= vw_rank[d], (report.nq, d)

@@ -27,6 +27,7 @@ from cqs.cone_geometry import (
 )
 from cqs.lattice import MPoint, pairing
 from cqs.representations import (
+    DegenerateSingularityError,
     IntervalUD,
     InvalidSingularityError,
     NQForm,
@@ -35,7 +36,7 @@ from cqs.representations import (
     nq_to_cone,
 )
 
-from test_deformations import UNIMODULAR, transform
+from test_deformations import UNIMODULAR, refusal_in_128_mib, transform
 
 
 def cone_of(n, q):
@@ -44,6 +45,13 @@ def cone_of(n, q):
 
 def data_of(n, q):
     return class_data(cone_of(n, q))
+
+
+def zone_degrees(h):
+    """Each R = k*r^i, 2 <= i <= e-1 and 1 <= k <= a_i - 1, in the order of
+    ``h.degrees``; at e = 3 too, where that table is refused but the
+    zones of these R are still defined."""
+    return [k * h.element(i) for i, a in enumerate(h.coeffs, 2) for k in range(1, a)]
 
 
 def brute_zone(cone, R, kappa, shifts):
@@ -254,10 +262,25 @@ class TestHilbertBasis:
             with pytest.raises(OracleBoundError, match=f"nq:{n}/2 has more than MAX_T1_DEGREES"):
                 data_of(n, 2).hilbert
             assert len(hj_pulls) == terms
-        # e = 3 (one term, however large) is left to the degenerate check
+        # e = 3 (one term, however large) is left to the degenerate check,
+        # which the degree table makes before its first entry; read in a
+        # child, as a table of 10^30 - 1 entries would take all memory
         monkeypatch.undo()
         h = data_of(10**30, 10**30 - 1).hilbert
         assert (h.e, h.coeffs) == (3, (10**30,))
+        out = refusal_in_128_mib(f"NQForm({10**30}, {10**30 - 1})", "cd.hilbert.degrees")
+        assert out.startswith("DegenerateSingularityError: embedding dimension 3 <= 3")
+
+    def test_e3_degree_table_is_refused(self):
+        # the table refuses e = 3 itself, with the message every caller
+        # prints; nq:10^7/(10^7 - 1) would have 9,999,999 entries
+        for n, q in ((2, 1), (3, 2), (5, 4)):
+            h = data_of(n, q).hilbert
+            assert h.e == 3
+            with pytest.raises(DegenerateSingularityError, match="dimension 3 <= 3") as refusal:
+                h.degrees
+        out = refusal_in_128_mib("NQForm(10000000, 9999999)", "cd.hilbert.degrees")
+        assert out == f"DegenerateSingularityError: {refusal.value}\n"
 
     def test_printed_basis_pairs_to_the_iota_basis(self):
         # the basis is found in iota pairs and each M-point is built from
@@ -272,7 +295,7 @@ class TestHilbertBasis:
         for cone in cones:
             cd = class_data(cone)
             paired = tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in cd.hilbert.basis)
-            assert paired == cd.iota_basis, cone
+            assert paired == cd.hilbert.iota, cone
             n, q = cd.nq
             assert paired[:2] == ((0, n), (1, n - q)) and paired[-1] == (n, 0), cone
 
@@ -473,9 +496,8 @@ class TestZoneWalk:
                 if gcd(n, q) != 1:
                     continue
                 cd = data_of(n, q)
-                h, m = cd.hilbert, cd.m
-                for d in h.degrees:
-                    R = d.k * h.element(d.i)
+                m = cd.m
+                for R in zone_degrees(cd.hilbert):
                     for tag in LatticeTag:
                         for kappa in (0, -1, m - 1, m, 2 * m):
                             z = ZoneSpec(R, kappa, tag)
@@ -491,9 +513,9 @@ class TestMTildeProgression:
 
     @staticmethod
     def degree_zones(cd):
-        h, m = cd.hilbert, cd.m
-        for d in h.degrees:
-            yield d.k * h.element(d.i), (-1, 0, m - 1, m, 2 * m)
+        m = cd.m
+        for R in zone_degrees(cd.hilbert):
+            yield R, (-1, 0, m - 1, m, 2 * m)
 
     def test_every_class_up_to_40(self):
         zones = 0

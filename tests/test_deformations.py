@@ -26,7 +26,6 @@ from cqs.deformations import (
     qg_dims,
     qg_oracle,
     stable_iso_oracle,
-    t1_degrees,
     t1_dims,
     t1_space,
     totals,
@@ -52,6 +51,33 @@ from cqs.representations import (
 )
 
 
+def refusal_in_128_mib(form, read):
+    """What a child prints that builds ``cd`` from the NQForm expression
+    ``form``, evaluates ``read`` and prints the OracleBoundError or
+    DegenerateSingularityError it raises as ``Name: message``, in 128 MiB
+    of address space; it must finish within 5 s and write nothing to stderr."""
+    from test_cli import _limit_128_mib, cqs_env
+
+    script = (
+        "from cqs.cone_geometry import OracleBoundError, class_data\n"
+        "from cqs.deformations import totals\n"
+        "from cqs.representations import (\n"
+        "    CFForm, DegenerateSingularityError, NQForm, nq_to_cone, to_nq)\n"
+        f"cd = class_data(nq_to_cone({form}))\n"
+        f"try:\n    {read}\n"
+        "except (OracleBoundError, DegenerateSingularityError) as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cqs_env(),
+        preexec_fn=_limit_128_mib, timeout=60,
+    )
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
 def zone_offsets(R, kappa, cd):
     """iota(kappa*R - r) = (du, dv) for every lattice point r of Z_{R,kappa}.
 
@@ -72,7 +98,7 @@ def zone_threshold(cd, i):
     is the threshold.
     """
     a_i = cd.hilbert.coefficient(i)
-    u_i, v_i = cd.iota_basis[i - 1]
+    u_i, v_i = cd.hilbert.iota[i - 1]
     entries = [
         max((1 - du) // u_i, (1 - dv) // v_i) + 2 - a_i
         for du, dv in zone_offsets((a_i - 1) * cd.hilbert.element(i), -1, cd)
@@ -148,7 +174,7 @@ def assert_rank_rule(cd):
     """The W and VW oracles and _constrained_dim against the row reference."""
     h = cd.hilbert
     columns = {False: w_dims_oracle(cd), True: vw_dims_oracle(cd)}
-    for d in t1_degrees(h):
+    for d in h.degrees:
         offsets = zone_offsets(degree_vector(h, d), -1, cd)
         for with_phi, column in columns.items():
             expected = reference_constrained_dim(cd, d, offsets, with_phi)
@@ -281,23 +307,9 @@ class TestTotals:
         # each up front, within 5 s and 128 MiB of address space; the
         # Hilbert basis of nq:1000001/2 (500,000 degrees), which README's
         # Library section reads, is refused as its table would be
-        from test_cli import _limit_128_mib, cqs_env
-
-        script = (
-            "from cqs.cone_geometry import OracleBoundError, class_data\n"
-            "from cqs.deformations import totals\n"
-            "from cqs.representations import CFForm, NQForm, nq_to_cone, to_nq\n"
-            f"cd = class_data(nq_to_cone({form}))\n"
-            f"try:\n    {read}\nexcept OracleBoundError as exc:\n    print(exc)\n"
-        )
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=cqs_env(),
-            preexec_fn=_limit_128_mib, timeout=60,
-        )
-        assert time.monotonic() - start < 5
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        assert f"{bound} = {getattr(module, bound)}" in proc.stdout
+        out = refusal_in_128_mib(form, read)
+        assert out.startswith("OracleBoundError: ")
+        assert f"{bound} = {getattr(module, bound)}" in out
 
     def test_the_continued_fraction_is_expanded_once(self, hj_pulls):
         # nq:3001/2 expands 3001/2999 into 1,500 terms; totals reads them
@@ -373,9 +385,9 @@ class TestAssembly:
     def test_one_degree_table_per_class(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
-        assert t1_degrees(h) is t1_degrees(h) is h.degrees
-        assert list(t1_degrees(h)) == [d for d, _ in t1_dims(h).items()]
-        assert cd.iota_basis == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in h.basis)
+        assert h.degrees is h.degrees
+        assert list(h.degrees) == [d for d, _ in t1_dims(h).items()]
+        assert cd.hilbert.iota == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in h.basis)
 
     def test_records_keep_their_fields(self):
         rep = totals(setup_class_data(20, 11))
@@ -473,7 +485,7 @@ class TestIsoOracles:
     def test_iso0_holds_for_t1(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
-        for d in t1_degrees(h):
+        for d in h.degrees:
             span = zone_span(zone_offsets(degree_vector(h, d), 0, cd), (0, 0))
             for f in t1_space(cd, d):
                 assert iso_oracle(f, span)
@@ -517,7 +529,7 @@ class TestIsoOracles:
         h = cd.hilbert
         m = 2  # gcd(12, 6) = 6, a = 2
         seen = set()
-        for d in t1_degrees(h):
+        for d in h.degrees:
             R, phi = degree_vector(h, d), phi_vector(cd, d)
             for f in t1_space(cd, d):
                 for kappa in (-1, 0, 1):
@@ -539,7 +551,7 @@ def all_degrees(n_max):
     cones = standard_cones(n_max)
     for cone in cones + [transform(c, g) for c in cones for g in UNIMODULAR]:
         cd = class_data(cone)
-        for d in t1_degrees(cd.hilbert):
+        for d in cd.hilbert.degrees:
             yield cd, d
 
 
@@ -628,7 +640,7 @@ class TestContainmentOracles:
             from cqs.cone_geometry import is_grounded
 
             assert not is_grounded(cd.interval)
-            for d in t1_degrees(h):
+            for d in h.degrees:
                 if d.k >= 2 or 3 <= d.i <= h.e - 2:
                     assert not qg_oracle(cd, d), (n, q, d)
 
@@ -642,7 +654,7 @@ class TestContainmentOracles:
                 v = v_dims(cd)
                 qg = qg_dims(cd)
                 vw = vw_dims(cd)
-                for d in t1_degrees(h):
+                for d in h.degrees:
                     assert (qg[d] == 1) == (v[d] >= 1 and qg_oracle(cd, d)), (nq, d)
                     assert (vw[d] == 1) == (v[d] >= 1 and vw_oracle(cd, d)), (nq, d)
 
@@ -753,7 +765,7 @@ class TestRankOracles:
                 vw_rank = vw_dims_oracle(cd)
                 w = w_dims_oracle(cd)
                 v = v_dims_oracle(cd)
-                for d in t1_degrees(h):
+                for d in h.degrees:
                     assert vw[d] == vw_rank[d], (nq, d)
                     assert vw[d] <= w[d], (nq, d)
                     assert v_dims(cd)[d] == v[d], (nq, d)
@@ -785,7 +797,7 @@ class TestRankRule:
                     continue
                 cd = setup_class_data(n, q)
                 h = cd.hilbert
-                for d in t1_degrees(h):
+                for d in h.degrees:
                     if d.k == 1 and 3 <= d.i <= h.e - 2:
                         offsets = zone_offsets(degree_vector(h, d), -1, cd)
                         seen.add(2 - reference_constrained_dim(cd, d, offsets, False))
@@ -939,7 +951,7 @@ class TestPhi:
     def test_phi_zero_iff_stable(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
-        for d in t1_degrees(h):
+        for d in h.degrees:
             zone = zone_offsets(degree_vector(h, d), 0, cd)
             x, y = phi_vector(cd, d)
             for f in t1_space(cd, d):
@@ -1050,7 +1062,7 @@ class TestNonstandardCones:
                 assert cd.nq == std.nq and (cd.alpha, cd.beta) != (std.alpha, std.beta)
                 assert w_fast(cd) == w_dims_oracle(cd) == w_dims_oracle(std)
                 assert vw_dims_oracle(cd) == vw_dims_oracle(std)
-                for d in t1_degrees(std.hilbert):
+                for d in std.hilbert.degrees:
                     # each record reads the zones from its own iota basis
                     assert qg_oracle(cd, d) == qg_oracle(std, d), (n, q, d)
                     assert vw_oracle(cd, d) == vw_oracle(std, d), (n, q, d)
