@@ -29,9 +29,13 @@ zone of each k = 1 degree with ``zone_points``; the closed form, taken
 once per i, is checked against the oracle's rank in every chain degree,
 on the zones already walked.
 
-The per-class checks run through ``fan_out``, which spreads the classes
-of a sweep over the CPUs this process may use and hands the results back
-in enumeration order; the CLI's scan uses it as well.
+Each canonical class is checked together with its mirror, q' = 1/q mod
+n, in one call of ``_pair_checks``: the record of each is derived once,
+the mirror identities read the partner's record, and the two reports are
+compared there, so only the counts and failures go back.  ``fan_out``
+spreads the pairs of a sweep over the CPUs this process may use and
+hands the results back in enumeration order, and ``run_checks`` merges
+the classes in (n, q) order; the CLI's scan uses ``fan_out`` as well.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import gcd
 from typing import BinaryIO
 
@@ -181,12 +185,14 @@ def _serve(work: Callable, share: Iterable, fd: int) -> None:
             out.flush()
 
 
-def _conversion_checks(nq: NQForm, cd: ClassData) -> VerificationResult:
+def _conversion_checks(nq: NQForm, cd: ClassData, mirror: ClassData) -> VerificationResult:
     """Round-trips through all five descriptions, plus mirror identities.
 
     ``cd`` is the record of nq's standard cone: ``class_data`` found its
     nq by the round trip cone -> interval -> abc -> nq, and its interval
-    and c' once, so they are read from it."""
+    and c' once, so they are read from it.  ``mirror`` is the record of the
+    mirror class q' = 1/q mod n, and the mirror identities read its abc
+    and interval."""
     res = VerificationResult()
     abc = representations.nq_to_abc(nq)
     res.check(representations.abc_to_nq(abc) == nq, nq, "abc_roundtrip")
@@ -199,29 +205,26 @@ def _conversion_checks(nq: NQForm, cd: ClassData) -> VerificationResult:
     cf = cone_geometry.continued_fraction(nq.n, nq.n - nq.q)
     res.check(representations.cf_to_nq(cf) == nq, nq, "cf_roundtrip")
 
-    mirror = q_inverse(nq)
-    abc_m = representations.nq_to_abc(mirror)
-    res.check((abc.a, abc.b) == (abc_m.a, abc_m.b), nq, "mirror_shares_a_b")
-    iv_m = representations.cone_to_interval(representations.nq_to_cone(mirror))
-    res.check(IntervalUD(-iv.h, -iv.g, iv.m) == iv_m, nq, "mirror_interval_negation")
-    res.check(cd.c_prime == abc_m.c, nq, "mirror_c_prime")
+    res.check((abc.a, abc.b) == (mirror.abc.a, mirror.abc.b), nq, "mirror_shares_a_b")
+    res.check(IntervalUD(-iv.h, -iv.g, iv.m) == mirror.interval, nq, "mirror_interval_negation")
+    res.check(cd.c_prime == mirror.abc.c, nq, "mirror_c_prime")
     res.check(
-        representations.canonical_class(nq) == representations.canonical_class(mirror),
+        representations.canonical_class(nq) == representations.canonical_class(q_inverse(nq)),
         nq, "canonical_class_invariance",
     )
     return res
 
 
-def _hilbert_checks(cd: ClassData) -> VerificationResult:
-    """Three-term recursion against the convex-hull oracle, and eta identities."""
+def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
+    """Three-term recursion against the convex-hull oracle, and eta
+    identities; ``mirror`` is the record of the mirror class."""
     res = VerificationResult()
     nq = cd.nq
     h = cd.hilbert
     res.check(h == hilbert_basis_oracle(cd), nq, "hilbert_oracle")
-    # h.coeffs is the expansion of n/(n-q); the mirror's expansion of
-    # n/(n-q'), q' = 1/q mod n, is the same sequence reversed
-    mirror_cf = cone_geometry.continued_fraction(nq.n, nq.n - q_inverse(nq).q)
-    res.check(h.coeffs == mirror_cf.coefficients[::-1], nq, "hilbert_coeffs_vs_cf")
+    # h.coeffs is the expansion of n/(n-q); the mirror's, of n/(n-q'),
+    # q' = 1/q mod n, is the same sequence reversed
+    res.check(h.coeffs == mirror.hilbert.coeffs[::-1], nq, "hilbert_coeffs_vs_cf")
     for i in range(2, h.e):
         ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
         res.check(ok, nq, "three_term_recursion", (i, 1))
@@ -359,33 +362,6 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
     return report
 
 
-def _merge_deformations(
-    res: VerificationResult, mirrors: dict[NQForm, tuple[NQForm, T1Report]],
-    nq: NQForm, class_res: VerificationResult, report: T1Report | None,
-) -> None:
-    """Add the checks of one class, then compare it with its mirror once
-    the sweep, in (n, q) order, has reached both: a class leaves its report
-    in ``mirrors`` until then."""
-    res.merge(class_res)
-    if report is None:
-        return
-    mirror = q_inverse(nq)
-    if nq.q <= mirror.q:
-        mirrors[mirror] = (nq, report)
-    if nq in mirrors:  # the mirror's turn; a self-mirror class is its own mirror
-        first_nq, first = mirrors.pop(nq)
-        res.check(
-            first.totals == report.totals and first.embdim == report.embdim,
-            first_nq, "totals_mirror_invariance",
-        )
-        flipped = {
-            DegreeId(first.embdim + 1 - r.degree.i, r.degree.k): _columns(r)
-            for r in report.per_degree
-        }
-        own = {r.degree: _columns(r) for r in first.per_degree}
-        res.check(own == flipped, first_nq, "per_degree_mirror_reversal")
-
-
 def _columns(r: DegreeReport) -> tuple[int, ...]:
     return r.dim_t1, r.dim_v, r.dim_w, r.dim_vw, r.dim_qg
 
@@ -396,28 +372,54 @@ def run_checks(n_max: int) -> dict[str, VerificationResult]:
     Every class with 2 <= n <= n_max gets its conversion and Hilbert
     checks, and every class but the degenerate q = n - 1 its per-degree
     oracle equivalences and theorem checks, and is compared with its
-    mirror.  The classes are checked with ``fan_out`` and merged section by
-    section in (n, q) order, so the counts and the order of the failures
-    are the same at any number of CPUs.  A bound past ORACLE_BOUND is
-    refused with OracleBoundError before any class is built.
+    mirror.  Each canonical class is checked together with its mirror by
+    ``fan_out``, and the classes of each n are merged section by section
+    in order of q, so the counts and the order of the failures are the
+    same at any number of CPUs.  A bound past ORACLE_BOUND is refused with
+    OracleBoundError before any class is built.
     """
     if n_max > cone_geometry.ORACLE_BOUND:
         raise cone_geometry.OracleBoundError(
             f"verify bound {n_max} exceeds the oracle guard {cone_geometry.ORACLE_BOUND}"
         )
-    results = {name: VerificationResult() for name in ("conversions", "hilbert", "deformations")}
-    mirrors: dict[NQForm, tuple[NQForm, T1Report]] = {}
-    for nq, conv, hil, defo in fan_out(_class_checks, nq_range(n_max)):
-        results["conversions"].merge(conv)
-        results["hilbert"].merge(hil)
-        if defo is not None:
-            _merge_deformations(results["deformations"], mirrors, nq, *defo)
+    names = ("conversions", "hilbert", "deformations")
+    results = {name: VerificationResult() for name in names}
+    pairs = fan_out(_pair_checks, nq_range(n_max, canonical_only=True))
+    for _, same_n in groupby(pairs, key=lambda pair: pair[0][0].n):
+        for _, sections in sorted(chain.from_iterable(same_n), key=lambda c: c[0].q):
+            for name, res in zip(names, sections):
+                results[name].merge(res)
     return results
 
 
-def _class_checks(nq: NQForm):
-    # one record serves the conversion, Hilbert and deformation checks; the
-    # degenerate class q = n - 1 (embdim 3) gets no deformation checks
+def _pair_checks(nq: NQForm) -> list[tuple[NQForm, tuple[VerificationResult, ...]]]:
+    """The conversion, Hilbert and deformation checks of the canonical
+    class nq and of its mirror, each record derived once (a self-mirror
+    class is checked once); the degenerate class q = n - 1 (embdim 3) gets
+    no deformation checks.  The mirror comparison of the two reports
+    follows the later class's deformation checks, under nq."""
+    mirror_nq = q_inverse(nq)
     cd = class_data(representations.nq_to_cone(nq))
-    defo = None if nq.q == nq.n - 1 else _deformation_checks(cd)
-    return nq, _conversion_checks(nq, cd), _hilbert_checks(cd), defo
+    mirror = cd if mirror_nq == nq else class_data(representations.nq_to_cone(mirror_nq))
+    sides = [(nq, cd, mirror)] + ([(mirror_nq, mirror, cd)] if mirror is not cd else [])
+    classes, reports = [], []
+    for own, record, partner in sides:
+        defo, report = VerificationResult(), None
+        if own.q != own.n - 1:
+            defo, report = _deformation_checks(record)
+        sections = _conversion_checks(own, record, partner), _hilbert_checks(record, partner), defo
+        classes.append((own, sections))
+        reports.append(report)
+    if None not in reports:
+        first, later = reports[0], reports[-1]
+        defo.check(
+            first.totals == later.totals and first.embdim == later.embdim,
+            nq, "totals_mirror_invariance",
+        )
+        flipped = {
+            DegreeId(first.embdim + 1 - r.degree.i, r.degree.k): _columns(r)
+            for r in later.per_degree
+        }
+        own_columns = {r.degree: _columns(r) for r in first.per_degree}
+        defo.check(own_columns == flipped, nq, "per_degree_mirror_reversal")
+    return classes

@@ -69,7 +69,8 @@ def run(capsys, *argv):
 def sabotage_deformations(monkeypatch):
     """Break one oracle or closed form in each of a few classes with n <= 12.
 
-    ``verify`` reads ``v_dims`` first in every class, so the patch of
+    ``verify`` reads ``v_dims`` first in every class, and ends a class's
+    deformation checks before it starts the next class's, so the patch of
     ``v_dims`` records which class is being checked, and each other patch
     acts in its own class only.  The patches take their arguments as they
     come, so they do not depend on the oracles' signatures.
@@ -670,39 +671,60 @@ class TestVerify:
         assert "n=4 q=1 degree=(3,1) property=v_phi_kernel" in res.failures
 
     def test_each_class_derived_once(self, monkeypatch):
-        # one record per class, and one closed form of each kind and one
-        # report per non-degenerate class; a mirror is compared with the
-        # report kept from its first class
+        # one record per class, one conversion of each kind per class, and
+        # one closed form of each kind and one report per non-degenerate
+        # class; a class is checked with its mirror in one worker, so no
+        # report is handed back to the sweep.  A pair is checked together,
+        # so the classes are reached out of (n, q) order, and each call list
+        # is compared as a multiset
+        import pickle
         from collections import Counter
 
-        from cqs import deformations, verify
+        from cqs import representations, verify
 
         monkeypatch.setattr(verify, "cpu_count", lambda: 1)  # count in this process
         calls = Counter()
 
-        def counted(name, real):
-            def call(cd, *rest):
-                calls[name, cd.nq] += 1
-                return real(cd, *rest)
+        def counted(module, name):
+            real = getattr(module, name)
 
-            monkeypatch.setattr(deformations, name, call)
+            def call(first, *rest):
+                # keyed by the record's class; a conversion takes no record
+                calls[name, getattr(first, "nq", None)] += 1
+                return real(first, *rest)
+
+            monkeypatch.setattr(module, name, call)
 
         for name in ("v_dims", "qg_dims", "vw_dims", "assemble_report", "totals"):
-            counted(name, getattr(deformations, name))
+            counted(deformations, name)
+        for name in ("nq_to_cone", "nq_to_abc", "cone_to_interval"):
+            counted(representations, name)
+        counted(cone_geometry, "continued_fraction")
         built = []
         real_data = verify.class_data
         monkeypatch.setattr(
             verify, "class_data", lambda cone: built.append(real_data(cone)) or built[-1]
         )
+        handed = []  # what fan_out yields, as a worker would pickle it
+        real_fan_out = verify.fan_out
+
+        def fan_out(work, items):
+            for out in real_fan_out(work, items):
+                handed.append(pickle.dumps(out))
+                yield out
+
+        monkeypatch.setattr(verify, "fan_out", fan_out)
         assert all(res.ok for res in verify.run_checks(20).values())
-        assert sorted((cd.nq for cd in built), key=lambda nq: (nq.n, nq.q)) == list(
-            verify.nq_range(20)
-        )
-        classes = list(verify.nq_range(20, skip_degenerate=True))
+        every = list(verify.nq_range(20))
+        assert Counter(cd.nq for cd in built) == Counter(every) and len(every) == 127
+        classes = Counter(verify.nq_range(20, skip_degenerate=True))
         for name in ("v_dims", "qg_dims", "vw_dims", "assemble_report"):
-            assert [nq for (f, nq) in calls if f == name] == classes, name
-        assert set(calls.values()) == {1}
+            assert Counter(nq for (f, nq) in calls.elements() if f == name) == classes, name
+        for name in ("nq_to_cone", "nq_to_abc", "cone_to_interval", "continued_fraction"):
+            assert sum(n for (f, _), n in calls.items() if f == name) == len(every), name
         assert not any(f == "totals" for f, _ in calls)
+        assert len(handed) == len(list(verify.nq_range(20, canonical_only=True)))
+        assert not any(b"T1Report" in out or b"DegreeReport" in out for out in handed)
 
     def test_each_zone_enumerated_once(self, monkeypatch):
         # per (class, iota(R), kappa, lattice): one walk serves the emptiness
@@ -775,20 +797,27 @@ class TestVerify:
             *head, last = real(p, s)
             yield from (*head, last + 1)
 
+        def faulty_record(nq):
+            # the record a faulty expansion would give: a cached_property
+            # reads the instance dict
+            cd = class_data(nq_to_cone(nq))
+            h = hilbert_basis_oracle(cd)
+            coeffs = tuple(faulty(nq.n, nq.n - nq.q))
+            vars(cd)["hilbert"] = HilbertData(
+                h.basis, h.iota, coeffs, h.e, h.central_index, h.grounded
+            )
+            return cd
+
         cd = class_data(nq_to_cone(NQForm(7, 3)))  # coefficients (2, 4), mirror (4, 2)
-        assert verify._hilbert_checks(cd).ok
+        assert verify._hilbert_checks(cd, class_data(nq_to_cone(NQForm(7, 5)))).ok
         monkeypatch.setattr(cone_geometry, "hj_coefficients", faulty)
-        h = hilbert_basis_oracle(cd)
-        # the record a faulty expansion would give: a cached_property reads
-        # the instance dict
-        vars(cd)["hilbert"] = HilbertData(
-            h.basis, h.iota, tuple(faulty(7, 4)), h.e, h.central_index, h.grounded
-        )
+        cd, mirror = faulty_record(NQForm(7, 3)), faulty_record(NQForm(7, 5))
         assert cd.hilbert.coeffs == continued_fraction(7, 4).coefficients == (2, 5)
-        failures = verify._hilbert_checks(cd).failures
+        assert mirror.hilbert.coeffs == continued_fraction(7, 2).coefficients == (4, 3)
+        failures = verify._hilbert_checks(cd, mirror).failures
         assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sabotaged_golden(self, capsys, monkeypatch, workers):
         # every property the deformation checks can emit fails at least
         # once, so the text and order of each mismatch line are pinned
