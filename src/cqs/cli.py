@@ -47,7 +47,6 @@ from fractions import Fraction
 from . import __version__
 from .cone_geometry import (
     ClassData,
-    HilbertData,
     OracleBoundError,
     binomial_equations,
     class_data,
@@ -208,14 +207,15 @@ class DegreeRows:
     """The per-degree rows of a report document, kept as their records.
 
     The JSON writer prints each ``DegreeReport`` as the object of its
-    fields and its degree's ``i`` and ``k``, with ``degree`` its degree
-    vector, and builds no dict per row.
+    fields and its degree's ``i`` and ``k``, and builds no dict per row;
+    ``degree``, the degree vector, is built from the degree's iota pair
+    by ``degree_vector(cd, d)`` as the row is written.
     """
 
-    __slots__ = ("hilbert", "rows")
+    __slots__ = ("cd", "rows")
 
-    def __init__(self, hilbert: HilbertData, rows: tuple[DegreeReport, ...]):
-        self.hilbert, self.rows = hilbert, rows
+    def __init__(self, cd: ClassData, rows: tuple[DegreeReport, ...]):
+        self.cd, self.rows = cd, rows
 
 
 def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
@@ -228,7 +228,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
         "input_echo": _forms_block(cd, h.coeffs),
         "hilbert": {
             "e": h.e,
-            "basis": h.basis,
+            "basis": [cd.m_point(u, v) for u, v in h.iota],
             "coeffs": h.coeffs,
             "central_degree": cd.rbar,
             "central_index": h.central_index,
@@ -242,7 +242,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
             "interval_length": str(cd.interval.length),
         },
         "t1": None if report is None else {
-            "per_degree": DegreeRows(h, report.per_degree),
+            "per_degree": DegreeRows(cd, report.per_degree),
             "totals": {**report.totals._asdict(), "gap": report.gap},
         },
         "cayley": _cayley_block(cayley_family(cd)),
@@ -349,11 +349,11 @@ def _json_degree_rows(table: DegreeRows, indent: str) -> Iterator[str]:
         return
     item = indent + "  "
     template = _ROW_TEMPLATE.replace("\n", "\n" + item)
-    h, text = table.hilbert, int.__repr__
+    cd, text = table.cd, int.__repr__
     sep = "[\n" + item
     for r in table.rows:
         (i, k), t1, v, w, vw, qg, last = r
-        x, y = degree_vector(h, r.degree)
+        x, y = degree_vector(cd, r.degree)
         yield sep + template % (
             text(x), text(y), text(qg), text(t1), text(v), text(vw), text(w), text(i), text(k),
             "true" if last is True else "false" if last is False else text(last),
@@ -394,7 +394,7 @@ def cmd_analyze(args) -> int:
     elif args.csv:
         print(DEGREE_HEADER)
         for r in report.per_degree if report is not None else ():
-            print(_csv(*r.degree, *degree_vector(cd.hilbert, r.degree), *r[1:]))
+            print(_csv(*r.degree, *degree_vector(cd, r.degree), *r[1:]))
     else:
         for line in _human_lines(cd, report):
             print(line)
@@ -408,7 +408,7 @@ def _human_lines(cd: ClassData, report: T1Report | None) -> Iterator[str]:
     forms = (cd.abc, ConeForm(cd.alpha, cd.beta), cd.interval, CFForm(h.coeffs))
     yield "forms: " + "  ".join(map(format_form, forms))
     yield f"canonical class: {format_form(canonical_class(cd.nq))}"
-    yield f"hilbert basis (e={h.e}): " + " ".join(map(str, h.basis))
+    yield f"hilbert basis (e={h.e}): " + " ".join(str(cd.m_point(u, v)) for u, v in h.iota)
     where = f" = r^{h.central_index}" if h.central_index else ""
     yield (
         f"coefficients: [{_csv(*h.coeffs)}]  central degree {cd.rbar}{where}"
@@ -425,7 +425,7 @@ def _human_lines(cd: ClassData, report: T1Report | None) -> Iterator[str]:
     yield "degree table (R = k*r^i):"
     yield "  i  k  degree      dim_t1  dim_v  dim_w  dim_vw  dim_qg  last"
     for r in report.per_degree:
-        deg = str(degree_vector(h, r.degree))
+        deg = str(degree_vector(cd, r.degree))
         yield (
             f"  {r.degree.i:<2} {r.degree.k:<2} {deg:<11} {r.dim_t1:<7} {r.dim_v:<6}"
             f" {r.dim_w:<6} {r.dim_vw:<7} {r.dim_qg:<7}{'  *' if r.last_deformation else ''}"

@@ -15,7 +15,10 @@ whose lattice points generate all the flatness constraints used in
 :mod:`cqs.deformations`.  A zone is cut out by the two integer pairings
 iota(r) = (<alpha,r>, <beta,r>), so its points are found and returned as
 integer pairs (u, v) = iota(r); the zone path uses integers only and
-boundary points are decided without tolerance.  ``continued_fraction``
+boundary points are decided without tolerance.  The Hilbert basis is
+found and kept in iota pairs too; ``ClassData.m_point`` builds the
+M-point of a pair only where one is printed, walked (a ``ZoneSpec``) or
+checked.  ``continued_fraction``
 refuses more than MAX_CF_TERMS terms, ``hilbert_basis`` a class with
 more than MAX_T1_DEGREES T1-carrying degrees, and
 ``hilbert_basis_oracle`` an n past ORACLE_BOUND, each with
@@ -92,19 +95,20 @@ class _Frozen:
 
 
 class HilbertData(
-    _Frozen, namedtuple("HilbertData", "basis iota coeffs e central_index grounded")
+    _Frozen, namedtuple("HilbertData", "iota coeffs e central_index grounded")
 ):
-    """Ordered Hilbert basis of the dual cone plus its central data.
+    """Ordered Hilbert basis of the dual cone, in iota pairs, plus its central data.
 
-    ``basis[i-1]`` is r^i (1-based indexing as in r^1, ..., r^e) and
-    ``iota[i-1]`` its pair iota(r^i) = (<alpha,r^i>, <beta,r^i>), coeffs
-    are [a_2, ..., a_{e-1}], and ``grounded`` records whether the central
-    degree Rbar (``ClassData.rbar``, the primitive generator of the ray
-    through r^1 + r^e) is itself a basis element; then ``central_index``
-    is its 1-based position.  ``hilbert_basis`` and
-    ``hilbert_basis_oracle`` find the iota pairs and ``_finish`` the
-    rest, building each M-point once.  ``degrees``, the degree table, is
-    built on first read and kept.
+    ``iota[i-1]`` is iota(r^i) = (<alpha,r^i>, <beta,r^i>) (1-based
+    indexing as in r^1, ..., r^e), coeffs are [a_2, ..., a_{e-1}], and
+    ``grounded`` records whether the central degree Rbar
+    (``ClassData.rbar``, the primitive generator of the ray through
+    r^1 + r^e) is itself a basis element; then ``central_index`` is its
+    1-based position.  ``hilbert_basis`` and ``hilbert_basis_oracle``
+    find the pairs and ``_finish`` the rest.  No M-point is kept: a
+    reader that prints, walks or checks r^i builds it from its pair with
+    ``ClassData.m_point``.  ``degrees``, the degree table, is built on
+    first read and kept.
     """
 
     @cached_property
@@ -125,12 +129,6 @@ class HilbertData(
             raise IndexError(f"a_i defined for 2 <= i <= e-1, got i={i}")
         return self.coeffs[i - 2]
 
-    def element(self, i: int) -> MPoint:
-        """r^i for 1 <= i <= e."""
-        if not 1 <= i <= self.e:
-            raise IndexError(f"r^i defined for 1 <= i <= e, got i={i}")
-        return self.basis[i - 1]
-
 
 class LatticeTag(enum.Enum):
     """Which lattice the zone is intersected with."""
@@ -143,7 +141,8 @@ class LatticeTag(enum.Enum):
 class ZoneSpec(NamedTuple):
     """A zone as ``zone_points`` takes it: the degree R, kappa and the lattice.
 
-    The oracles' ``zone_walk`` takes iota(R) instead, which they read from
+    ``w_fast`` builds R from its pair with ``ClassData.m_point``.  The
+    oracles' ``zone_walk`` takes iota(R) instead, which they read from
     ``hilbert.iota`` for every degree.
     """
 
@@ -170,13 +169,26 @@ class ClassData(
     :func:`class_data` computes every field.  ``hilbert`` is built by
     :func:`hilbert_basis` from them on first read and kept on the record,
     so a caller that never reads it never pays for it, and so is
-    ``axis_points``.  The oracles read only the fields, ``hilbert.iota``
-    and the basis elements, never a closed-form result.
+    ``axis_points``.  The oracles read only the fields and
+    ``hilbert.iota``, never a closed-form result.  ``m_point`` maps a pair
+    of iota(M) back to its M-point, for the readers that print, walk or
+    check one.
     """
 
     @cached_property
     def hilbert(self) -> HilbertData:
         return hilbert_basis(self)
+
+    def m_point(self, u: int, v: int) -> MPoint:
+        """The r in M with iota(r) = (u, v); AssertionError if (u, v) is
+        not in iota(M), as a pair off the lattice means a broken frame."""
+        # inverse of the matrix with rows alpha, beta, applied to (u, v)
+        a, b = self.alpha, self.beta
+        x, rx = divmod(b.y * u - a.y * v, self.det)
+        y, ry = divmod(a.x * v - b.x * u, self.det)
+        if rx or ry:
+            raise AssertionError(f"({u}, {v}) not in iota(M) for <{a}, {b}>")
+        return MPoint(x, y)
 
     @cached_property
     def axis_points(self) -> tuple[int, int]:
@@ -208,16 +220,6 @@ def class_data(c: ConeForm) -> ClassData:
         abc_to_nq(abc), c.alpha, c.beta, iv, abc, mirror_c(iv),
         rbar, iv.m, det2(c.alpha, c.beta), bw, ab,
     )
-
-
-def _preimage(cd: ClassData, u: int, v: int) -> MPoint:
-    # inverse of the matrix with rows alpha, beta, applied to (u, v)
-    a, b = cd.alpha, cd.beta
-    x, rx = divmod(b.y * u - a.y * v, cd.det)
-    y, ry = divmod(a.x * v - b.x * u, cd.det)
-    if rx or ry:
-        raise AssertionError(f"({u}, {v}) not in iota(M) for <{a}, {b}>")
-    return MPoint(x, y)
 
 
 def continued_fraction(p: int, s: int) -> CFForm:
@@ -305,12 +307,14 @@ def hilbert_basis_oracle(cd: ClassData) -> HilbertData:
 
 
 def _finish(cd: ClassData, iota: list[tuple[int, int]], coeffs) -> HilbertData:
-    # Rbar is the basis element with iota(Rbar) = (m, m), if any; each
-    # M-point is built here, once
+    # every pair is an integer combination of iota(r^1) and iota(r^2), by
+    # the recursion or by the oracle's check of it, so all lie in iota(M)
+    # once these two do; Rbar is the basis element with iota(Rbar) = (m, m)
+    cd.m_point(*iota[0])
+    cd.m_point(*iota[1])
     rbar = (cd.m, cd.m)
     index = iota.index(rbar) + 1 if rbar in iota else None
-    basis = tuple([_preimage(cd, u, v) for u, v in iota])
-    return HilbertData(basis, tuple(iota), tuple(coeffs), len(basis), index, index is not None)
+    return HilbertData(tuple(iota), tuple(coeffs), len(iota), index, index is not None)
 
 
 def eta(cd: ClassData, i: int) -> Fraction:

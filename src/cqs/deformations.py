@@ -168,10 +168,10 @@ class CayleyFamily(NamedTuple):
     rays: tuple[tuple[int, ...], ...]
 
 
-def degree_vector(h: HilbertData, d: DegreeId) -> MPoint:
-    """R = k*r^i as an M-point, for output; the oracles read iota(R) =
-    k*iota(r^i) from ``cd.hilbert.iota`` instead."""
-    return d.k * h.element(d.i)
+def degree_vector(cd: ClassData, d: DegreeId) -> MPoint:
+    """R = k*r^i as an M-point, for output: k times the r^i that
+    ``cd.m_point`` builds from iota(r^i); the oracles read the pair instead."""
+    return d.k * cd.m_point(*cd.hilbert.iota[d.i - 1])
 
 
 def t1_dims(h: HilbertData) -> dict[DegreeId, int]:
@@ -412,13 +412,14 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     """dim T1_W per degree, as ``w_dims_oracle``, walking one zone per r^i.
 
     A degree -r^i keeps its own kappa = -1 zone and rank, read against
-    the base iota(-r^i) from ``cd.hilbert.iota``.  The chain k*r^i,
-    2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
+    the base iota(-r^i) from ``cd.hilbert.iota``; its ``ZoneSpec`` takes
+    r^i as the M-point ``cd.m_point`` builds from that pair.  The chain
+    k*r^i, 2 <= k <= a_i - 1, is decided in closed form: W = 1 for k below
     ``w_chain_threshold(cd, i)`` and 0 from it on, set as one slice of the
     column, which is a list in table order until it is keyed; no chain
-    zone is walked.  A class whose zones have more than MAX_ZONE_FIBERS
-    fibers, the sum of u_i = <alpha, r^i>, is refused before the first
-    walk.
+    zone is walked, and an empty chain (a_i = 2) reads no threshold.  A
+    class whose zones have more than MAX_ZONE_FIBERS fibers, the sum of
+    u_i = <alpha, r^i>, is refused before the first walk.
     """
     h = cd.hilbert
     table, iota = h.degrees, h.iota
@@ -431,9 +432,10 @@ def w_fast(cd: ClassData) -> dict[DegreeId, int]:
     j = 0  # table[j] is (i, 1), and table[j + k - 1] is (i, k)
     for i, a in enumerate(h.coeffs, 2):
         u, v = iota[i - 1]
-        zone = zone_points(ZoneSpec(h.basis[i - 1], -1), cd)
+        zone = zone_points(ZoneSpec(cd.m_point(u, v), -1), cd)
         col[j] = _constrained_dim(cd, table[j], zone_span(zone, (-u, -v)), False)
-        ones = w_chain_threshold(cd, i) - 2  # the chain degrees with W = 1
+        # the chain degrees with W = 1; an empty chain (a = 2) has none
+        ones = w_chain_threshold(cd, i) - 2 if a > 2 else 0
         col[j + 1 : j + 1 + ones] = repeat(1, ones)
         j += a - 1
     return dict(zip(table, col))

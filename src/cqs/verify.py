@@ -217,7 +217,9 @@ def _conversion_checks(nq: NQForm, cd: ClassData, mirror: ClassData) -> Verifica
 
 def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
     """Three-term recursion against the convex-hull oracle, and eta
-    identities; ``mirror`` is the record of the mirror class."""
+    identities; ``mirror`` is the record of the mirror class.  The oracle
+    is compared on the iota pairs and coefficients, and the recursion is
+    checked on the M-points that ``cd.m_point`` builds from the pairs."""
     res = VerificationResult()
     nq = cd.nq
     h = cd.hilbert
@@ -225,9 +227,9 @@ def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
     # h.coeffs is the expansion of n/(n-q); the mirror's, of n/(n-q'),
     # q' = 1/q mod n, is the same sequence reversed
     res.check(h.coeffs == mirror.hilbert.coeffs[::-1], nq, "hilbert_coeffs_vs_cf")
-    for i in range(2, h.e):
-        ok = h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
-        res.check(ok, nq, "three_term_recursion", (i, 1))
+    r = [cd.m_point(u, v) for u, v in h.iota]  # the pairs the oracle just matched
+    for i, (prev, mid, succ) in enumerate(zip(r, r[1:], r[2:]), 2):
+        res.check(prev + succ == h.coefficient(i) * mid, nq, "three_term_recursion", (i, 1))
     # adjacent r^j, r^(j+1) form a Z-basis of M iff their iota pairs, which
     # span a sublattice of index n in iota(M), have determinant +-n
     iota = h.iota

@@ -526,7 +526,7 @@ def plain_document(cd, report):
     doc = cli.build_report_document(cd, report)
     if report is not None:
         doc["t1"]["per_degree"] = [
-            {**r._asdict(), **r.degree._asdict(), "degree": degree_vector(cd.hilbert, r.degree)}
+            {**r._asdict(), **r.degree._asdict(), "degree": degree_vector(cd, r.degree)}
             for r in report.per_degree
         ]
     return doc
@@ -754,7 +754,7 @@ class TestVerify:
             cd = class_data(nq_to_cone(nq))
             h, m, v = cd.hilbert, cd.m, deformations.v_dims(cd)
             for d in h.degrees:
-                R = deformations.degree_vector(h, d)
+                R = deformations.degree_vector(cd, d)
                 R = pairing(cd.alpha, R), pairing(cd.beta, R)
                 expected.update(
                     (nq, R, kappa, LatticeTag.M) for kappa in (0, -1, m - 1, m, 2 * m)
@@ -789,7 +789,7 @@ class TestVerify:
         # property compares them with the mirror's expansion, reversed, so
         # it fails where a comparison with the same expansion would pass
         from cqs import cone_geometry, verify
-        from cqs.cone_geometry import HilbertData, hilbert_basis_oracle
+        from cqs.cone_geometry import hilbert_basis_oracle
 
         real = cone_geometry.hj_coefficients
 
@@ -803,9 +803,7 @@ class TestVerify:
             cd = class_data(nq_to_cone(nq))
             h = hilbert_basis_oracle(cd)
             coeffs = tuple(faulty(nq.n, nq.n - nq.q))
-            vars(cd)["hilbert"] = HilbertData(
-                h.basis, h.iota, coeffs, h.e, h.central_index, h.grounded
-            )
+            vars(cd)["hilbert"] = h._replace(coeffs=coeffs)
             return cd
 
         cd = class_data(nq_to_cone(NQForm(7, 3)))  # coefficients (2, 4), mirror (4, 2)

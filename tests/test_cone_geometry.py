@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,6 @@ from cqs.cone_geometry import (
     LatticeTag,
     OracleBoundError,
     ZoneSpec,
-    _preimage,
     ab_floor_data,
     binomial_equations,
     class_data,
@@ -25,7 +25,7 @@ from cqs.cone_geometry import (
     zone_points,
     zone_walk,
 )
-from cqs.lattice import MPoint, pairing
+from cqs.lattice import MPoint, NPoint, pairing
 from cqs.representations import (
     DegenerateSingularityError,
     IntervalUD,
@@ -36,7 +36,7 @@ from cqs.representations import (
     nq_to_cone,
 )
 
-from test_deformations import UNIMODULAR, refusal_in_128_mib, transform
+from test_deformations import UNIMODULAR, element, refusal_in_128_mib, transform
 
 
 def cone_of(n, q):
@@ -47,11 +47,26 @@ def data_of(n, q):
     return class_data(cone_of(n, q))
 
 
-def zone_degrees(h):
+def zone_degrees(cd):
     """Each R = k*r^i, 2 <= i <= e-1 and 1 <= k <= a_i - 1, in the order of
     ``h.degrees``; at e = 3 too, where that table is refused but the
     zones of these R are still defined."""
-    return [k * h.element(i) for i, a in enumerate(h.coeffs, 2) for k in range(1, a)]
+    return [k * element(cd, i) for i, a in enumerate(cd.hilbert.coeffs, 2) for k in range(1, a)]
+
+
+def unimodular_cones():
+    """Every class with n < 26 in the four ``UNIMODULAR`` transforms of its
+    standard cone."""
+    return [
+        transform(cone_of(n, q), g)
+        for n in range(2, 26) for q in range(1, n) if gcd(n, q) == 1
+        for g in UNIMODULAR
+    ]
+
+
+def m_basis(cd, h):
+    """The M-points that ``cd.m_point`` builds from the pairs ``h.iota``."""
+    return [cd.m_point(u, v) for u, v in h.iota]
 
 
 def brute_zone(cone, R, kappa, shifts):
@@ -203,22 +218,24 @@ class TestHilbertBasis:
     def test_worked_example(self):
         cd = data_of(20, 11)
         h = cd.hilbert
-        assert [(r.u, r.v) for r in h.basis] == [
+        assert m_basis(cd, h) == [
             (0, 1), (1, 1), (3, 2), (5, 3), (7, 4), (9, 5), (20, 11),
         ]
         assert h.coeffs == (3, 2, 2, 2, 3)
         assert h.e == 7
         assert h.grounded and h.central_index == 4
-        assert h.element(h.central_index) == cd.rbar == MPoint(5, 3)
+        assert element(cd, h.central_index) == cd.rbar == MPoint(5, 3)
 
     def test_a1(self):
-        h = data_of(2, 1).hilbert
-        assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1)]
+        cd = data_of(2, 1)
+        h = cd.hilbert
+        assert m_basis(cd, h) == [(0, 1), (1, 1), (2, 1)]
         assert h.e == 3
 
     def test_4_1(self):
-        h = data_of(4, 1).hilbert
-        assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
+        cd = data_of(4, 1)
+        h = cd.hilbert
+        assert m_basis(cd, h) == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
         assert h.coeffs == (2, 2, 2)
         assert h.e == 5
 
@@ -228,8 +245,9 @@ class TestHilbertBasis:
             assert cd.hilbert == hilbert_basis_oracle(cd)
 
     def test_oracle_7_3(self):
-        h = hilbert_basis_oracle(data_of(7, 3))
-        assert [(r.u, r.v) for r in h.basis] == [(0, 1), (1, 1), (2, 1), (7, 3)]
+        cd = data_of(7, 3)
+        h = hilbert_basis_oracle(cd)
+        assert m_basis(cd, h) == [(0, 1), (1, 1), (2, 1), (7, 3)]
         assert h.e == 4
 
     @pytest.mark.parametrize("n", range(2, 61))
@@ -241,8 +259,9 @@ class TestHilbertBasis:
             h = cd.hilbert
             assert h == hilbert_basis_oracle(cd)
             for i in range(2, h.e):
-                assert h.element(i - 1) + h.element(i + 1) == h.coefficient(i) * h.element(i)
-            for r, s in zip(h.basis, h.basis[1:]):
+                assert element(cd, i - 1) + element(cd, i + 1) == h.coefficient(i) * element(cd, i)
+            basis = m_basis(cd, h)
+            for r, s in zip(basis, basis[1:]):
                 assert abs(r.u * s.v - r.v * s.u) == 1
 
     def test_oracle_bound(self):
@@ -256,7 +275,7 @@ class TestHilbertBasis:
         t = MAX_T1_DEGREES
         assert len(data_of(2 * t - 1, 2).hilbert.degrees) == t
         assert len(hj_pulls) == t - 1
-        monkeypatch.setattr(cone_geometry, "_preimage", None)  # no M-point may be built
+        monkeypatch.setattr(cone_geometry, "MPoint", None)  # no M-point may be built
         for n, terms in ((2 * t + 1, t), (10**30 + 1, t + 1)):
             hj_pulls.clear()
             with pytest.raises(OracleBoundError, match=f"nq:{n}/2 has more than MAX_T1_DEGREES"):
@@ -283,21 +302,47 @@ class TestHilbertBasis:
         assert out == f"DegenerateSingularityError: {refusal.value}\n"
 
     def test_printed_basis_pairs_to_the_iota_basis(self):
-        # the basis is found in iota pairs and each M-point is built from
-        # its pair; pairing the M-points back gives the same pairs, and
-        # (0, n), (1, n - q), (n, 0) at r^1, r^2, r^e, in every cone
+        # each M-point is built from its iota pair by cd.m_point; pairing
+        # the M-points back gives the same pairs, and (0, n), (1, n - q),
+        # (n, 0) at r^1, r^2, r^e, in every cone
         cones = [cone_of(n, q) for n in range(2, 61) for q in range(1, n) if gcd(n, q) == 1]
-        cones += [
-            transform(cone_of(n, q), g)
-            for n in range(2, 26) for q in range(1, n) if gcd(n, q) == 1
-            for g in UNIMODULAR
-        ]
-        for cone in cones:
+        for cone in cones + unimodular_cones():
             cd = class_data(cone)
-            paired = tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in cd.hilbert.basis)
+            basis = m_basis(cd, cd.hilbert)
+            paired = tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in basis)
             assert paired == cd.hilbert.iota, cone
             n, q = cd.nq
             assert paired[:2] == ((0, n), (1, n - q)) and paired[-1] == (n, 0), cone
+
+    def test_hilbert_data_builds_only_the_two_seeds(self, monkeypatch):
+        # either path finds the pairs alone: the only M-points built are
+        # r^1 and r^2, whose lattice membership carries every other pair
+        built = []
+
+        def counted(x, y):
+            built.append(MPoint(x, y))
+            return built[-1]
+
+        cones = [cone_of(n, q) for n in range(2, 41) for q in range(1, n) if gcd(n, q) == 1]
+        monkeypatch.setattr(cone_geometry, "MPoint", counted)
+        for cone in cones + unimodular_cones():
+            cd = class_data(cone)
+            n, q = cd.nq
+            for find in (lambda: cd.hilbert, lambda: hilbert_basis_oracle(cd)):
+                built.clear()
+                assert find().iota[:2] == ((0, n), (1, n - q))
+                paired = [(pairing(cd.alpha, r), pairing(cd.beta, r)) for r in built]
+                assert paired == [(0, n), (1, n - q)], cone
+
+    def test_a_frame_that_does_not_carry_its_class_is_refused(self):
+        # beta = (-2, 7) is not the cone of nq:7/3, so iota(r^2) = (1, 4)
+        # has no M-point in its frame; both paths check the seeds
+        cd = class_data(cone_of(7, 3))._replace(beta=NPoint(-2, 7))
+        message = re.escape("(1, 4) not in iota(M) for <(1,0), (-2,7)>")
+        with pytest.raises(AssertionError, match=message):
+            cd.hilbert
+        with pytest.raises(AssertionError, match=message):
+            hilbert_basis_oracle(cd)
 
     def test_nonstandard_coordinates(self):
         # same singularity presented as C(I); basis lives in those coordinates
@@ -392,17 +437,17 @@ class TestZones:
         cd = data_of(20, 11)
         h = cd.hilbert
         for i in range(2, h.e):
-            pts = zone_points(ZoneSpec(h.element(i), 0, LatticeTag.M), cd)
+            pts = zone_points(ZoneSpec(element(cd, i), 0, LatticeTag.M), cd)
             assert pts == [(0, 0)]
 
     def test_multiple_degree_zone(self):
         cd = data_of(20, 11)
         h = cd.hilbert
-        pts = zone_points(ZoneSpec(2 * h.element(2), 0, LatticeTag.M), cd)
+        pts = zone_points(ZoneSpec(2 * element(cd, 2), 0, LatticeTag.M), cd)
         assert set(pts) == {iota(cd, p) for p in [(0, 0), (1, 1)]}
         cd = data_of(7, 3)
         h = cd.hilbert
-        pts = zone_points(ZoneSpec(3 * h.element(3), 0, LatticeTag.M), cd)
+        pts = zone_points(ZoneSpec(3 * element(cd, 3), 0, LatticeTag.M), cd)
         assert set(pts) == {iota(cd, p) for p in [(0, 0), (2, 1), (4, 2)]}
 
     @pytest.mark.parametrize("n,q", [(20, 11), (4, 1), (7, 3), (9, 2)])
@@ -411,7 +456,7 @@ class TestZones:
         cone = cone_of(n, q)
         cd = class_data(cone)
         h, m = cd.hilbert, cd.m
-        degrees = [h.element(2), h.element(h.e - 1), 2 * cd.rbar]
+        degrees = [element(cd, 2), element(cd, h.e - 1), 2 * cd.rbar]
         for R in degrees:
             for tag, shifts in [
                 (LatticeTag.M, (0,)),
@@ -431,7 +476,7 @@ class TestZones:
         h, m, rbar = cd.hilbert, cd.m, cd.rbar
         a, b = cd.alpha, cd.beta
         assert (a.x, a.y) != (1, 0) and cd.det < 0
-        for R in [h.element(2), h.element(h.e - 1), 2 * cd.rbar]:
+        for R in [element(cd, 2), element(cd, h.e - 1), 2 * cd.rbar]:
             u_r, v_r = pairing(a, R), pairing(b, R)
             for tag, shifts in [
                 (LatticeTag.M, (0,)),
@@ -459,8 +504,8 @@ class TestZones:
         rbar = cd.rbar
         assert iota(cd, (rbar.u, rbar.v)) == (m, m)
         for kappa in (-1, 0, 3):
-            base = zone_points(ZoneSpec(h.element(3), kappa, LatticeTag.M), cd)
-            shifted = zone_points(ZoneSpec(h.element(3), kappa + m, LatticeTag.M), cd)
+            base = zone_points(ZoneSpec(element(cd, 3), kappa, LatticeTag.M), cd)
+            shifted = zone_points(ZoneSpec(element(cd, 3), kappa + m, LatticeTag.M), cd)
             assert {(u + m, v + m) for u, v in base} == set(shifted)
 
     def test_lattice_indices(self):
@@ -497,7 +542,7 @@ class TestZoneWalk:
                     continue
                 cd = data_of(n, q)
                 m = cd.m
-                for R in zone_degrees(cd.hilbert):
+                for R in zone_degrees(cd):
                     for tag in LatticeTag:
                         for kappa in (0, -1, m - 1, m, 2 * m):
                             z = ZoneSpec(R, kappa, tag)
@@ -514,7 +559,7 @@ class TestMTildeProgression:
     @staticmethod
     def degree_zones(cd):
         m = cd.m
-        for R in zone_degrees(cd.hilbert):
+        for R in zone_degrees(cd):
             yield R, (-1, 0, m - 1, m, 2 * m)
 
     def test_every_class_up_to_40(self):
@@ -553,7 +598,7 @@ class TestMTildeProgression:
         n, q = nq
         cd = data_of(n, q)
         v_r = u_r * cd.bw % n + lift * n or n
-        R = _preimage(cd, u_r, v_r)
+        R = cd.m_point(u_r, v_r)
         assert_m_tilde_matches_cosets(cd, R, (kappa,))
         for tag in (LatticeTag.M, LatticeTag.M_SHIFTED):
             got = list(zone_walk(cd, (u_r, v_r), kappa, tag))

@@ -101,10 +101,15 @@ def zone_threshold(cd, i):
     u_i, v_i = cd.hilbert.iota[i - 1]
     entries = [
         max((1 - du) // u_i, (1 - dv) // v_i) + 2 - a_i
-        for du, dv in zone_offsets((a_i - 1) * cd.hilbert.element(i), -1, cd)
+        for du, dv in zone_offsets((a_i - 1) * element(cd, i), -1, cd)
         if u_i * dv != v_i * du
     ]
     return min(a_i, max(2, min(entries, default=a_i)))
+
+
+def element(cd, i):
+    """r^i as the M-point that ``cd.m_point`` builds from iota(r^i)."""
+    return cd.m_point(*cd.hilbert.iota[i - 1])
 
 
 def in_iota_m(cd, u, v):
@@ -140,7 +145,7 @@ def n_side_t1_space(cd, d):
     all of N in case (ii), (r^i)^perp in case (iii), and at r^2 and
     r^(e-1) a completion of alpha resp. beta to a basis of N."""
     if d.k >= 2:
-        r = cd.hilbert.element(d.i)
+        r = element(cd, d.i)
         return (NPoint(-r.v, r.u),)
     if d.i in (2, cd.hilbert.e - 1):
         edge = cd.alpha if d.i == 2 else cd.beta
@@ -161,7 +166,7 @@ def phi_functional(R, a, cd):
 
 def reference_constrained_dim(cd, d, offsets, with_phi):
     """One row <a, x> per offset and N-side direction a, ranked as a matrix."""
-    R = degree_vector(cd.hilbert, d)
+    R = degree_vector(cd, d)
     basis = n_side_t1_space(cd, d)
     coeffs = [iota_coeffs(a, cd) for a in basis]
     rows = [tuple(A * du + B * dv for A, B in coeffs) for du, dv in offsets]
@@ -175,7 +180,7 @@ def assert_rank_rule(cd):
     h = cd.hilbert
     columns = {False: w_dims_oracle(cd), True: vw_dims_oracle(cd)}
     for d in h.degrees:
-        offsets = zone_offsets(degree_vector(h, d), -1, cd)
+        offsets = zone_offsets(degree_vector(cd, d), -1, cd)
         for with_phi, column in columns.items():
             expected = reference_constrained_dim(cd, d, offsets, with_phi)
             got = _constrained_dim(cd, d, zone_span(offsets, (0, 0)), with_phi)
@@ -387,7 +392,8 @@ class TestAssembly:
         h = cd.hilbert
         assert h.degrees is h.degrees
         assert list(h.degrees) == [d for d, _ in t1_dims(h).items()]
-        assert cd.hilbert.iota == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in h.basis)
+        basis = [element(cd, i) for i in range(1, h.e + 1)]
+        assert h.iota == tuple((pairing(cd.alpha, r), pairing(cd.beta, r)) for r in basis)
 
     def test_records_keep_their_fields(self):
         rep = totals(setup_class_data(20, 11))
@@ -486,7 +492,7 @@ class TestIsoOracles:
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         for d in h.degrees:
-            span = zone_span(zone_offsets(degree_vector(h, d), 0, cd), (0, 0))
+            span = zone_span(zone_offsets(degree_vector(cd, d), 0, cd), (0, 0))
             for f in t1_space(cd, d):
                 assert iso_oracle(f, span)
 
@@ -496,7 +502,7 @@ class TestIsoOracles:
         a = NPoint(7, -10)
         assert pairing(a, MPoint(-10, -7)) == 0
         f, d = iota_coeffs(a, cd), DegreeId(3, 1)
-        R, phi = degree_vector(cd.hilbert, d), phi_vector(cd, d)
+        R, phi = degree_vector(cd, d), phi_vector(cd, d)
         for kappa in (5, 0):
             zone = zone_offsets(R, kappa, cd)
             assert stable_iso_oracle(f, phi, zone, iso_oracle(f, zone_span(zone, (0, 0))))
@@ -505,7 +511,7 @@ class TestIsoOracles:
     def test_empty_zone_accepts_everything(self):
         # Z_{r^3,-1} of (7,3) has no lattice points
         cd = setup_class_data(7, 3)
-        R = cd.hilbert.element(3)
+        R = element(cd, 3)
         pts = zone_points(ZoneSpec(R, -1, LatticeTag.M), cd)
         assert pts == []
         zone = zone_offsets(R, -1, cd)
@@ -518,7 +524,7 @@ class TestIsoOracles:
     def test_zero_direction_is_always_stable(self):
         cd = setup_class_data(20, 11)
         d = DegreeId(4, 1)
-        R = degree_vector(cd.hilbert, d)
+        R = degree_vector(cd, d)
         for kappa in (-3, -1, 0, 2, 5):
             zone = zone_offsets(R, kappa, cd)
             iso = iso_oracle((0, 0), zone_span(zone, (0, 0)))
@@ -530,7 +536,7 @@ class TestIsoOracles:
         m = 2  # gcd(12, 6) = 6, a = 2
         seen = set()
         for d in h.degrees:
-            R, phi = degree_vector(h, d), phi_vector(cd, d)
+            R, phi = degree_vector(cd, d), phi_vector(cd, d)
             for f in t1_space(cd, d):
                 for kappa in (-1, 0, 1):
                     zone, shifted = zone_offsets(R, kappa, cd), zone_offsets(R, kappa + m, cd)
@@ -579,7 +585,7 @@ class TestFunctionals:
         # det * <a, Rbar - m*R> = A*x + B*y with (x, y) = phi_vector and
         # (A, B) = iota_coeffs(a), for every N-side direction a
         for cd, d in all_degrees(25):
-            R = degree_vector(cd.hilbert, d)
+            R = degree_vector(cd, d)
             x, y = phi_vector(cd, d)
             for a in n_side_t1_space(cd, d):
                 A, B = iota_coeffs(a, cd)
@@ -626,7 +632,7 @@ class TestContainmentOracles:
     def test_4_1_central(self):
         cd = setup_class_data(4, 1)
         h = cd.hilbert
-        assert h.element(h.central_index) == cd.rbar
+        assert element(cd, h.central_index) == cd.rbar
         central = DegreeId(h.central_index, 1)
         assert qg_oracle(cd, central)
         assert vw_oracle(cd, central)
@@ -688,14 +694,14 @@ class TestLazyZoneReads:
         # walks take: iota(R) of each degree R
         degree_of = {}
         for d in h.degrees:
-            R = degree_vector(h, d)
+            R = degree_vector(cd, d)
             degree_of[pairing(cd.alpha, R), pairing(cd.beta, R)] = R
 
         def listed(size, kappa, lattice=LatticeTag.M):
             return zone_points(ZoneSpec(degree_of[size], kappa, lattice), cd)
 
         d = DegreeId(3, 10)
-        R = degree_vector(h, d)
+        R = degree_vector(cd, d)
         size = pairing(cd.alpha, R), pairing(cd.beta, R)
         walks = []
         real = deformations.zone_walk
@@ -799,7 +805,7 @@ class TestRankRule:
                 h = cd.hilbert
                 for d in h.degrees:
                     if d.k == 1 and 3 <= d.i <= h.e - 2:
-                        offsets = zone_offsets(degree_vector(h, d), -1, cd)
+                        offsets = zone_offsets(degree_vector(cd, d), -1, cd)
                         seen.add(2 - reference_constrained_dim(cd, d, offsets, False))
         assert {1, 2} <= seen
 
@@ -832,7 +838,7 @@ class TestRankRule:
                 calls.clear()
                 totals(cd)
                 h, bw = cd.hilbert, cd.bw
-                expected = [ZoneSpec(h.element(i), -1) for i in range(2, h.e)]
+                expected = [ZoneSpec(element(cd, i), -1) for i in range(2, h.e)]
                 assert [z for z, _, _ in calls] == expected
                 for z, points, copy in calls:
                     u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
@@ -946,13 +952,13 @@ class TestPhi:
         # R = r^4 = Rbar: Rbar - 5R = -4*Rbar = [-20,-12], and iota(Rbar) = (5, 5)
         cd = setup_class_data(20, 11)
         assert phi_vector(cd, DegreeId(4, 1)) == (-20, -20)
-        assert phi_functional(cd.hilbert.element(4), NPoint(1, 1), cd) == -32
+        assert phi_functional(element(cd, 4), NPoint(1, 1), cd) == -32
 
     def test_phi_zero_iff_stable(self):
         cd = setup_class_data(20, 11)
         h = cd.hilbert
         for d in h.degrees:
-            zone = zone_offsets(degree_vector(h, d), 0, cd)
+            zone = zone_offsets(degree_vector(cd, d), 0, cd)
             x, y = phi_vector(cd, d)
             for f in t1_space(cd, d):
                 stable = stable_iso_oracle(f, (x, y), zone, iso_oracle(f, zone_span(zone, (0, 0))))
@@ -965,7 +971,7 @@ class TestRepresentativeIndependence:
         h = cd.hilbert
         # zone points come as iota pairs r = (<alpha,r>, <beta,r>)
         for i, side, edge in [(2, 0, cd.alpha), (h.e - 1, 1, cd.beta)]:
-            R = h.element(i)
+            R = element(cd, i)
             e_r = pairing(edge, R)
             for kappa in (-1, 0, 3):
                 for r in zone_points(ZoneSpec(R, kappa, LatticeTag.M), cd):

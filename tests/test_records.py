@@ -85,11 +85,17 @@ def test_hand_written_records_compare_their_fields_only():
     a.hilbert.degrees  # built and kept on a only
     assert a == b and hash(a) == hash(b)
     assert a != class_data(nq_to_cone(NQForm(20, 9)))
-    assert a != a.nq and a.hilbert != a.hilbert.basis
+    assert a != a.nq and a.hilbert != a.hilbert.iota
     # namedtuples, like the other records: equal to the tuple of their fields
     assert a == tuple(a) and a.hilbert == tuple(a.hilbert)
     assert repr(a).startswith("ClassData(nq=NQForm(n=20, q=11), alpha=NPoint(x=1, y=0), ")
-    assert repr(a.hilbert).startswith("HilbertData(basis=(MPoint(u=0, v=1), ")
+    assert repr(a.hilbert).startswith("HilbertData(iota=((0, 20), (1, 9), ")
+
+
+def test_hilbert_data_keeps_the_iota_pairs_only():
+    # an M-point of the basis is built from its pair by ClassData.m_point
+    assert HilbertData._fields == ("iota", "coeffs", "e", "central_index", "grounded")
+    assert not hasattr(HilbertData, "element") and not hasattr(HilbertData, "basis")
 
 
 def test_points_scale_from_the_left_only():
