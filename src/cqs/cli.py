@@ -2,10 +2,11 @@
 
 Subcommands: convert, analyze, scan, verify, cayley.  Inputs use the
 grammar  nq:20/11 | abc:5,4,3 | cone:(1,0),(-11,20) | interval:-2/5,2/5
-| cf:3,2,2,2,3.  Machine output serializes every rational exactly (p/q
-strings, never floats).  Exit codes: 0 success, 1 verification failure,
-2 parse error (an integer past the digit limit of int() included, and a
-class whose n is past it) or an input past a size bound, which the
+| cf:3,2,2,2,3.  Every rational printed is an integer numerator over the
+class's m, written exactly by ``_ratio`` (p/q strings, never floats).
+Exit codes: 0 success, 1 verification failure, 2 parse error (an
+integer past the digit limit of int() included, and a class whose n is
+past it) or an input past a size bound, which the
 function whose work it bounds raises as OracleBoundError: a ``verify``
 bound past ORACLE_BOUND (``run_checks``), a continued fraction of more than
 MAX_CF_TERMS terms (``continued_fraction``), a class with more than
@@ -42,7 +43,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterator
-from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .cone_geometry import (
@@ -148,17 +149,22 @@ def parse_form(text: str) -> SingularityForm:
         parts = payload.split(",")
         if len(parts) != 2 or not all(_RAT_RE.fullmatch(p) for p in parts):
             raise ParseError(f"interval wants g/m,h/m, got {payload!r}")
-        nums = [_int(d) for p in parts for d in _RAT_RE.fullmatch(p).groups(default="1")]
-        try:
-            left, right = Fraction(*nums[:2]), Fraction(*nums[2:])
-        except ZeroDivisionError:
-            raise InvalidSingularityError(f"zero denominator in {payload!r}") from None
-        if left.denominator != right.denominator:
+        g, m, h, m_h = (_int(d) for p in parts for d in _RAT_RE.fullmatch(p).groups(default="1"))
+        if not m or not m_h:
+            raise InvalidSingularityError(f"zero denominator in {payload!r}")
+        div, div_h = gcd(g, m), gcd(h, m_h)
+        if m // div != m_h // div_h:
             raise InvalidSingularityError(
-                f"endpoints {left} and {right} do not have uniform denominators"
+                f"endpoints {_ratio(g, m)} and {_ratio(h, m_h)} do not have uniform denominators"
             )
-        return IntervalUD(left.numerator, right.numerator, left.denominator)
+        return IntervalUD(g // div, h // div_h, m // div)
     return CFForm(tuple(_int(p) for p in payload.split(",")))
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms for q >= 1, without "/1": ``str(Fraction(p, q))``."""
+    div = gcd(p, q)
+    return f"{p // div}/{q // div}" if q != div else str(p // div)
 
 
 def format_form(form: SingularityForm) -> str:
@@ -169,7 +175,7 @@ def format_form(form: SingularityForm) -> str:
     if isinstance(form, ConeForm):
         return f"cone:{form.alpha},{form.beta}"
     if isinstance(form, IntervalUD):
-        return f"interval:{form.left},{form.right}"
+        return f"interval:{_ratio(form.g, form.m)},{_ratio(form.h, form.m)}"
     if isinstance(form, CFForm):
         return "cf:" + ",".join(str(a) for a in form.coefficients)
     raise TypeError(type(form))
@@ -196,7 +202,8 @@ def _forms_block(cd: ClassData, cf: tuple[int, ...]) -> dict:
         "abc": {**cd.abc._asdict(), "c_prime": cd.c_prime},
         "cone": {"alpha": cd.alpha, "beta": cd.beta},
         "interval": {
-            **iv._asdict(), "left": str(iv.left), "right": str(iv.right), "length": str(iv.length),
+            **iv._asdict(), "left": _ratio(iv.g, iv.m), "right": _ratio(iv.h, iv.m),
+            "length": _ratio(iv.h - iv.g, iv.m),
         },
         "cf": cf,
         "canonical_nq": canonical_class(cd.nq)._asdict(),
@@ -239,7 +246,7 @@ def build_report_document(cd: ClassData, report: T1Report | None) -> dict:
             **flags._asdict(),
             "embdim": h.e,
             "index": cd.m,
-            "interval_length": str(cd.interval.length),
+            "interval_length": _ratio(cd.interval.h - cd.interval.g, cd.m),
         },
         "t1": None if report is None else {
             "per_degree": DegreeRows(cd, report.per_degree),
@@ -253,8 +260,8 @@ def _cayley_block(fam: CayleyFamily) -> dict:
     return {
         "d": fam.d,
         "i_prime": {
-            "left": str(fam.i_prime[0]),
-            "right": str(fam.i_prime[1]),
+            "left": _ratio(fam.i_prime[0], fam.denominator),
+            "right": _ratio(fam.i_prime[1], fam.denominator),
             "denominator": fam.denominator,
         },
         "degenerate_base": fam.degenerate_base,
@@ -417,7 +424,7 @@ def _human_lines(cd: ClassData, report: T1Report | None) -> Iterator[str]:
     equations = binomial_equations(h)
     if equations:
         yield "equations: " + ", ".join(equations)
-    yield f"|I| = {cd.interval.length}"
+    yield f"|I| = {_ratio(cd.interval.h - cd.interval.g, cd.m)}"
     if report is None:
         yield "deformation table skipped (embdim <= 3)"
         return
@@ -484,7 +491,8 @@ def cmd_cayley(args) -> int:
         _print_json({"schema_version": "1", "cayley": _cayley_block(fam)})
         return EXIT_OK
     print(f"d = {fam.d}")
-    print(f"I' = [{fam.i_prime[0]}, {fam.i_prime[1]}]  (denominator {fam.denominator})")
+    left, right = (_ratio(p, fam.denominator) for p in fam.i_prime)
+    print(f"I' = [{left}, {right}]  (denominator {fam.denominator})")
     print(f"degenerate_base: {_csv(fam.degenerate_base)}")
     print("rays:")
     for ray in fam.rays:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd
@@ -321,8 +320,12 @@ def eta(cd: ClassData, i: int) -> Fraction:
     """eta_i, the smaller of the two neighbour pairing ratios at r^i.
 
     For e >= 4 its floor is a_i - 1; with e = 3 both ratios are exactly
-    a_2 and the floor identity does not apply.
+    a_2 and the floor identity does not apply.  It is the package's one
+    ``Fraction``: its ratios have <alpha, r^i> and <beta, r^i>, not m, as
+    denominators.
     """
+    from fractions import Fraction
+
     iota = cd.hilbert.iota
     if not 2 <= i <= len(iota) - 1:
         raise IndexError(f"eta_i defined for 2 <= i <= e-1, got i={i}")
@@ -337,32 +340,29 @@ def is_grounded(i: IntervalUD) -> bool:
 
 
 class ABFloorData(NamedTuple):
-    """Endpoint data A = -g/m, B = h/m of a grounded interval [-A, B]."""
+    """Endpoint data of a grounded interval [-A, B] = [g/m, h/m], as
+    integers over the interval's m: A = floor_a + rem_a/m and
+    B = floor_b + rem_b/m, with 0 <= rem_a, rem_b < m."""
 
-    A: Fraction
-    B: Fraction
     floor_a: int
     floor_b: int
-    frac_a: Fraction
-    frac_b: Fraction
+    rem_a: int  # {A} = rem_a/m
+    rem_b: int  # {B} = rem_b/m
     a_central: int  # a at the central index: 2 + floor(A) + floor(B)
 
 
 def ab_floor_data(i: IntervalUD) -> ABFloorData:
-    """A, B with their floors and fractional parts; grounded input only.
+    """The floors of A = -g/m and B = h/m and the numerators over m of their
+    fractional parts; grounded input only.
 
     The canonical translate of a grounded interval has g < 0 < h, so
-    A = -g/m and B = h/m are positive; floor(A) + floor(B) and the
-    fractional parts do not depend on which interior integer is shifted
-    to the origin.
+    A and B are positive; floor(A) + floor(B) and the fractional parts do
+    not depend on which interior integer is shifted to the origin.
     """
     if not is_grounded(i):
         raise InvalidSingularityError(f"interval [{i.g}/{i.m}, {i.h}/{i.m}] is not grounded")
     (fa, ra), (fb, rb) = divmod(-i.g, i.m), divmod(i.h, i.m)
-    return ABFloorData(
-        Fraction(-i.g, i.m), Fraction(i.h, i.m), fa, fb, Fraction(ra, i.m), Fraction(rb, i.m),
-        2 + fa + fb,
-    )
+    return ABFloorData(fa, fb, ra, rb, 2 + fa + fb)
 
 
 def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:

@@ -78,7 +78,6 @@ with OracleBoundError before doing it, so every caller gets the refusal.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import repeat
 from operator import eq, le
 from typing import NamedTuple
@@ -158,11 +157,13 @@ class CayleyFamily(NamedTuple):
     spanned by (I', e^0) and ([0,1], e^j), j = 1..d, inside Q^(d+2); its
     ray matrix is returned with primitive integer rows.  When |I| is
     integral the base interval degenerates to a single rational point and
-    the two base rays coincide (``degenerate_base``).
+    the two base rays coincide (``degenerate_base``).  ``i_prime`` holds
+    the numerators of the ends of I' over ``denominator``, the m of I,
+    unreduced.
     """
 
     d: int
-    i_prime: tuple[Fraction, Fraction]
+    i_prime: tuple[int, int]
     denominator: int
     degenerate_base: bool
     rays: tuple[tuple[int, ...], ...]
@@ -579,8 +580,7 @@ def _check_theorems(report: T1Report, cd: ClassData, aligned: list[list[int]]) -
     if ab is not None:
         expect_v = e - 4 + ab.floor_a + ab.floor_b
         expect_qg = (cd.interval.h - cd.interval.g) // cd.m  # floor(A + B) = floor(|I|)
-        one_over_m = Fraction(1, cd.m)
-        if ab.frac_a == one_over_m or ab.frac_b == one_over_m:
+        if ab.rem_a == 1 or ab.rem_b == 1:  # {A} or {B} is 1/m
             expect_vw = expect_qg
         else:
             expect_vw = ab.floor_a + ab.floor_b + 1
@@ -648,10 +648,4 @@ def cayley_family(cd: ClassData) -> CayleyFamily:
     for j in range(1, d + 1):
         rays.append(ray(0, j + 1, 1))
         rays.append(ray(1, j + 1, 1))
-    return CayleyFamily(
-        d,
-        (Fraction(g, i.m), Fraction(h, i.m)),
-        i.m,
-        degenerate,
-        tuple(rays),
-    )
+    return CayleyFamily(d, (g, h), i.m, degenerate, tuple(rays))

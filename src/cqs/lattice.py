@@ -1,8 +1,9 @@
 """Exact arithmetic in the rank-two character lattice M and its dual N.
 
 Everything downstream runs on arbitrary-precision integers, with
-``fractions.Fraction`` only for interval data and eta: no floats, no
-overflow, no tolerances.  Following the usual convention for toric
+``fractions.Fraction`` only for eta: no floats, no overflow, no
+tolerances.  Every other rational is an integer numerator over the
+class's m.  Following the usual convention for toric
 surfaces, points of M are written [u,v] and points of N are written
 (x,y); degrees live in M, cone generators and deformation directions
 in N.  Zones are enumerated in integer coordinates

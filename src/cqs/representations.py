@@ -20,7 +20,6 @@ representative with the smaller q.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .lattice import MPoint, NPoint, det2, ext_gcd, pairing, primitive
@@ -94,6 +93,8 @@ class IntervalUD(namedtuple("IntervalUD", "g h m")):
     Intervals are identified up to integral shift; the constructor stores
     the canonical translate with 0 < h <= m.  In that normalization the
     interval contains an interior integer (namely 0) exactly when g < 0.
+    The record holds integers only: a rational read off it is a numerator
+    over m, as |I| = (h-g)/m = b/a = n/m^2 is.
     """
 
     __slots__ = ()
@@ -109,19 +110,6 @@ class IntervalUD(namedtuple("IntervalUD", "g h m")):
             )
         shift = (h - 1) // m  # canonical translate: 0 < h <= m
         return super().__new__(cls, g - shift * m, h - shift * m, m)
-
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.g, self.m)
-
-    @property
-    def right(self) -> Fraction:
-        return Fraction(self.h, self.m)
-
-    @property
-    def length(self) -> Fraction:
-        """|I| = (h-g)/m = b/a = n/m^2."""
-        return Fraction(self.h - self.g, self.m)
 
 
 class CFForm(namedtuple("CFForm", "coefficients")):

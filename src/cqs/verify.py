@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import chain, groupby, islice, repeat
 from math import gcd
 from typing import BinaryIO
@@ -261,11 +260,17 @@ def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
         ab = cd.ab
         ell = h.central_index
         res.check(h.coefficient(ell) == ab.a_central, nq, "central_a_from_interval")
+        # eta_ell = 1 + min(floor(A) + B, A + floor(B)) and |I| = A + B,
+        # cross-multiplied: A = floor_a + rem_a/m, B = floor_b + rem_b/m
+        m, value = cd.m, eta(cd, ell)
+        central = m * (1 + ab.floor_a + ab.floor_b) + min(ab.rem_a, ab.rem_b)
         res.check(
-            eta(cd, ell) == 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b),
-            nq, "central_eta_from_interval",
+            value.numerator * m == central * value.denominator, nq, "central_eta_from_interval",
         )
-        res.check(iv.length == ab.A + ab.B, nq, "interval_length_AB")
+        res.check(
+            iv.h - iv.g == m * (ab.floor_a + ab.floor_b) + ab.rem_a + ab.rem_b,
+            nq, "interval_length_AB",
+        )
     return res
 
 
@@ -347,9 +352,9 @@ def _verify_one_class(cd: ClassData, res: VerificationResult) -> T1Report:
         ab = cd.ab
         ell = h.central_index
         last = DegreeId(ell, ab.a_central - 1)
-        check((qg[last] == 1) == (ab.frac_a + ab.frac_b >= 1), nq, "last_deformation_qg", last)
-        one_over_m = Fraction(1, m)
-        if ab.frac_a != one_over_m and ab.frac_b != one_over_m:
+        # {A} + {B} >= 1, and then whether {A} or {B} is 1/m
+        check((qg[last] == 1) == (ab.rem_a + ab.rem_b >= m), nq, "last_deformation_qg", last)
+        if ab.rem_a != 1 and ab.rem_b != 1:
             check(vw[last] == 1, nq, "last_deformation_vw", last)
         else:
             check(vw[last] == qg[last], nq, "last_deformation_vw_is_qg", last)

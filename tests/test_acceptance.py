@@ -141,7 +141,7 @@ def test_criterion_5_qg_vw_comparison():
             if math.gcd(report.nq.n, report.nq.q + 1) == 1:
                 assert t.dim_qg == t.dim_vw == 0, report.nq
             iv = cone_to_interval(nq_to_cone(report.nq))
-            if iv.length.denominator == 1 and iv.length >= 1:
+            if (iv.h - iv.g) % iv.m == 0 and iv.h - iv.g >= iv.m:  # |I| = (h-g)/m in {1, 2, ...}
                 assert t.dim_qg == t.dim_vw, report.nq
             assert t.dim_qg <= t.dim_vw <= t.dim_qg + 1, report.nq
 

@@ -156,6 +156,30 @@ class TestParsing:
         with pytest.raises(InvalidSingularityError):
             parse_form("interval:1/0,2/0")
 
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (("analyze", "interval:-1/2,1/3"), 3, "",
+         "error: endpoints -1/2 and 1/3 do not have uniform denominators\n"),
+        (("analyze", "interval:-0/5,3/5"), 3, "",
+         "error: endpoints 0 and 3/5 do not have uniform denominators\n"),
+        (("analyze", "interval:-1/0,1/2"), 3, "", "error: zero denominator in '-1/0,1/2'\n"),
+        (("convert", "interval:-4/10,6/10", "--to", "interval"), 0,
+         "interval:-2/5,3/5\ncanonical:nq:25/9\n", ""),
+        (("convert", "interval:-3/1,2/1", "--to", "interval"), 0,
+         "interval:-4,1\ncanonical:nq:5/4\n", ""),
+    ])
+    def test_interval_ends_are_reduced_before_they_are_compared(
+        self, capsys, argv, code, out, err
+    ):
+        assert run(capsys, *argv) == (code, out, err)
+
+    def test_ratio_prints_what_fraction_prints(self):
+        # every rational the CLI prints goes through _ratio
+        pairs = [(p, q) for p in range(-60, 61) for q in range(1, 61)]
+        big = 10**30
+        pairs += [(p, q) for p in (big, -big, big + 1, 3 * big - 1, 0) for q in (big, big + 3, 1)]
+        for p, q in pairs:
+            assert cli._ratio(p, q) == str(Fraction(p, q)), (p, q)
+
 
 class TestConvert:
     def test_to_interval(self, capsys):

@@ -379,8 +379,11 @@ class TestEta:
                 continue
             from cqs.representations import cone_to_interval
 
-            ab = ab_floor_data(cone_to_interval(cone))
-            expected = 1 + min(ab.floor_a + ab.B, ab.A + ab.floor_b)
+            iv = cone_to_interval(cone)
+            ab = ab_floor_data(iv)
+            big_a = ab.floor_a + Fraction(ab.rem_a, iv.m)
+            big_b = ab.floor_b + Fraction(ab.rem_b, iv.m)
+            expected = 1 + min(ab.floor_a + big_b, big_a + ab.floor_b)
             assert eta(cd, h.central_index) == expected
 
     def test_index_bounds(self):
@@ -409,23 +412,33 @@ class TestGrounded:
 
 
 class TestABFloorData:
+    # A = floor_a + rem_a/m and B = floor_b + rem_b/m, as (floor, rem) pairs
     def test_worked_example(self):
         ab = ab_floor_data(IntervalUD(-2, 2, 5))
-        assert ab.A == ab.B == Fraction(2, 5)
+        assert (ab.floor_a, ab.rem_a) == (ab.floor_b, ab.rem_b) == (0, 2)  # A = B = 2/5
         assert ab.a_central == 2
-        assert ab.frac_a == Fraction(2, 5)
 
     def test_t_singularity(self):
         ab = ab_floor_data(IntervalUD(-1, 1, 2))
-        assert ab.A == ab.B == Fraction(1, 2)
+        assert (ab.floor_a, ab.rem_a) == (ab.floor_b, ab.rem_b) == (0, 1)  # A = B = 1/2
         assert ab.a_central == 2
 
     def test_longer_interval(self):
         # [-1/2, 3/2] has canonical translate [-3/2, 1/2]; floors are shift-invariant
         ab = ab_floor_data(IntervalUD(-1, 3, 2))
-        assert {ab.A, ab.B} == {Fraction(3, 2), Fraction(1, 2)}
+        assert {(ab.floor_a, ab.rem_a), (ab.floor_b, ab.rem_b)} == {(1, 1), (0, 1)}
         assert ab.a_central == 3
-        assert ab.A + ab.B == 2
+        assert 2 * (ab.floor_a + ab.floor_b) + ab.rem_a + ab.rem_b == 2 * 2  # A + B = 2
+
+    def test_numerators_over_m_give_the_ends(self):
+        # -g/m = floor_a + rem_a/m and h/m = floor_b + rem_b/m, remainders in [0, m)
+        for n in range(2, 40):
+            for q in range(1, n):
+                if gcd(n, q) == 1 and is_grounded(iv := data_of(n, q).interval):
+                    ab = ab_floor_data(iv)
+                    assert ab.floor_a * iv.m + ab.rem_a == -iv.g and 0 <= ab.rem_a < iv.m
+                    assert ab.floor_b * iv.m + ab.rem_b == iv.h and 0 <= ab.rem_b < iv.m
+                    assert ab.a_central == 2 + ab.floor_a + ab.floor_b
 
     def test_rejects_ungrounded(self):
         with pytest.raises(InvalidSingularityError):

@@ -342,7 +342,7 @@ def reference_report(cd):
     t1 = {d: 2 if d.k == 1 and 3 <= d.i <= h.e - 2 else 1 for d in degrees}
     v = {d: int(d.i not in (2, h.e - 1)) if d.k == 1 else int(h.grounded and d.i == ell)
          for d in degrees}
-    length = cd.interval.length
+    length = Fraction(cd.interval.h - cd.interval.g, cd.m)
     qg, vw = dict.fromkeys(degrees, 0), dict.fromkeys(degrees, 0)
     if h.grounded:
         vw_bound = min(cd.abc.c, cd.c_prime) * length
@@ -1007,13 +1007,13 @@ class TestCayley:
     def test_degenerate_t_singularity(self):
         fam = cayley_family(interval_data(IntervalUD(-1, 1, 2)))
         assert fam.d == 1 and fam.degenerate_base
-        assert fam.i_prime == (Fraction(-1, 2), Fraction(-1, 2))
+        assert (fam.i_prime, fam.denominator) == ((-1, -1), 2)  # I' = [-1/2, -1/2]
         assert fam.rays == ((-1, 2, 0), (0, 0, 1), (1, 0, 1))
 
     def test_fractional_example(self):
         fam = cayley_family(interval_data(IntervalUD(-2, 4, 5)))
         assert fam.d == 1 and not fam.degenerate_base
-        assert fam.i_prime == (Fraction(-2, 5), Fraction(-1, 5))
+        assert (fam.i_prime, fam.denominator) == ((-2, -1), 5)  # I' = [-2/5, -1/5]
         assert fam.rays == ((-2, 5, 0), (-1, 5, 0), (0, 0, 1), (1, 0, 1))
 
     def test_nongrounded_trivial(self):
@@ -1033,10 +1033,11 @@ class TestCayley:
         # I = I' + d*[0,1] and |I'| is the fractional part of |I|
         for iv in (IntervalUD(-2, 4, 5), IntervalUD(-3, 1, 2), IntervalUD(-7, 1, 2)):
             fam = cayley_family(interval_data(iv))
-            left, right = fam.i_prime
-            assert left == iv.left
-            assert right + fam.d == iv.right
-            assert right - left == iv.length - fam.d
+            left, right = fam.i_prime  # numerators over fam.denominator = m
+            assert fam.denominator == iv.m
+            assert left == iv.g
+            assert right + fam.d * iv.m == iv.h
+            assert right - left == iv.h - iv.g - fam.d * iv.m
 
 
 # unimodular changes of coordinates of N; all but the first reverse orientation

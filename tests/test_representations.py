@@ -121,7 +121,8 @@ class TestConversions:
         iv = IntervalUD(-2, 2, 5)
         abc = interval_to_abc(iv)
         n = abc.a * abc.b
-        assert iv.length == Fraction(abc.b, abc.a) == Fraction(n, iv.m**2)
+        # |I| = (h-g)/m, read off the record's integers
+        assert Fraction(iv.h - iv.g, iv.m) == Fraction(abc.b, abc.a) == Fraction(n, iv.m**2)
         assert iv.m == 5
 
     def test_q_inverse(self):

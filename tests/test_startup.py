@@ -83,6 +83,16 @@ def test_json_is_loaded_only_to_print_json(bare):
     assert "json" in imported("-m", "cqs", "analyze", "nq:20/11", "--json") - bare
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "nq:20/11", "--json"], ["convert", "nq:20/11", "--json"],
+    ["cayley", "nq:20/11", "--json"], ["scan", "7"],
+])
+def test_fractions_is_not_loaded(bare, args):
+    # every rational these commands print is an integer numerator over m;
+    # only eta, which verify reads, builds a Fraction
+    assert "fractions" not in imported("-m", "cqs", *args) - bare
+
+
 def test_scan_loads_verify(bare):
     assert "cqs.verify" in imported("-m", "cqs", "scan", "7") - bare
 
