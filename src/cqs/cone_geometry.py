@@ -316,21 +316,24 @@ def _finish(cd: ClassData, iota: list[tuple[int, int]], coeffs) -> HilbertData:
     return HilbertData(tuple(iota), tuple(coeffs), len(iota), index, index is not None)
 
 
-def eta(cd: ClassData, i: int) -> Fraction:
-    """eta_i, the smaller of the two neighbour pairing ratios at r^i.
+def eta(cd: ClassData, i: int) -> tuple[int, int]:
+    """eta_i, the smaller of the two neighbour pairing ratios at r^i, as
+    the reduced integer pair (p, q), q > 0, so pairs compare as values.
 
-    For e >= 4 its floor is a_i - 1; with e = 3 both ratios are exactly
-    a_2 and the floor identity does not apply.  It is the package's one
-    ``Fraction``: its ratios have <alpha, r^i> and <beta, r^i>, not m, as
-    denominators.
+    The ratios are u_(i+1)/u_i and v_(i-1)/v_i of the iota pairs, whose
+    denominators <alpha, r^i> and <beta, r^i> are positive for
+    2 <= i <= e-1; the smaller is picked by cross-multiplying.  Both are
+    in lowest terms already: adjacent basis elements form a Z-basis of M
+    and alpha and beta are primitive, so alpha takes coprime values on
+    r^i and r^(i+1), and beta on r^(i-1) and r^i.  For e >= 4 the floor
+    p // q is a_i - 1; with e = 3 both ratios are exactly a_2 and the
+    floor identity does not apply.
     """
-    from fractions import Fraction
-
     iota = cd.hilbert.iota
     if not 2 <= i <= len(iota) - 1:
         raise IndexError(f"eta_i defined for 2 <= i <= e-1, got i={i}")
     (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2 : i + 1]
-    return min(Fraction(u_next, u_i), Fraction(v_prev, v_i))
+    return (u_next, u_i) if u_next * v_i <= v_prev * u_i else (v_prev, v_i)
 
 
 def is_grounded(i: IntervalUD) -> bool:

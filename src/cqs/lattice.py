@@ -1,13 +1,13 @@
 """Exact arithmetic in the rank-two character lattice M and its dual N.
 
-Everything downstream runs on arbitrary-precision integers, with
-``fractions.Fraction`` only for eta: no floats, no overflow, no
-tolerances.  Every other rational is an integer numerator over the
-class's m.  Following the usual convention for toric
-surfaces, points of M are written [u,v] and points of N are written
-(x,y); degrees live in M, cone generators and deformation directions
-in N.  Zones are enumerated in integer coordinates
-(:mod:`cqs.cone_geometry`), so no point of M_Q is ever built.
+Everything downstream runs on arbitrary-precision integers: no floats,
+no fractions, no overflow, no tolerances.  A rational is an integer
+numerator over the class's m, or, for eta, a reduced integer pair.
+Following the usual convention for toric surfaces, points of M are
+written [u,v] and points of N are written (x,y); degrees live in M,
+cone generators and deformation directions in N.  Zones are enumerated
+in integer coordinates (:mod:`cqs.cone_geometry`), so no point of M_Q is
+ever built.
 """
 
 from __future__ import annotations

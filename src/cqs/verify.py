@@ -249,11 +249,8 @@ def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
         # with e = 3 both eta ratios equal a_2 exactly and the floor
         # identity fails; it is only claimed away from A_(n-1)
         for i in range(2, h.e):
-            value = eta(cd, i)
-            res.check(
-                value.numerator // value.denominator == h.coefficient(i) - 1,
-                nq, "eta_floor", (i, 1),
-            )
+            p, q = eta(cd, i)
+            res.check(p // q == h.coefficient(i) - 1, nq, "eta_floor", (i, 1))
     iv = cd.interval
     res.check(is_grounded(iv) == h.grounded, nq, "grounded_equivalence")
     if h.grounded and h.e >= 4:
@@ -262,11 +259,9 @@ def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
         res.check(h.coefficient(ell) == ab.a_central, nq, "central_a_from_interval")
         # eta_ell = 1 + min(floor(A) + B, A + floor(B)) and |I| = A + B,
         # cross-multiplied: A = floor_a + rem_a/m, B = floor_b + rem_b/m
-        m, value = cd.m, eta(cd, ell)
+        m, (p, q) = cd.m, eta(cd, ell)
         central = m * (1 + ab.floor_a + ab.floor_b) + min(ab.rem_a, ab.rem_b)
-        res.check(
-            value.numerator * m == central * value.denominator, nq, "central_eta_from_interval",
-        )
+        res.check(p * m == central * q, nq, "central_eta_from_interval")
         res.check(
             iv.h - iv.g == m * (ab.floor_a + ab.floor_b) + ab.rem_a + ab.rem_b,
             nq, "interval_length_AB",

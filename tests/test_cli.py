@@ -839,6 +839,22 @@ class TestVerify:
         failures = verify._hilbert_checks(cd, mirror).failures
         assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
 
+    def test_larger_eta_is_a_mismatch(self, monkeypatch):
+        # an eta that returns the larger neighbour ratio breaks its floor
+        # identity and the central identity from the interval
+        from collections import Counter
+
+        from cqs import verify
+
+        def larger(cd, i):
+            (_, v_prev), (u_i, v_i), (u_next, _) = cd.hilbert.iota[i - 2 : i + 1]
+            return max(Fraction(u_next, u_i), Fraction(v_prev, v_i)).as_integer_ratio()
+
+        monkeypatch.setattr(verify, "eta", larger)
+        failures = verify.run_checks(30)["hilbert"].failures
+        properties = Counter(line.rsplit("property=", 1)[1] for line in failures)
+        assert properties == {"eta_floor": 496, "central_eta_from_interval": 24}
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sabotaged_golden(self, capsys, monkeypatch, workers):
         # every property the deformation checks can emit fails at least

@@ -363,12 +363,12 @@ class TestHilbertBasis:
 class TestEta:
     def test_worked_example(self):
         cd = data_of(20, 11)
-        assert eta(cd, 4) == Fraction(7, 5)  # floor 1 = a_4 - 1
-        assert eta(cd, 2) == Fraction(20, 9)  # floor 2 = a_2 - 1
+        assert eta(cd, 4) == (7, 5)  # floor 1 = a_4 - 1
+        assert eta(cd, 2) == (20, 9)  # floor 2 = a_2 - 1
 
     def test_4_1(self):
         cd = data_of(4, 1)
-        assert eta(cd, 3) == Fraction(3, 2)
+        assert eta(cd, 3) == (3, 2)
 
     def test_grounded_identity(self):
         for n, q in [(20, 11), (4, 1), (8, 3), (30, 17)]:
@@ -384,7 +384,26 @@ class TestEta:
             big_a = ab.floor_a + Fraction(ab.rem_a, iv.m)
             big_b = ab.floor_b + Fraction(ab.rem_b, iv.m)
             expected = 1 + min(ab.floor_a + big_b, big_a + ab.floor_b)
-            assert eta(cd, h.central_index) == expected
+            assert Fraction(*eta(cd, h.central_index)) == expected
+
+    def test_is_the_reduced_smaller_ratio(self):
+        # the numerator and denominator of the smaller Fraction, so the pair
+        # is reduced; every class with e >= 4 and n <= 60, then two far
+        # classes: e = 4 with a_i near n/2, and e near n/2
+        near = [NQForm(n, q) for n in range(2, 61) for q in range(1, n) if gcd(n, q) == 1]
+        far = [NQForm(10007, 5003), NQForm(10007, 2)]
+        checked = 0
+        for nq in near + far:
+            cd = class_data(nq_to_cone(nq))
+            iota = cd.hilbert.iota
+            if len(iota) < 4:
+                continue
+            for i in range(2, len(iota)):
+                (_, v_prev), (u_i, v_i), (u_next, _) = iota[i - 2 : i + 1]
+                expected = min(Fraction(u_next, u_i), Fraction(v_prev, v_i))
+                assert eta(cd, i) == (expected.numerator, expected.denominator), (nq, i)
+                checked += 1
+        assert checked > 5000
 
     def test_index_bounds(self):
         cd = data_of(20, 11)

@@ -5,7 +5,9 @@ one.  ``python -X importtime`` names every module a process imports; the
 modules of a bare ``python -c pass`` are subtracted, so the tests see what
 `cqs` itself loads, whatever the interpreter's site setup imports.
 `import cqs` loads no computing module; ``cqs.<name>`` loads the modules
-up to the one that defines ``name``.
+up to the one that defines ``name``.  No package source imports
+``dataclasses`` or ``fractions``, so no command loads ``fractions``,
+``verify`` included: every number of the package is an integer.
 """
 
 import re
@@ -85,11 +87,11 @@ def test_json_is_loaded_only_to_print_json(bare):
 
 @pytest.mark.parametrize("args", [
     ["analyze", "nq:20/11", "--json"], ["convert", "nq:20/11", "--json"],
-    ["cayley", "nq:20/11", "--json"], ["scan", "7"],
+    ["cayley", "nq:20/11", "--json"], ["scan", "7"], ["verify", "12"],
 ])
 def test_fractions_is_not_loaded(bare, args):
-    # every rational these commands print is an integer numerator over m;
-    # only eta, which verify reads, builds a Fraction
+    # every rational is an integer numerator over m, and eta, which verify
+    # reads, an integer pair
     assert "fractions" not in imported("-m", "cqs", *args) - bare
 
 
@@ -97,12 +99,15 @@ def test_scan_loads_verify(bare):
     assert "cqs.verify" in imported("-m", "cqs", "scan", "7") - bare
 
 
-def test_the_package_has_no_dataclass():
+@pytest.mark.parametrize("text", ["dataclass", "import fractions", "from fractions"],
+                         ids=["dataclass", "import-fractions", "from-fractions"])
+def test_no_package_source_contains(text):
+    # the import, not the word: cli's docstrings name Fraction
     package = Path(cqs.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert sources
     for path in sources:
-        assert "dataclass" not in path.read_text(), path.name
+        assert text not in path.read_text(), path.name
 
 
 def test_no_module_reads_the_environment():
