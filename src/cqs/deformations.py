@@ -62,11 +62,16 @@ has its closed form.
 Every per-degree column (``t1_dims``, ``v_dims``, ``qg_dims``,
 ``vw_dims``, ``w_fast``) is a dict keyed by the one degree table of the
 class, ``h.degrees``, in table order; read first, it refuses e <= 3
-with DegenerateSingularityError before any column is started.  A closed form
-starts it as ``dict.fromkeys(table, default)`` and then sets only its
-few other entries; ``w_fast`` fills a list in table order, a slice per
-chain, and zips it with the table.  ``assemble_report`` reads each
-column as it is, and refuses one whose keys are not the table in order.
+with DegenerateSingularityError before any column is started.
+``t1_dims`` starts it as ``dict.fromkeys(table, 1)`` and sets its 2s.
+V, qG and VW are one rule, the central chain -k*Rbar of a grounded
+class: each takes its column from ``_central_chain(cd, bound)``, which
+is 1 at (l, k) for 1 <= k <= min(a_l - 1, bound) and 0 elsewhere.  qG
+bounds k by floor(|I|), VW by floor(min(c, c')*|I|), and V takes the
+whole chain and sets its interior k = 1 degrees.  ``w_fast`` fills a
+list in table order, a slice per chain, and zips it with the table.
+``assemble_report`` reads each column as it is, and refuses one whose
+keys are not the table in order.
 The records of this module are NamedTuples, like ``DegreeId``.
 
 ``cone_geometry.hilbert_basis``, which builds ``cd.hilbert`` and so the
@@ -178,8 +183,8 @@ def degree_vector(cd: ClassData, d: DegreeId) -> MPoint:
 def t1_dims(h: HilbertData) -> dict[DegreeId, int]:
     """Per-degree dimensions of T1: 2 at r^i, 3 <= i <= e-2, and 1 elsewhere.
 
-    Like every column, a dict filled from the degree table and then set
-    at its nonzero (here: non-default) entries.  Those are set by plain
+    Like ``_central_chain``, a dict filled from the degree table and then
+    set at its non-default entries.  Those are set by plain
     pairs (i, k), which equal and hash as DegreeId(i, k), so the keys
     stay the table's DegreeIds.
     """
@@ -220,62 +225,66 @@ def phi_vector(cd: ClassData, d: DegreeId) -> tuple[int, int]:
     return m - m * d.k * u_i, m - m * d.k * v_i
 
 
+def _central_chain(cd: ClassData, bound: int | None) -> dict[DegreeId, int]:
+    """The column of the central chain -k*Rbar, 1 <= k <= ``bound``.
+
+    On a grounded class it is 1 at (l, k) for 1 <= k <= min(a_l - 1, bound),
+    where l is the central index, and 0 at every other degree; ``bound``
+    None means the whole chain.  An ungrounded class has no central chain,
+    and its column is 0 at every degree.
+    """
+    h = cd.hilbert
+    out = dict.fromkeys(h.degrees, 0)
+    if h.grounded:
+        ell, a = h.central_index, h.coefficient(h.central_index)
+        top = a - 1 if bound is None else min(a - 1, bound)
+        out.update(((ell, k), 1) for k in range(1, top + 1))
+    return out
+
+
 def v_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_V per degree.
 
     Nothing survives at r^2 and r^(e-1); each interior r^i contributes a
     line (the kernel of <., Rbar - m*r^i>); a multiple k*r^i with k >= 2
     contributes iff the cone is grounded and r^i is the central degree.
+    So V is the whole central chain with every interior k = 1 degree set.
     """
     h = cd.hilbert
-    out = dict.fromkeys(h.degrees, 0)
+    out = _central_chain(cd, None)
     # the counting needs Rbar - m*r^i != 0, that is iota(r^i) != (1, 1),
     # which holds at every lattice degree (only Rbar/m has iota (1, 1))
     if (1, 1) in h.iota[1:-1]:
         raise InternalConsistencyError(f"vanishing functional at r^{h.iota.index((1, 1)) + 1}")
     out.update(((i, 1), 1) for i in range(3, h.e - 1))
-    if h.grounded:
-        ell = h.central_index
-        out.update(((ell, k), 1) for k in range(2, h.coefficient(ell)))
     return out
 
 
 def qg_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_qG per degree.
 
-    Zero unless grounded; on a grounded cone the qG directions are the
-    lines Rbar^perp in degree -k*Rbar for integers 1 <= k <= min(a_l - 1,
-    |I|), where l is the central index.
+    The central chain up to floor(|I|): zero unless grounded; on a grounded
+    cone the qG directions are the lines Rbar^perp in degree -k*Rbar for
+    integers 1 <= k <= min(a_l - 1, |I|), where l is the central index.
     """
-    h = cd.hilbert
-    out = dict.fromkeys(h.degrees, 0)
-    if not h.grounded:
-        return out
-    ab, ell = cd.ab, h.central_index
-    if ab is None or ab.a_central != h.coefficient(ell):
+    h, ab, iv = cd.hilbert, cd.ab, cd.interval
+    qg = _central_chain(cd, (iv.h - iv.g) // iv.m)  # k <= |I| iff k <= floor(|I|)
+    if h.grounded and (ab is None or ab.a_central != h.coefficient(h.central_index)):
         raise InternalConsistencyError("a_l from the interval disagrees with the recursion")
-    iv = cd.interval
-    top = min(ab.a_central - 1, (iv.h - iv.g) // iv.m)  # k <= |I| iff k <= floor(|I|)
-    out.update(((ell, k), 1) for k in range(1, top + 1))
-    return out
+    return qg
 
 
 def vw_dims(cd: ClassData) -> dict[DegreeId, int]:
     """Closed-form dimensions of T1_VW per degree.
 
-    Zero unless grounded; on a grounded cone the VW directions sit in
-    degree -k*Rbar for 1 <= k <= min(a_l - 1, c*|I|, c'*|I|) where
-    c = -1/g and c' = 1/h in (Z/mZ)*.
+    The central chain up to floor(min(c, c')*|I|): zero unless grounded; on
+    a grounded cone the VW directions sit in degree -k*Rbar for
+    1 <= k <= min(a_l - 1, c*|I|, c'*|I|) where c = -1/g and c' = 1/h in
+    (Z/mZ)*.
     """
-    h = cd.hilbert
-    out = dict.fromkeys(h.degrees, 0)
-    if not h.grounded:
-        return out
-    ell, iv = h.central_index, cd.interval
+    iv = cd.interval
     # k <= min(c, c') * |I| iff k <= its floor
-    bound = min(cd.abc.c, cd.c_prime) * (iv.h - iv.g) // iv.m
-    out.update(((ell, k), 1) for k in range(1, min(cd.ab.a_central - 1, bound) + 1))
-    return out
+    return _central_chain(cd, min(cd.abc.c, cd.c_prime) * (iv.h - iv.g) // iv.m)
 
 
 def zone_span(

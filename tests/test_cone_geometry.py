@@ -562,7 +562,31 @@ class TestZones:
 
 class TestZoneWalk:
     """zone_walk advances one residue per fiber and shares no code with
-    zone_points; both give the same points of every zone."""
+    zone_points; both give the same points of every zone.  On M and on
+    M + Rbar/m, zone_walk also meets ``brute_zone``, an enumeration that
+    reads neither, as M_tilde meets ``m_tilde_by_cosets``."""
+
+    def test_m_and_shifted_against_brute_force_up_to_20(self):
+        # every degree of every class with n <= 20, at each kappa that verify
+        # reads; the walk is compared as a set and holds no point twice
+        zones = 0
+        for n in range(2, 21):
+            for q in range(1, n):
+                if gcd(n, q) != 1:
+                    continue
+                cone = cone_of(n, q)
+                cd = class_data(cone)
+                m = cd.m
+                for R in zone_degrees(cd):
+                    size = pairing(cd.alpha, R), pairing(cd.beta, R)
+                    for kappa in (0, -1, m - 1, m, 2 * m):
+                        for tag, shifts in ((LatticeTag.M, (0,)), (LatticeTag.M_SHIFTED, (1,))):
+                            got = list(zone_walk(cd, size, kappa, tag))
+                            want = {iota(cd, p) for p in brute_zone(cone, R, kappa, shifts)}
+                            assert len(got) == len(set(got)), (n, q, R, kappa, tag)
+                            assert set(got) == want, (n, q, R, kappa, tag)
+                            zones += 1
+        assert zones == 9_590
 
     def test_every_zone_up_to_40(self):
         # every degree of every class with n <= 40, in the three lattices,

@@ -272,6 +272,54 @@ class TestClosedForms:
         assert sum(vw_dims(cd).values()) == 1
 
 
+class TestCentralChain:
+    """``_central_chain``, the one column that V, qG and VW lay their
+    central chain -k*Rbar through."""
+
+    @pytest.mark.parametrize("bound,top", [(0, 0), (1, 1), (4, 4), (10, 4), (None, 4)])
+    def test_grounded_contract(self, bound, top):
+        # nq:16/7 has coefficients (2, 5, 2): l = 3 and a_l = 5, so the
+        # chain is (3, 1) .. (3, 4); the bounds are 0, 1, a_l - 1, a_l + 5
+        cd = setup_class_data(16, 7)
+        h = cd.hilbert
+        assert h.grounded and h.central_index == 3 and h.coefficient(3) == 5
+        col = deformations._central_chain(cd, bound)
+        assert tuple(col) == h.degrees
+        assert {d: x for d, x in col.items() if x} == {DegreeId(3, k): 1 for k in range(1, top + 1)}
+
+    @pytest.mark.parametrize("bound", [0, 1, 5, None])
+    def test_ungrounded_is_all_zeros(self, bound):
+        cd = setup_class_data(7, 3)
+        assert not cd.hilbert.grounded
+        col = deformations._central_chain(cd, bound)
+        assert tuple(col) == cd.hilbert.degrees
+        assert set(col.values()) == {0}
+
+    def test_a_chain_without_k_1_is_caught(self, monkeypatch):
+        # a chain that leaves out -Rbar takes k = 1 from qG and VW (V sets
+        # its interior k = 1 degrees itself); the zone and rank oracles,
+        # the last-deformation and initial-segment checks, and the theorem
+        # checks of assemble_report each see it
+        from collections import Counter
+
+        from cqs import verify
+
+        real = deformations._central_chain
+
+        def without_k_1(cd, bound):
+            return {d: 0 if d.k == 1 else x for d, x in real(cd, bound).items()}
+
+        monkeypatch.setattr(deformations, "_central_chain", without_k_1)
+        failures = verify.run_checks(30)["deformations"].failures
+        # 158 failures; an exception line is counted by its type alone
+        properties = Counter(line.rsplit("property=", 1)[1].split("(", 1)[0] for line in failures)
+        assert properties == {
+            "qg_zone_oracle": 29, "vw_zone_oracle": 31, "vw_rank_oracle": 31,
+            "last_deformation_qg": 14, "last_deformation_vw": 9, "qg_initial_segment": 13,
+            "exception: InternalConsistencyError": 31,
+        }
+
+
 class TestTotals:
     def test_worked_example(self):
         rep = totals(setup_class_data(20, 11))
