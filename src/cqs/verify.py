@@ -34,13 +34,16 @@ n, in one call of ``_pair_checks``: the record of each is derived once,
 the mirror identities read the partner's record, and the two reports are
 compared there, so only the counts and failures go back.  ``fan_out``
 spreads the pairs of a sweep over the CPUs this process may use and
-hands the results back in enumeration order, and ``run_checks`` merges
-the classes in (n, q) order; the CLI's scan uses ``fan_out`` as well.
+hands the results back in enumeration order, in one loop at every worker
+count (on one CPU it forks nothing), and ``run_checks`` merges the
+classes in (n, q) order; the CLI's scan uses ``fan_out`` as well.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, groupby, islice, repeat
@@ -103,34 +106,28 @@ def cpu_count() -> int:
 def fan_out(work: Callable, items: Iterable) -> Iterator:
     """``work(item)`` for every item, yielded in order, in W processes.
 
-    W is ``cpu_count()`` capped at the number of items; with W = 1 every
-    item is computed here.  Otherwise item j goes to worker j mod W: this
-    process is worker 0, and workers 1..W-1 are children forked (this
-    process starts no threads) after stdout is flushed.  Every worker
-    walks its own copy of the iterator, so no list of the items is built.
-    A child pickles each result into its own pipe, or the exception that
-    ended its share, and ends in ``os._exit``, so it never returns into
-    the caller.  At each item's turn this process computes the item or
-    reads it from that child's pipe, so results stream in enumeration
-    order and an exception is raised at the turn the serial loop would
-    raise it.  However the caller leaves the loop, the children are
-    killed and reaped.
+    W is ``cpu_count()`` capped at the number of items, and every W runs
+    the same loop.  Item j goes to worker j mod W: this process is worker
+    0, and workers 1..W-1 are children forked (this process starts no
+    threads) after stdout is flushed, so with W = 1 every item is computed
+    here and nothing is forked.  Every worker walks its own copy of the
+    iterator, so no list of the items is built.  A child pickles each
+    result into its own pipe, or the exception that ended its share, and
+    ends in ``os._exit``, so it never returns into the caller.  At each
+    item's turn this process computes the item or reads it from that
+    child's pipe, so results stream in enumeration order and an exception
+    is raised at the turn the serial loop would raise it.  However the
+    caller leaves the loop, the children are killed and reaped.
     """
     items = iter(items)
     head = list(islice(items, cpu_count()))
     workers = len(head)
     items = chain(head, items)
-    if workers <= 1:
-        yield from map(work, items)
-        return
-    import pickle
-    import signal
-
-    sys.stdout.flush()
-    sys.stderr.flush()
     children: list[tuple[int, BinaryIO]] = []
     try:
         for w in range(1, workers):
+            sys.stdout.flush()  # a child inherits no unwritten text to write again
+            sys.stderr.flush()
             rfd, wfd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -167,8 +164,6 @@ def fan_out(work: Callable, items: Iterable) -> Iterator:
 def _serve(work: Callable, share: Iterable, fd: int) -> None:
     """Write (True, work(item)) for each item of a worker's share to fd,
     or (False, exception) for the first item that raises, and stop there."""
-    import pickle
-
     with os.fdopen(fd, "wb") as out:
         for item in share:
             try:
@@ -181,6 +176,8 @@ def _serve(work: Callable, share: Iterable, fd: int) -> None:
                     message = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
                 out.write(message)
                 return
+            # the parent reads the items in turn: unflushed, a result would
+            # wait in the buffer, often until the child's whole share is done
             out.flush()
 
 
@@ -239,10 +236,9 @@ def _hilbert_checks(cd: ClassData, mirror: ClassData) -> VerificationResult:
         ),
         nq, "adjacent_z_basis",
     )
-    alphas = [u for u, _ in iota]
-    betas = [v for _, v in iota]
+    # u strictly increasing and v strictly decreasing along the basis
     res.check(
-        alphas == sorted(alphas) and betas == sorted(betas, reverse=True),
+        all(u < u_next and v > v_next for (u, v), (u_next, v_next) in zip(iota, iota[1:])),
         nq, "pairing_monotonicity",
     )
     if h.e >= 4:

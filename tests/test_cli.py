@@ -529,10 +529,10 @@ class TestBatchedWrites:
         assert run(capsys, "scan", "59")[1].startswith(proc.stdout)
 
     def test_rows_before_an_error_are_written(self, capsys):
-        # nq:41/1 is the first class whose W zones walk more than 780 fibers:
-        # scan 60 prints the rows of scan 40, then the error, then exits 2
+        # nq:41/1 is the first class with more than 39 T1 degrees: scan 60
+        # prints the rows of scan 40, then the error, then exits 2
         child = (
-            "import sys; from cqs import deformations; deformations.MAX_ZONE_FIBERS = 780;"
+            "import sys; from cqs import cone_geometry; cone_geometry.MAX_T1_DEGREES = 39;"
             " from cqs.cli import main; sys.exit(main(['scan', '60']))"
         )
         proc = subprocess.run(
@@ -542,7 +542,7 @@ class TestBatchedWrites:
         *rows, error = proc.stdout.decode().splitlines()
         assert proc.returncode == 2
         assert rows == run(capsys, "scan", "40")[1].splitlines()
-        assert error == "error: the W zones of nq:41/1 walk more than MAX_ZONE_FIBERS = 780 fibers"
+        assert error == "error: nq:41/1 has more than MAX_T1_DEGREES = 39 T1 degrees"
 
 
 def plain_document(cd, report):
@@ -838,6 +838,21 @@ class TestVerify:
         assert mirror.hilbert.coeffs == continued_fraction(7, 2).coefficients == (4, 3)
         failures = verify._hilbert_checks(cd, mirror).failures
         assert "n=7 q=3 property=hilbert_coeffs_vs_cf" in failures
+
+    def test_repeated_interior_pair_breaks_the_strict_order(self):
+        # u strictly increasing and v strictly decreasing along the basis:
+        # equal neighbours pass a sorted() comparison but not this order
+        from cqs import verify
+
+        cd = class_data(nq_to_cone(NQForm(11, 3)))
+        mirror = class_data(nq_to_cone(NQForm(11, 4)))
+        assert verify._hilbert_checks(cd, mirror).ok
+        h = cd.hilbert
+        assert h.e >= 5
+        iota = h.iota[:2] + h.iota[1:2] + h.iota[3:]  # r^3's pair is r^2's again
+        vars(cd)["hilbert"] = h._replace(iota=iota)  # where cached_property keeps it
+        failures = verify._hilbert_checks(cd, mirror).failures
+        assert "n=11 q=3 property=pairing_monotonicity" in failures
 
     def test_larger_eta_is_a_mismatch(self, monkeypatch):
         # an eta that returns the larger neighbour ratio breaks its floor

@@ -69,6 +69,44 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="TwoArgs: 1/2"):
             list(verify.fan_out(work, range(4)))
 
+    def test_one_worker_streams_here_and_forks_nothing(self, monkeypatch):
+        done = []
+
+        def work(x):
+            done.append(x)
+            if x == 3:
+                raise ValueError(f"item {x}")
+            return x
+
+        workers(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one worker"))
+        rows = verify.fan_out(work, range(10))
+        assert (next(rows), done) == (0, [0])  # computed at its turn, not ahead
+        assert (next(rows), next(rows), done) == (1, 2, [0, 1, 2])
+        with pytest.raises(ValueError, match="item 3"):
+            next(rows)
+        assert done == [0, 1, 2, 3]
+
+    def test_no_items_yield_nothing_and_fork_nothing(self, monkeypatch):
+        workers(monkeypatch, 40)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for no items"))
+        assert list(verify.fan_out(str, [])) == []
+
+    def test_workers_are_capped_at_the_number_of_items(self, monkeypatch):
+        real, forked = os.fork, []
+
+        def fork():
+            pid = real()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        workers(monkeypatch, 40)
+        monkeypatch.setattr(os, "fork", fork)
+        assert list(verify.fan_out(lambda x: x * x, range(3))) == [0, 1, 4]
+        assert len(forked) == 2
+        assert _no_children()
+
     def test_leaving_the_loop_ends_every_worker(self, monkeypatch):
         workers(monkeypatch, 3)
         rows = verify.fan_out(lambda x: time.sleep(0.01) or x, range(1000))
