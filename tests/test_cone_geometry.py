@@ -97,15 +97,15 @@ def brute_zone(cone, R, kappa, shifts):
     return out
 
 
-def m_tilde_by_cosets(z, cd):
-    """The M_tilde points of the zone z, coset by coset.
+def m_tilde_by_cosets(cd, R, kappa):
+    """The M_tilde points of the zone Z_{R,kappa}, coset by coset.
 
     iota(M_tilde) is the union of the m cosets iota(M) + t*(1, 1),
     0 <= t < m; over each u the coset t meets v = t + (u - t)*bw (mod n),
     and each of these residues is walked in steps of n.
     """
-    n, bw, kappa = cd.nq.n, cd.bw, z.kappa
-    u_r, v_r = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
+    n, bw = cd.nq.n, cd.bw
+    u_r, v_r = pairing(cd.alpha, R), pairing(cd.beta, R)
     found = []
     for u in range(kappa, kappa + u_r):
         for r0 in {(t + (u - t) * bw) % n for t in range(cd.m)}:
@@ -114,19 +114,18 @@ def m_tilde_by_cosets(z, cd):
     return found
 
 
-def walked(z, cd):
-    """``zone_walk`` of the zone z, given as the iota size of z.R, listed."""
-    size = pairing(cd.alpha, z.R), pairing(cd.beta, z.R)
-    return list(zone_walk(cd, size, z.kappa, z.lattice))
+def walked(cd, R, kappa, lattice):
+    """``zone_walk`` of the zone Z_{R,kappa} on ``lattice``, given as the
+    iota size of R, listed."""
+    size = pairing(cd.alpha, R), pairing(cd.beta, R)
+    return list(zone_walk(cd, size, kappa, lattice))
 
 
 def assert_m_tilde_matches_cosets(cd, R, kappas):
     assert gcd(cd.bw - 1, cd.nq.n) * cd.m == cd.nq.n
     for kappa in kappas:
-        z = ZoneSpec(R, kappa, LatticeTag.M_TILDE)
-        want = m_tilde_by_cosets(z, cd)
-        for got in (zone_points(z, cd), walked(z, cd)):
-            assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
+        got, want = walked(cd, R, kappa, LatticeTag.M_TILDE), m_tilde_by_cosets(cd, R, kappa)
+        assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
 
 
 def iota(cd, p):
@@ -469,17 +468,17 @@ class TestZones:
         cd = data_of(20, 11)
         h = cd.hilbert
         for i in range(2, h.e):
-            pts = zone_points(ZoneSpec(element(cd, i), 0, LatticeTag.M), cd)
+            pts = zone_points(ZoneSpec(element(cd, i), 0), cd)
             assert pts == [(0, 0)]
 
     def test_multiple_degree_zone(self):
         cd = data_of(20, 11)
         h = cd.hilbert
-        pts = zone_points(ZoneSpec(2 * element(cd, 2), 0, LatticeTag.M), cd)
+        pts = zone_points(ZoneSpec(2 * element(cd, 2), 0), cd)
         assert set(pts) == {iota(cd, p) for p in [(0, 0), (1, 1)]}
         cd = data_of(7, 3)
         h = cd.hilbert
-        pts = zone_points(ZoneSpec(3 * element(cd, 3), 0, LatticeTag.M), cd)
+        pts = zone_points(ZoneSpec(3 * element(cd, 3), 0), cd)
         assert set(pts) == {iota(cd, p) for p in [(0, 0), (2, 1), (4, 2)]}
 
     @pytest.mark.parametrize("n,q", [(20, 11), (4, 1), (7, 3), (9, 2)])
@@ -495,10 +494,10 @@ class TestZones:
                 (LatticeTag.M_SHIFTED, (1,)),
                 (LatticeTag.M_TILDE, range(m)),
             ]:
-                z = ZoneSpec(R, kappa, tag)
                 want = {iota(cd, p) for p in brute_zone(cone, R, kappa, shifts)}
-                assert set(zone_points(z, cd)) == want, (R, kappa, tag)
-                assert set(walked(z, cd)) == want, (R, kappa, tag)
+                assert set(walked(cd, R, kappa, tag)) == want, (R, kappa, tag)
+                if tag is LatticeTag.M:
+                    assert set(zone_points(ZoneSpec(R, kappa), cd)) == want, (R, kappa)
 
     @pytest.mark.parametrize("kappa", [-1, 0, 1, 5])
     def test_nonstandard_cone_against_box_walk(self, kappa):
@@ -526,8 +525,10 @@ class TestZones:
                             for t in shifts
                         ):
                             want.add((u, v))
-                z = ZoneSpec(R, kappa, tag)
-                for got in (zone_points(z, cd), walked(z, cd)):
+                listed = [walked(cd, R, kappa, tag)]
+                if tag is LatticeTag.M:
+                    listed.append(zone_points(ZoneSpec(R, kappa), cd))
+                for got in listed:
                     assert len(got) == len(want) and set(got) == want, (R, kappa, tag)
 
     def test_translation_by_central_degree(self):
@@ -536,8 +537,8 @@ class TestZones:
         rbar = cd.rbar
         assert iota(cd, (rbar.u, rbar.v)) == (m, m)
         for kappa in (-1, 0, 3):
-            base = zone_points(ZoneSpec(element(cd, 3), kappa, LatticeTag.M), cd)
-            shifted = zone_points(ZoneSpec(element(cd, 3), kappa + m, LatticeTag.M), cd)
+            base = zone_points(ZoneSpec(element(cd, 3), kappa), cd)
+            shifted = zone_points(ZoneSpec(element(cd, 3), kappa + m), cd)
             assert {(u + m, v + m) for u, v in base} == set(shifted)
 
     def test_lattice_indices(self):
@@ -548,23 +549,25 @@ class TestZones:
             h, m = cd.hilbert, cd.m
             b = n // m  # r1 + re = b * Rbar
             big = b * cd.rbar
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M), cd)) == n
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_TILDE), cd)) == n * m
-            assert len(zone_points(ZoneSpec(big, 0, LatticeTag.M_SHIFTED), cd)) == n
+            assert len(zone_points(ZoneSpec(big, 0), cd)) == n
+            assert len(walked(cd, big, 0, LatticeTag.M)) == n
+            assert len(walked(cd, big, 0, LatticeTag.M_TILDE)) == n * m
+            assert len(walked(cd, big, 0, LatticeTag.M_SHIFTED)) == n
 
     def test_rejects_boundary_degree(self):
         cd = data_of(20, 11)
         with pytest.raises(InvalidSingularityError):
-            zone_points(ZoneSpec(MPoint(0, 1), 0, LatticeTag.M), cd)
+            zone_points(ZoneSpec(MPoint(0, 1), 0), cd)
         with pytest.raises(InvalidSingularityError):
             next(zone_walk(cd, (0, 20), 0))
 
 
 class TestZoneWalk:
     """zone_walk advances one residue per fiber and shares no code with
-    zone_points; both give the same points of every zone.  On M and on
+    zone_points; both give the same M-points of every zone.  On M and on
     M + Rbar/m, zone_walk also meets ``brute_zone``, an enumeration that
-    reads neither, as M_tilde meets ``m_tilde_by_cosets``."""
+    reads neither, as M_tilde meets ``m_tilde_by_cosets``; on M + Rbar/m
+    it also meets the walk on M translated by (1, 1)."""
 
     def test_m_and_shifted_against_brute_force_up_to_20(self):
         # every degree of every class with n <= 20, at each kappa that verify
@@ -588,28 +591,43 @@ class TestZoneWalk:
                             zones += 1
         assert zones == 9_590
 
-    def test_every_zone_up_to_40(self):
-        # every degree of every class with n <= 40, in the three lattices,
-        # at each kappa that verify reads
-        zones = 0
+    @staticmethod
+    def zones_up_to_40():
+        """(cd, R, kappa) for every degree of every class with n <= 40, at
+        each kappa that verify reads."""
         for n in range(2, 41):
             for q in range(1, n):
-                if gcd(n, q) != 1:
-                    continue
-                cd = data_of(n, q)
-                m = cd.m
-                for R in zone_degrees(cd):
-                    for tag in LatticeTag:
+                if gcd(n, q) == 1:
+                    cd = data_of(n, q)
+                    m = cd.m
+                    for R in zone_degrees(cd):
                         for kappa in (0, -1, m - 1, m, 2 * m):
-                            z = ZoneSpec(R, kappa, tag)
-                            got, want = walked(z, cd), zone_points(z, cd)
-                            assert len(got) == len(want) and set(got) == set(want), (n, q, z)
-                            zones += 1
-        assert zones == 80_625
+                            yield cd, R, kappa
+
+    def test_every_zone_up_to_40(self):
+        # the walk and the list agree on M
+        zones = 0
+        for cd, R, kappa in self.zones_up_to_40():
+            got, want = walked(cd, R, kappa, LatticeTag.M), zone_points(ZoneSpec(R, kappa), cd)
+            assert len(got) == len(want) and set(got) == set(want), (cd.nq, R, kappa)
+            zones += 1
+        assert zones == 26_875
+
+    def test_shifted_is_m_translated_by_one_one_up_to_40(self):
+        # iota(M + Rbar/m) = iota(M) + (1, 1), so the zone at kappa on the
+        # shifted coset is the zone at kappa - 1 on M moved by (1, 1), point
+        # by point in walk order
+        zones = 0
+        for cd, R, kappa in self.zones_up_to_40():
+            got = walked(cd, R, kappa, LatticeTag.M_SHIFTED)
+            want = [(u + 1, v + 1) for u, v in walked(cd, R, kappa - 1, LatticeTag.M)]
+            assert got == want, (cd.nq, R, kappa)
+            zones += 1
+        assert zones == 26_875
 
 
 class TestMTildeProgression:
-    """zone_points walks M_tilde as one progression of step gcd(bw - 1, n)
+    """zone_walk walks M_tilde as one progression of step gcd(bw - 1, n)
     per fiber; the reference walks the m cosets of M."""
 
     @staticmethod
@@ -656,7 +674,8 @@ class TestMTildeProgression:
         v_r = u_r * cd.bw % n + lift * n or n
         R = cd.m_point(u_r, v_r)
         assert_m_tilde_matches_cosets(cd, R, (kappa,))
-        for tag in (LatticeTag.M, LatticeTag.M_SHIFTED):
-            got = list(zone_walk(cd, (u_r, v_r), kappa, tag))
-            want = zone_points(ZoneSpec(R, kappa, tag), cd)
-            assert len(got) == len(want) and set(got) == set(want), tag
+        got = list(zone_walk(cd, (u_r, v_r), kappa))
+        want = zone_points(ZoneSpec(R, kappa), cd)
+        assert len(got) == len(want) and set(got) == set(want)
+        shifted = list(zone_walk(cd, (u_r, v_r), kappa, LatticeTag.M_SHIFTED))
+        assert shifted == [(u + 1, v + 1) for u, v in zone_walk(cd, (u_r, v_r), kappa - 1)]
